@@ -49,9 +49,11 @@ bench:
 	$(GO) test -bench=. -benchmem ./...
 
 # Regenerate the study-pipeline baseline (cold build vs. warm re-query)
-# as test2json events, so later PRs can track the trajectory.
+# as test2json events, so later PRs can track the trajectory. -cpu 1,2
+# records each benchmark under the serial schedule (GOMAXPROCS=1) and
+# the parallel one.
 bench-pipeline:
-	$(GO) test -run '^$$' -bench 'BenchmarkStudyColdWarm|BenchmarkStudyBuild' -benchmem -json . > BENCH_pipeline.json
+	$(GO) test -run '^$$' -bench 'BenchmarkStudyColdWarm|BenchmarkStudyBuild' -cpu 1,2 -benchmem -json . > BENCH_pipeline.json
 
 # Regenerate the prepared-geometry baseline: the naive-vs-prepared
 # point-in-polygon microbenchmarks, the overlay join (naive-serial /

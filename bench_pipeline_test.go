@@ -44,23 +44,13 @@ func BenchmarkStudyColdWarm(b *testing.B) {
 	})
 }
 
-// BenchmarkStudyBuild isolates the layer-build pipeline itself: the
-// parallel dependency-graph build against the serial escape hatch.
+// BenchmarkStudyBuild isolates the layer-build pipeline itself. Run it
+// with -cpu 1,2 (as `make bench-pipeline` does) to compare the serial
+// schedule with the parallel dependency-graph build.
 func BenchmarkStudyBuild(b *testing.B) {
-	b.Run("parallel", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if s := NewStudy(benchPipelineCfg); s.Analyzer == nil {
-				b.Fatal("analyzer missing")
-			}
+	for i := 0; i < b.N; i++ {
+		if s := NewStudy(benchPipelineCfg); s.Analyzer == nil {
+			b.Fatal("analyzer missing")
 		}
-	})
-	b.Run("serial", func(b *testing.B) {
-		cfg := benchPipelineCfg
-		cfg.PipelineSerial = true
-		for i := 0; i < b.N; i++ {
-			if s := NewStudy(cfg); s.Analyzer == nil {
-				b.Fatal("analyzer missing")
-			}
-		}
-	})
+	}
 }

@@ -9,7 +9,6 @@ package fivealarms
 import (
 	"context"
 	"errors"
-	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -19,14 +18,14 @@ import (
 	"fivealarms/internal/pipeline"
 )
 
-// chaosOptions assembles the stress-scale configuration for one chaos
-// build; serial selects the RunSerialContext path.
-func chaosOptions(serial bool, extra ...Option) []Option {
-	opts := []Option{WithConfig(stressCfg)}
-	if serial {
-		opts = append(opts, WithSerialPipeline())
-	}
-	return append(opts, extra...)
+// buildAt builds the stress-scale study, plus any extra options, at
+// GOMAXPROCS=procs: 1 runs the build graph one task at a time, 4 fans
+// it out.
+func buildAt(procs int, extra ...Option) (s *Study, err error) {
+	faults.WithGOMAXPROCS(procs, func() {
+		s, err = NewStudyWithOptions(append([]Option{WithConfig(stressCfg)}, extra...)...)
+	})
+	return s, err
 }
 
 // installHook swaps the build-graph injection hook for the test's
@@ -52,7 +51,7 @@ func buildTaskNames(t *testing.T) []string {
 		mu.Unlock()
 		return nil
 	})
-	if _, err := NewStudyWithOptions(chaosOptions(false)...); err != nil {
+	if _, err := buildAt(4); err != nil {
 		t.Fatal(err)
 	}
 	buildFaultHook = nil
@@ -62,47 +61,30 @@ func buildTaskNames(t *testing.T) []string {
 	return names
 }
 
-func studyAssertNoGoroutineLeak(t *testing.T, before int) {
-	t.Helper()
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		if n := runtime.NumGoroutine(); n <= before {
-			return
-		}
-		if time.Now().After(deadline) {
-			buf := make([]byte, 1<<20)
-			n := runtime.Stack(buf, true)
-			t.Fatalf("goroutine leak: %d before, %d after\n%s", before, runtime.NumGoroutine(), buf[:n])
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-}
-
 // TestStudyChaosPanicEveryTask is the acceptance-criterion sweep: inject
 // a panic into every build task, one at a time, in both schedules. Each
 // run must surface a pipeline.PanicError naming the task, return a nil
 // Study, and leak no goroutines.
 func TestStudyChaosPanicEveryTask(t *testing.T) {
 	names := buildTaskNames(t)
-	for _, serial := range []bool{false, true} {
+	for _, procs := range schedules {
 		for _, victim := range names {
-			time.Sleep(time.Millisecond)
-			before := runtime.NumGoroutine()
+			check := faults.CheckGoroutines(t)
 			in := faults.New(1)
 			in.PanicOn(victim, nil)
 			installHook(t, in.Hook())
-			s, err := NewStudyWithOptions(chaosOptions(serial)...)
+			s, err := buildAt(procs)
 			if s != nil {
-				t.Fatalf("serial=%v victim=%s: partially built Study escaped", serial, victim)
+				t.Fatalf("procs=%d victim=%s: partially built Study escaped", procs, victim)
 			}
 			var pe *pipeline.PanicError
 			if !errors.As(err, &pe) {
-				t.Fatalf("serial=%v victim=%s: err = %v, want pipeline.PanicError", serial, victim, err)
+				t.Fatalf("procs=%d victim=%s: err = %v, want pipeline.PanicError", procs, victim, err)
 			}
 			if pe.Task != victim {
-				t.Errorf("serial=%v victim=%s: PanicError.Task = %q", serial, victim, pe.Task)
+				t.Errorf("procs=%d victim=%s: PanicError.Task = %q", procs, victim, pe.Task)
 			}
-			studyAssertNoGoroutineLeak(t, before)
+			check()
 		}
 	}
 }
@@ -110,19 +92,19 @@ func TestStudyChaosPanicEveryTask(t *testing.T) {
 // TestStudyChaosErrorInjection: injected task errors surface through
 // NewStudyWithOptions wrapped with the task name, in both schedules.
 func TestStudyChaosErrorInjection(t *testing.T) {
-	for _, serial := range []bool{false, true} {
+	for _, procs := range schedules {
 		in := faults.New(1)
 		in.ErrorOn("cellnet", nil)
 		installHook(t, in.Hook())
-		s, err := NewStudyWithOptions(chaosOptions(serial)...)
+		s, err := buildAt(procs)
 		if s != nil || err == nil {
-			t.Fatalf("serial=%v: s=%v err=%v", serial, s != nil, err)
+			t.Fatalf("procs=%d: s=%v err=%v", procs, s != nil, err)
 		}
 		if !errors.Is(err, faults.ErrInjected) {
-			t.Errorf("serial=%v: injected sentinel lost: %v", serial, err)
+			t.Errorf("procs=%d: injected sentinel lost: %v", procs, err)
 		}
 		if !strings.Contains(err.Error(), `"cellnet"`) {
-			t.Errorf("serial=%v: error does not name the task: %v", serial, err)
+			t.Errorf("procs=%d: error does not name the task: %v", procs, err)
 		}
 	}
 }
@@ -132,12 +114,12 @@ func TestStudyChaosErrorInjection(t *testing.T) {
 // (from inside the first task, via the hook) stops scheduling and
 // surfaces ctx.Err() in the chain. Either way the Study is nil.
 func TestStudyBuildCancellation(t *testing.T) {
-	for _, serial := range []bool{false, true} {
+	for _, procs := range schedules {
 		pre, cancel := context.WithCancel(context.Background())
 		cancel()
-		s, err := NewStudyWithOptions(chaosOptions(serial, WithContext(pre))...)
+		s, err := buildAt(procs, WithContext(pre))
 		if s != nil || !errors.Is(err, context.Canceled) {
-			t.Fatalf("serial=%v pre-cancel: s=%v err=%v", serial, s != nil, err)
+			t.Fatalf("procs=%d pre-cancel: s=%v err=%v", procs, s != nil, err)
 		}
 
 		ctx, cancelMid := context.WithCancel(context.Background())
@@ -148,12 +130,12 @@ func TestStudyBuildCancellation(t *testing.T) {
 			return nil
 		})
 		start := time.Now()
-		s, err = NewStudyWithOptions(chaosOptions(serial, WithContext(ctx))...)
+		s, err = buildAt(procs, WithContext(ctx))
 		if s != nil || !errors.Is(err, context.Canceled) {
-			t.Fatalf("serial=%v mid-cancel: s=%v err=%v", serial, s != nil, err)
+			t.Fatalf("procs=%d mid-cancel: s=%v err=%v", procs, s != nil, err)
 		}
 		if d := time.Since(start); d > 30*time.Second {
-			t.Errorf("serial=%v: cancelled build took %v", serial, d)
+			t.Errorf("procs=%d: cancelled build took %v", procs, d)
 		}
 		buildFaultHook = nil
 	}
@@ -165,7 +147,7 @@ func TestStudyBuildCancellation(t *testing.T) {
 func TestStudyChaosCleanRunIdentical(t *testing.T) {
 	in := faults.New(5) // no rules, no rates: fires nothing
 	installHook(t, in.Hook())
-	instrumented, err := NewStudyWithOptions(chaosOptions(false)...)
+	instrumented, err := buildAt(4)
 	if err != nil {
 		t.Fatal(err)
 	}

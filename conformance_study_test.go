@@ -1,7 +1,7 @@
 package fivealarms
 
-// Study-level conformance: seed determinism across repeated builds and
-// both pipeline schedules, and the metamorphic properties that tie the
+// Study-level conformance: seed determinism across repeated builds at
+// GOMAXPROCS 1 and 4, and the metamorphic properties that tie the
 // headline analyses back to the refimpl reference twins (see DESIGN.md
 // §5, "Testing conventions").
 
@@ -15,33 +15,19 @@ import (
 )
 
 // TestSeedDeterminismRepeatedBuilds builds the same seed three times
-// through NewStudyWithOptions — alternating the parallel pipeline and
-// the serial escape hatch — and requires byte-identical rendered report
+// through NewStudyWithOptions — alternating GOMAXPROCS=4 and the serial
+// GOMAXPROCS=1 schedule — and requires byte-identical rendered report
 // output every time. This is the contract every "seed N reproduces the
 // run" claim in the repo rests on.
 func TestSeedDeterminismRepeatedBuilds(t *testing.T) {
-	build := func(serial bool) map[string]string {
-		opts := []Option{
-			WithConfig(stressCfg),
-			WithSeed(stressCfg.Seed),
-		}
-		if serial {
-			opts = append(opts, WithSerialPipeline())
-		}
-		s, err := NewStudyWithOptions(opts...)
-		if err != nil {
-			t.Fatalf("build failed: %v", err)
-		}
-		return analysisFingerprints(s)
-	}
-	want := build(false)
+	want := fingerprintsAt(t, schedules[1], WithSeed(stressCfg.Seed))
 	for rep := 0; rep < 3; rep++ {
-		for _, serial := range []bool{false, true} {
-			got := build(serial)
+		for _, procs := range schedules {
+			got := fingerprintsAt(t, procs, WithSeed(stressCfg.Seed))
 			for name, w := range want {
 				if got[name] != w {
-					t.Fatalf("rep %d serial=%v: %s drifted:\nfirst build:\n%s\nthis build:\n%s",
-						rep, serial, name, w, got[name])
+					t.Fatalf("rep %d GOMAXPROCS=%d: %s drifted:\nfirst build:\n%s\nthis build:\n%s",
+						rep, procs, name, w, got[name])
 				}
 			}
 		}

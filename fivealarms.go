@@ -23,10 +23,14 @@
 //	fmt.Println(overlay.AtRisk(), "transceivers in moderate+ hazard")
 //
 // Everything is deterministic in Config: identical configurations produce
-// identical worlds, datasets, fires and results, whether the layers are
-// built by the parallel pipeline or the serial fallback.
+// identical worlds, datasets, fires and results at any GOMAXPROCS.
 //
 // # Concurrency
+//
+// GOMAXPROCS is the only parallelism setting: the layer pipeline, the
+// season simulations and joins, and the banded raster kernels each fan
+// out to at most GOMAXPROCS goroutines, all joined before the call that
+// started them returns.
 //
 // A Study is safe for concurrent use: any number of goroutines may run
 // any mix of analysis methods on one Study at the same time. The
@@ -71,17 +75,6 @@ type Config struct {
 	Transceivers int
 	// MappedFiresPerSeason bounds fire-simulation cost. Defaults to 40.
 	MappedFiresPerSeason int
-	// PipelineSerial is the debugging escape hatch: build the layers and
-	// simulate the historical seasons one at a time instead of across
-	// worker goroutines. Results are bit-identical either way; only
-	// wall-clock time changes.
-	PipelineSerial bool
-	// RasterWorkers bounds the parallelism of the tiled raster kernels
-	// (perimeter-union fills, distance transforms, dilations, contour
-	// tracing). 0 selects GOMAXPROCS (or serial when PipelineSerial is
-	// set); 1 forces the serial kernels. Results are bit-identical at
-	// any setting; only wall-clock time changes.
-	RasterWorkers int
 	// Shards selects the sharded execution path for the transceiver-axis
 	// analyses (Table 1-3, the hold-out validation, the perimeter union
 	// masks): the fleet is partitioned into this many CONUS row bands,
@@ -127,12 +120,11 @@ func (c Config) withDefaults() Config {
 // memory (the CONUS window is ~4.6M x 2.9M meters), one coarser than
 // maxCellSizeM degenerates below state scale.
 const (
-	minCellSizeM     = 100
-	maxCellSizeM     = 1e6
-	maxTransceivers  = 100_000_000
-	maxMappedFires   = 100_000
-	maxRasterWorkers = 4096
-	maxShards        = 4096
+	minCellSizeM    = 100
+	maxCellSizeM    = 1e6
+	maxTransceivers = 100_000_000
+	maxMappedFires  = 100_000
+	maxShards       = 4096
 )
 
 // Validate rejects configurations that withDefaults would otherwise
@@ -170,12 +162,6 @@ func (c Config) Validate() error {
 		errs = append(errs, fmt.Errorf("fivealarms: MappedFiresPerSeason %d above the %d maximum", c.MappedFiresPerSeason, maxMappedFires))
 	}
 	switch {
-	case c.RasterWorkers < 0:
-		errs = append(errs, fmt.Errorf("fivealarms: RasterWorkers must be >= 0, got %d", c.RasterWorkers))
-	case c.RasterWorkers > maxRasterWorkers:
-		errs = append(errs, fmt.Errorf("fivealarms: RasterWorkers %d above the %d maximum", c.RasterWorkers, maxRasterWorkers))
-	}
-	switch {
 	case c.Shards < 0:
 		errs = append(errs, fmt.Errorf("fivealarms: Shards must be >= 0, got %d", c.Shards))
 	case c.Shards > maxShards:
@@ -200,7 +186,7 @@ func PaperScale(seed uint64) Config {
 //
 // A Study is safe for concurrent use by multiple goroutines and must not
 // be copied after creation. The derived-layer accessors (History,
-// Season2019, Corridor, WHPOverlay, the union masks, Extend, ExtendFine)
+// Season2019, Corridor, WHPOverlay, the union masks, ExtendWith)
 // memoize their results: the first caller computes, concurrent callers
 // during that computation block and share it, and every later call is a
 // cache hit.
@@ -269,8 +255,9 @@ var buildFaultHook func(task string) error
 // once the shared world exists, the WHP raster, the transceiver snapshot
 // and the county synthesis build concurrently; the fire simulator and
 // the risk engine follow as their inputs complete. Each layer is a pure
-// function of its declared inputs, so the parallel schedule produces the
-// same Study as the serial one bit for bit.
+// function of its declared inputs, so every schedule — one task at a
+// time at GOMAXPROCS=1, or fanned out — produces the same Study bit for
+// bit.
 //
 // A non-nil error means no usable Study exists: cancellation of cfg.ctx,
 // a contained panic (pipeline.PanicError) or an injected fault. The
@@ -325,13 +312,7 @@ func build(cfg Config) (*Study, error) {
 		addShardedTasks(g, sb, ctx)
 	}
 
-	var err error
-	if cfg.PipelineSerial {
-		err = g.RunSerialContext(ctx)
-	} else {
-		err = g.RunContext(ctx)
-	}
-	if err != nil {
+	if err := g.RunContext(ctx); err != nil {
 		return nil, fmt.Errorf("fivealarms: building study: %w", err)
 	}
 	if sb != nil {
@@ -341,16 +322,13 @@ func build(cfg Config) (*Study, error) {
 }
 
 // History simulates the calibrated 2000-2018 fire seasons. The seasons
-// are simulated once per Study (in parallel unless Config.PipelineSerial
-// is set — each season draws from an independent rng stream, so the
-// result is identical either way) and cached for every later caller.
+// are simulated once per Study, in parallel (each season draws from an
+// independent rng stream, so the result is identical at any
+// GOMAXPROCS), and cached for every later caller.
 func (s *Study) History() []*wildfire.Season {
 	return s.mem.history.Get(func() []*wildfire.Season {
 		if s.sharded != nil {
 			return s.sharded.history
-		}
-		if s.Cfg.PipelineSerial {
-			return wildfire.SimulateHistory(s.Sim, s.Cfg.Seed, s.Cfg.MappedFiresPerSeason)
 		}
 		return wildfire.SimulateHistoryParallel(s.Sim, s.Cfg.Seed, s.Cfg.MappedFiresPerSeason, 0)
 	})
@@ -368,17 +346,14 @@ func (s *Study) Season2019() *wildfire.Season {
 }
 
 // Table1 runs the historical overlay over the 2000-2018 seasons, once
-// per Study. The seasons join in parallel unless Config.PipelineSerial
-// is set — each season is an independent join over read-only layers, so
-// the result is identical either way. The returned slice is shared
-// between callers: read-only.
+// per Study. The seasons join in parallel — each season is an
+// independent join over read-only layers, so the result is identical at
+// any GOMAXPROCS. The returned slice is shared between callers:
+// read-only.
 func (s *Study) Table1() []risk.YearOverlay {
 	return s.mem.table1.Get(func() []risk.YearOverlay {
 		if s.sharded != nil {
 			return s.sharded.table1
-		}
-		if s.Cfg.PipelineSerial {
-			return s.Analyzer.HistoricalOverlayWorkers(s.History(), 1)
 		}
 		return s.Analyzer.HistoricalOverlay(s.History())
 	})
@@ -406,16 +381,6 @@ func (s *Study) WHPOverlay() *risk.WHPResult {
 	return s.mem.overlay.Get(s.Analyzer.WHPOverlay)
 }
 
-// rasterWorkers resolves Config.RasterWorkers for the tiled raster
-// kernels: PipelineSerial turns the 0 (auto) setting into the serial
-// path, matching how the rest of the pipeline honors that escape hatch.
-func (s *Study) rasterWorkers() int {
-	if s.Cfg.RasterWorkers == 0 && s.Cfg.PipelineSerial {
-		return 1
-	}
-	return s.Cfg.RasterWorkers
-}
-
 // HistoryUnionMask rasterizes the union of the 2000-2018 perimeters onto
 // the world grid (the data behind Figure 3), once per Study.
 func (s *Study) HistoryUnionMask() *raster.BitGrid {
@@ -423,7 +388,7 @@ func (s *Study) HistoryUnionMask() *raster.BitGrid {
 		if s.sharded != nil {
 			return s.sharded.unionHist
 		}
-		return s.Analyzer.FireUnionMaskWorkers(s.History(), s.rasterWorkers())
+		return s.Analyzer.FireUnionMask(s.History())
 	})
 }
 
@@ -434,7 +399,7 @@ func (s *Study) Season2019UnionMask() *raster.BitGrid {
 		if s.sharded != nil {
 			return s.sharded.union2019
 		}
-		return s.Analyzer.FireUnionMaskWorkers([]*wildfire.Season{s.Season2019()}, s.rasterWorkers())
+		return s.Analyzer.FireUnionMask([]*wildfire.Season{s.Season2019()})
 	})
 }
 
@@ -457,42 +422,16 @@ func (s *Study) Validate() *risk.ValidationResult {
 	})
 }
 
-// Extend runs the §3.8 very-high extension experiment with the given
-// buffer distance in meters on the coarse national raster.
-//
-// Deprecated: use ExtendWith, the unified entry point for both the
-// coarse and fine extension paths — ExtendWith(ExtendOptions{DistM: d})
-// is the equivalent call (and additionally resolves d <= 0 to the
-// paper's half mile). Extend remains as a thin delegating shim; both
-// entry points share the same per-distance memo, so mixing them never
-// recomputes.
-func (s *Study) Extend(distM float64) *risk.ExtensionResult {
-	return s.extendCoarse(distM)
-}
-
-// ExtendFine runs the §3.8 experiment at sub-kilometer resolution over
-// the California window.
-//
-// Deprecated: use ExtendWith, the unified entry point —
-// ExtendWith(ExtendOptions{CellSizeM: cellSize, DistM: distM}) is the
-// equivalent call when cellSize is finer than the national raster.
-// ExtendFine remains as a thin delegating shim over the same
-// per-parameter memo.
-func (s *Study) ExtendFine(cellSize, distM float64) *risk.FineExtension {
-	return s.extendFine(cellSize, distM)
-}
-
-// extendCoarse is the memoized coarse-path extension shared by
-// ExtendWith and the deprecated Extend shim. distM passes through to
-// the analyzer unresolved: callers own defaulting.
+// extendCoarse is ExtendWith's memoized coarse-path extension. distM
+// passes through to the analyzer unresolved: ExtendWith owns
+// defaulting.
 func (s *Study) extendCoarse(distM float64) *risk.ExtensionResult {
 	return s.mem.extend.Get(distM, func() *risk.ExtensionResult {
 		return s.Analyzer.ExtendAndValidate(s.Season2019(), distM)
 	})
 }
 
-// extendFine is the memoized fine-path extension shared by ExtendWith
-// and the deprecated ExtendFine shim (cellSize 0 -> 800 m, distM 0 ->
+// extendFine is ExtendWith's memoized fine-path extension (distM 0 ->
 // 804.67 m, resolved by the analyzer). Memoized per (cellSize, distM)
 // pair as passed.
 func (s *Study) extendFine(cellSize, distM float64) *risk.FineExtension {

@@ -79,7 +79,7 @@ func TestEndToEndValidationAndExtension(t *testing.T) {
 	if v.InPerimeter == 0 {
 		t.Fatal("validation empty")
 	}
-	ext := sharedStudy.Extend(2.5 * sharedStudy.World.Grid.CellSize)
+	ext := sharedStudy.ExtendWith(ExtendOptions{DistM: 2.5 * sharedStudy.World.Grid.CellSize})
 	if ext.VHAfter <= ext.VHBefore {
 		t.Error("extension did not grow")
 	}

@@ -10,6 +10,11 @@
 // alone. Explicit per-task rules (ErrorOn, PanicOn, DelayOn) fire
 // unconditionally.
 //
+// The package also holds the checks the chaos suites share:
+// CheckGoroutines, the goroutine-leak check, and WithGOMAXPROCS, which
+// schedule-twin tests use to build the same study serially and in
+// parallel.
+//
 // The package is test-only by convention: production code never
 // installs an injection hook, and with no hook installed the executor's
 // fast path is untouched.

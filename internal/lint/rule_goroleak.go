@@ -8,7 +8,7 @@ import (
 func ruleGoroLeak() Rule {
 	return Rule{
 		Name: "goroleak",
-		Doc:  "go statements must tie the goroutine's lifetime to a context.Context, a sync.WaitGroup, or a WaitGroup-carrying worker-pool job",
+		Doc:  "go statements must tie the goroutine's lifetime to a context.Context or a sync.WaitGroup",
 		Run:  runGoroLeak,
 	}
 }
@@ -17,9 +17,7 @@ func ruleGoroLeak() Rule {
 // spawned goroutine must have a visible owner that bounds its
 // lifetime. The recognized owners are the ones every audited spawn
 // site in the tree uses — a context.Context the body watches, or a
-// sync.WaitGroup it signals (directly, or through a worker-pool job
-// struct carrying a *WaitGroup, which is how internal/raster's
-// persistent kernel pool is tied down). A `go` statement none of whose
+// sync.WaitGroup it signals. A `go` statement none of whose
 // referenced values is context- or WaitGroup-typed has no such owner:
 // nothing can wait for it or stop it, and the chaos suite's
 // goroutine-leak assertions can only catch the schedules a test
@@ -38,7 +36,7 @@ func runGoroLeak(p *Pass) {
 // tiedGoroutine reports whether any expression in the spawned call —
 // the callee, its arguments, or a function literal's body — has a
 // lifetime-owner type: context.Context, or sync.WaitGroup (by value,
-// pointer, or as a struct field selected from a pool job).
+// pointer, or as a selected struct field).
 func tiedGoroutine(p *Pass, call *ast.CallExpr) bool {
 	tied := false
 	ast.Inspect(call, func(n ast.Node) bool {

@@ -1,7 +1,6 @@
 package pipeline
 
 import (
-	"context"
 	"errors"
 	"sync/atomic"
 	"testing"
@@ -11,9 +10,10 @@ import (
 )
 
 // chaosGraph builds the reference diamond-with-tail graph the chaos
-// sweeps run against, recording which tasks completed.
-func chaosGraph(hook func(string) error, completed *atomic.Int32) *Graph {
-	g := New(4)
+// sweeps run against on workers goroutines, recording which tasks
+// completed.
+func chaosGraph(workers int, hook func(string) error, completed *atomic.Int32) *Graph {
+	g := New(workers)
 	g.SetInjectionHook(hook)
 	note := func() error { completed.Add(1); return nil }
 	g.Add("root", note)
@@ -29,32 +29,26 @@ func chaosGraph(hook func(string) error, completed *atomic.Int32) *Graph {
 // *PanicError naming the injected task, leak no goroutines, and leave
 // the process healthy enough for the next iteration.
 func TestChaosPanicEveryTask(t *testing.T) {
-	names := chaosGraph(nil, new(atomic.Int32)).TaskNames()
-	for _, serial := range []bool{false, true} {
+	names := chaosGraph(1, nil, new(atomic.Int32)).TaskNames()
+	for _, workers := range schedules {
 		for _, victim := range names {
-			before := countGoroutines()
+			check := faults.CheckGoroutines(t)
 			in := faults.New(1)
 			in.PanicOn(victim, nil)
 			var completed atomic.Int32
-			g := chaosGraph(in.Hook(), &completed)
-			var err error
-			if serial {
-				err = g.RunSerialContext(context.Background())
-			} else {
-				err = g.Run()
-			}
+			err := chaosGraph(workers, in.Hook(), &completed).Run()
 			var pe *PanicError
 			if !errors.As(err, &pe) {
-				t.Fatalf("serial=%v victim=%s: err = %v, want *PanicError", serial, victim, err)
+				t.Fatalf("workers=%d victim=%s: err = %v, want *PanicError", workers, victim, err)
 			}
 			if pe.Task != victim {
-				t.Errorf("serial=%v victim=%s: PanicError.Task = %q", serial, victim, pe.Task)
+				t.Errorf("workers=%d victim=%s: PanicError.Task = %q", workers, victim, pe.Task)
 			}
 			ev := in.Events()
 			if len(ev) != 1 || ev[0] != (faults.Event{Task: victim, Kind: faults.KindPanic}) {
-				t.Errorf("serial=%v victim=%s: events = %v", serial, victim, ev)
+				t.Errorf("workers=%d victim=%s: events = %v", workers, victim, ev)
 			}
-			assertNoGoroutineLeak(t, before)
+			check()
 		}
 	}
 }
@@ -62,12 +56,12 @@ func TestChaosPanicEveryTask(t *testing.T) {
 // TestChaosErrorEveryTask is the error-injection sweep: every failure
 // surfaces wrapped with its task name and downstream tasks are skipped.
 func TestChaosErrorEveryTask(t *testing.T) {
-	names := chaosGraph(nil, new(atomic.Int32)).TaskNames()
+	names := chaosGraph(1, nil, new(atomic.Int32)).TaskNames()
 	for _, victim := range names {
 		in := faults.New(1)
 		in.ErrorOn(victim, nil)
 		var completed atomic.Int32
-		g := chaosGraph(in.Hook(), &completed)
+		g := chaosGraph(4, in.Hook(), &completed)
 		err := g.Run()
 		if !errors.Is(err, faults.ErrInjected) {
 			t.Fatalf("victim=%s: err = %v", victim, err)
@@ -87,7 +81,7 @@ func TestChaosSeededRatesDeterministic(t *testing.T) {
 		in := faults.New(seed)
 		in.ErrorRate(0.5)
 		var completed atomic.Int32
-		g := chaosGraph(in.Hook(), &completed)
+		g := chaosGraph(4, in.Hook(), &completed)
 		g.JoinErrors()
 		_ = g.Run()
 		set := map[faults.Event]bool{}
@@ -111,7 +105,7 @@ func TestChaosSeededRatesDeterministic(t *testing.T) {
 
 	// No injector installed: the same graph runs clean.
 	var completed atomic.Int32
-	if err := chaosGraph(nil, &completed).Run(); err != nil || completed.Load() != 5 {
+	if err := chaosGraph(4, nil, &completed).Run(); err != nil || completed.Load() != 5 {
 		t.Fatalf("clean run: err=%v completed=%d", err, completed.Load())
 	}
 }
@@ -122,7 +116,7 @@ func TestChaosDelaysDoNotChangeResults(t *testing.T) {
 	in := faults.New(7)
 	in.MaxDelay(2 * time.Millisecond)
 	var completed atomic.Int32
-	g := chaosGraph(in.Hook(), &completed)
+	g := chaosGraph(4, in.Hook(), &completed)
 	if err := g.Run(); err != nil {
 		t.Fatal(err)
 	}

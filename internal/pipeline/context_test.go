@@ -4,60 +4,35 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"fivealarms/internal/faults"
 )
 
-// countGoroutines samples the goroutine count once the runtime settles.
-func countGoroutines() int {
-	time.Sleep(time.Millisecond)
-	return runtime.NumGoroutine()
-}
-
-// assertNoGoroutineLeak fails the test if the goroutine count has not
-// returned to the baseline within two seconds (executor workers and the
-// context watcher must all exit with the run).
-func assertNoGoroutineLeak(t *testing.T, before int) {
-	t.Helper()
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		if n := runtime.NumGoroutine(); n <= before {
-			return
-		}
-		if time.Now().After(deadline) {
-			buf := make([]byte, 1<<20)
-			n := runtime.Stack(buf, true)
-			t.Fatalf("goroutine leak: %d before, %d after\n%s", before, runtime.NumGoroutine(), buf[:n])
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-}
+// schedules are the worker counts every schedule-sensitive test runs
+// under: bounded parallel, and New(1)'s one-task-at-a-time schedule.
+var schedules = []int{4, 1}
 
 func TestRunContextCancelledBeforeStart(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for _, serial := range []bool{false, true} {
+	for _, workers := range schedules {
 		var ran atomic.Int32
-		g := New(4)
+		g := New(workers)
 		g.Add("a", func() error { ran.Add(1); return nil })
 		g.Add("b", func() error { ran.Add(1); return nil }, "a")
-		var err error
-		if serial {
-			err = g.RunSerialContext(ctx)
-		} else {
-			err = g.RunContext(ctx)
-		}
+		err := g.RunContext(ctx)
 		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("serial=%v: err = %v, want context.Canceled in chain", serial, err)
+			t.Fatalf("workers=%d: err = %v, want context.Canceled in chain", workers, err)
 		}
 		if ran.Load() != 0 {
-			t.Errorf("serial=%v: %d tasks ran under a pre-cancelled context", serial, ran.Load())
+			t.Errorf("workers=%d: %d tasks ran under a pre-cancelled context", workers, ran.Load())
 		}
 		if !strings.Contains(err.Error(), "0 of 2") {
-			t.Errorf("serial=%v: error lacks progress info: %v", serial, err)
+			t.Errorf("workers=%d: error lacks progress info: %v", workers, err)
 		}
 	}
 }
@@ -66,7 +41,7 @@ func TestRunContextCancelMidFlight(t *testing.T) {
 	// Cancel while the first task is in flight: the in-flight task
 	// drains, no dependent is scheduled, ctx.Err() is in the chain, and
 	// the run returns within one task granularity.
-	before := countGoroutines()
+	check := faults.CheckGoroutines(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	var afterRan atomic.Bool
 	g := New(4)
@@ -87,7 +62,7 @@ func TestRunContextCancelMidFlight(t *testing.T) {
 	if d := time.Since(start); d > time.Second {
 		t.Errorf("run took %v after cancellation", d)
 	}
-	assertNoGoroutineLeak(t, before)
+	check()
 }
 
 func TestRunContextDeadline(t *testing.T) {
@@ -118,67 +93,57 @@ func TestRunContextCompletionBeatsLateCancel(t *testing.T) {
 }
 
 func TestPanicContainment(t *testing.T) {
-	for _, serial := range []bool{false, true} {
-		before := countGoroutines()
-		g := New(4)
+	for _, workers := range schedules {
+		check := faults.CheckGoroutines(t)
+		g := New(workers)
 		g.Add("fine", func() error { return nil })
 		g.Add("bomb", func() error { panic("boom") })
 		g.Add("downstream", func() error { t.Error("dependent of panicking task ran"); return nil }, "bomb")
-		var err error
-		if serial {
-			err = g.RunSerialContext(context.Background())
-		} else {
-			err = g.Run()
-		}
+		err := g.Run()
 		var pe *PanicError
 		if !errors.As(err, &pe) {
-			t.Fatalf("serial=%v: err = %v, want *PanicError", serial, err)
+			t.Fatalf("workers=%d: err = %v, want *PanicError", workers, err)
 		}
 		if pe.Task != "bomb" {
-			t.Errorf("serial=%v: PanicError.Task = %q", serial, pe.Task)
+			t.Errorf("workers=%d: PanicError.Task = %q", workers, pe.Task)
 		}
 		if pe.Value != "boom" {
-			t.Errorf("serial=%v: PanicError.Value = %v", serial, pe.Value)
+			t.Errorf("workers=%d: PanicError.Value = %v", workers, pe.Value)
 		}
 		if len(pe.Stack) == 0 || !strings.Contains(string(pe.Stack), "panic") {
-			t.Errorf("serial=%v: PanicError.Stack missing", serial)
+			t.Errorf("workers=%d: PanicError.Stack missing", workers)
 		}
-		assertNoGoroutineLeak(t, before)
+		check()
 	}
 }
 
 func TestJoinErrorsAggregatesInDeclarationOrder(t *testing.T) {
 	errA := errors.New("layer A broken")
 	errC := errors.New("layer C broken")
-	for _, serial := range []bool{false, true} {
+	for _, workers := range schedules {
 		var dRan, okRan atomic.Bool
-		g := New(4)
+		g := New(workers)
 		g.JoinErrors()
 		g.Add("a", func() error { return errA })
 		g.Add("b", func() error { return nil })
 		g.Add("c", func() error { time.Sleep(2 * time.Millisecond); return errC })
 		g.Add("d", func() error { dRan.Store(true); return nil }, "a")
 		g.Add("ok", func() error { okRan.Store(true); return nil }, "b")
-		var err error
-		if serial {
-			err = g.RunSerialContext(context.Background())
-		} else {
-			err = g.Run()
-		}
+		err := g.Run()
 		if !errors.Is(err, errA) || !errors.Is(err, errC) {
-			t.Fatalf("serial=%v: aggregate %v missing a failure", serial, err)
+			t.Fatalf("workers=%d: aggregate %v missing a failure", workers, err)
 		}
 		if dRan.Load() {
-			t.Errorf("serial=%v: dependent of failed task ran", serial)
+			t.Errorf("workers=%d: dependent of failed task ran", workers)
 		}
 		if !okRan.Load() {
-			t.Errorf("serial=%v: independent task skipped after unrelated failure", serial)
+			t.Errorf("workers=%d: independent task skipped after unrelated failure", workers)
 		}
 		// Aggregation order is declaration order, not completion order:
 		// "a" must be reported before the slower-declared "c".
 		msg := err.Error()
 		if ia, ic := strings.Index(msg, "layer A"), strings.Index(msg, "layer C"); ia < 0 || ic < 0 || ia > ic {
-			t.Errorf("serial=%v: aggregate order wrong: %q", serial, msg)
+			t.Errorf("workers=%d: aggregate order wrong: %q", workers, msg)
 		}
 	}
 }

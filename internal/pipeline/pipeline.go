@@ -7,8 +7,8 @@
 // The executor is deliberately tiny: tasks are named, depend on other
 // tasks by name, and run as soon as every dependency has finished.
 // Determinism is the caller's contract — tasks must not communicate
-// except through their declared dependency edges, so the schedule
-// (parallel or serial) cannot change any task's result.
+// except through their declared dependency edges, so the schedule (any
+// worker count, New(1) included) cannot change any task's result.
 //
 // # Failure model
 //
@@ -17,7 +17,7 @@
 //   - A panicking task is recovered into a *PanicError carrying the task
 //     name, the panic value and the goroutine stack; sibling workers are
 //     woken and drain cleanly, and no goroutine outlives the run.
-//   - RunContext and RunSerialContext honor cancellation: a cancelled
+//   - RunContext honors cancellation: a cancelled
 //     context stops new tasks from being scheduled, in-flight tasks are
 //     drained, and the returned error wraps ctx.Err() together with how
 //     far the run got.
@@ -60,10 +60,9 @@ type task struct {
 }
 
 // Graph is a build-once dependency graph. Declare tasks with Add, then
-// execute with Run/RunContext (bounded parallel) or
-// RunSerial/RunSerialContext (deterministic declaration order). A Graph
-// is not safe for concurrent declaration and is consumed by a single run
-// call.
+// execute with Run or RunContext on at most the graph's worker count of
+// goroutines (one at a time under New(1)). A Graph is not safe for
+// concurrent declaration and is consumed by a single run call.
 type Graph struct {
 	workers int
 	tasks   []*task
@@ -81,9 +80,8 @@ func New(workers int) *Graph {
 	return &Graph{workers: workers, byName: map[string]*task{}}
 }
 
-// Add declares a task. Every name in deps must already be declared —
-// declaration order is a valid serial schedule by construction, which is
-// what RunSerial executes. Add panics on a duplicate name or an unknown
+// Add declares a task. Every name in deps must already be declared, so
+// the graph is acyclic by construction. Add panics on a duplicate name or an unknown
 // dependency; both are programming errors in the graph definition.
 func (g *Graph) Add(name string, fn func() error, deps ...string) {
 	if _, dup := g.byName[name]; dup {
@@ -315,49 +313,4 @@ func (g *Graph) RunContext(ctx context.Context) error {
 		ctxErr = ctx.Err()
 	}
 	return finish(errs, ctxErr, done, n)
-}
-
-// RunSerial executes every task one at a time in declaration order (a
-// valid topological order by Add's contract). It is the debugging escape
-// hatch: identical results to Run, no goroutines involved. Panics are
-// contained and the injection hook applies exactly as in Run.
-func (g *Graph) RunSerial() error { return g.RunSerialContext(context.Background()) }
-
-// RunSerialContext is RunSerial under a context, checked between tasks.
-func (g *Graph) RunSerialContext(ctx context.Context) error {
-	n := len(g.tasks)
-	var (
-		errs   []taskError
-		done   int
-		failed map[string]bool // tasks that failed or were skipped
-	)
-	for _, t := range g.tasks {
-		if err := ctx.Err(); err != nil {
-			return finish(errs, err, done, n)
-		}
-		blocked := false
-		for _, d := range t.deps {
-			if failed[d] {
-				blocked = true
-				break
-			}
-		}
-		if blocked {
-			failed[t.name] = true
-			continue
-		}
-		if err := g.runTask(t); err != nil {
-			errs = append(errs, wrapTaskErr(t, err))
-			if !g.joinAll {
-				return finish(errs, nil, done, n)
-			}
-			if failed == nil {
-				failed = map[string]bool{}
-			}
-			failed[t.name] = true
-			continue
-		}
-		done++
-	}
-	return finish(errs, nil, done, n)
 }

@@ -9,26 +9,20 @@ import (
 )
 
 func TestGraphRunsAllTasksOnce(t *testing.T) {
-	for _, serial := range []bool{false, true} {
+	for _, workers := range []int{3, 1} {
 		var counts [5]int32
-		g := New(3)
+		g := New(workers)
 		g.Add("a", func() error { atomic.AddInt32(&counts[0], 1); return nil })
 		g.Add("b", func() error { atomic.AddInt32(&counts[1], 1); return nil }, "a")
 		g.Add("c", func() error { atomic.AddInt32(&counts[2], 1); return nil }, "a")
 		g.Add("d", func() error { atomic.AddInt32(&counts[3], 1); return nil }, "b", "c")
 		g.Add("e", func() error { atomic.AddInt32(&counts[4], 1); return nil })
-		var err error
-		if serial {
-			err = g.RunSerial()
-		} else {
-			err = g.Run()
-		}
-		if err != nil {
-			t.Fatalf("serial=%v: %v", serial, err)
+		if err := g.Run(); err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
 		}
 		for i, c := range counts {
 			if c != 1 {
-				t.Errorf("serial=%v: task %d ran %d times", serial, i, c)
+				t.Errorf("workers=%d: task %d ran %d times", workers, i, c)
 			}
 		}
 	}

@@ -15,7 +15,6 @@ import (
 // tracer's edge-insertion sequence — the seam-stitching step that makes
 // the traced rings identical at any worker count.
 type contourTask struct {
-	wg    sync.WaitGroup
 	mask  *BitGrid
 	edges []*[]uint64 // per-band edge lists, packed from<<32|to
 }
@@ -95,7 +94,7 @@ func TraceContoursWorkers(mask *BitGrid, workers int) geom.MultiPolygon {
 		for b := 0; b < bands; b++ {
 			t.edges = append(t.edges, getWords(0))
 		}
-		runBands(t, &t.wg, g.NY, bands)
+		runBands(t, g.NY, bands)
 		for _, bp := range t.edges {
 			for _, e := range *bp {
 				addEdge(int32(e>>32), int32(uint32(e)))

@@ -13,11 +13,11 @@ import (
 // The implementation is the exact two-pass separable squared-EDT of
 // Felzenszwalb & Huttenlocher (2012): a column pass computing 1-D squared
 // distances followed by a row pass taking the lower envelope of parabolas.
-// Complexity is O(NX*NY). Both passes run banded across the kernel worker
-// pool (columns sharded by column range, rows by row range; each band
-// writes a disjoint region, so the result is bit-identical to the serial
-// path at any worker count). Scratch comes from the arena; the only
-// allocation is the returned grid.
+// Complexity is O(NX*NY). Both passes run banded across goroutines
+// scoped to the call (columns sharded by column range, rows by row
+// range; each band writes a disjoint region, so the result is
+// bit-identical to the serial path at any worker count). Scratch comes
+// from the arena; the only allocation is the returned grid.
 func DistanceTransform(mask *BitGrid) *FloatGrid {
 	return DistanceTransformWorkers(mask, 0)
 }
@@ -36,7 +36,6 @@ func DistanceTransformWorkers(mask *BitGrid, workers int) *FloatGrid {
 // cell units) to the nearest set cell in that column. Bands are column
 // ranges; each band writes a disjoint column stripe of colDist.
 type dtColsTask struct {
-	wg      sync.WaitGroup
 	mask    *BitGrid
 	colDist []float64
 }
@@ -87,7 +86,6 @@ func (t *dtColsTask) runBand(_, lo, hi int) {
 // its own envelope scratch (source positions, breakpoints, row copy)
 // from the arena.
 type dtRowsTask struct {
-	wg      sync.WaitGroup
 	g       Geometry
 	colDist []float64
 	out     []float64
@@ -169,13 +167,13 @@ func DistanceTransformInto(out *FloatGrid, mask *BitGrid, workers int) error {
 
 	ct := dtColsPool.Get().(*dtColsTask)
 	ct.mask, ct.colDist = mask, *colDistP
-	runBands(ct, &ct.wg, g.NX, kernelBands(workers, g.Cells(), g.NX))
+	runBands(ct, g.NX, kernelBands(workers, g.Cells(), g.NX))
 	ct.mask, ct.colDist = nil, nil
 	dtColsPool.Put(ct)
 
 	rt := dtRowsPool.Get().(*dtRowsTask)
 	rt.g, rt.colDist, rt.out = g, *colDistP, out.Data
-	runBands(rt, &rt.wg, g.NY, kernelBands(workers, g.Cells(), g.NY))
+	runBands(rt, g.NY, kernelBands(workers, g.Cells(), g.NY))
 	rt.colDist, rt.out = nil, nil
 	dtRowsPool.Put(rt)
 
@@ -187,7 +185,6 @@ func DistanceTransformInto(out *FloatGrid, mask *BitGrid, workers int) error {
 // are word ranges of the output bit slice, so every band writes whole
 // words disjointly (no merge needed).
 type thresholdTask struct {
-	wg    sync.WaitGroup
 	dt    []float64
 	out   []uint64
 	cells int
@@ -235,7 +232,7 @@ func DilateByDistanceWorkers(mask *BitGrid, dist float64, workers int) *BitGrid 
 	if len(out.bits) > 0 {
 		tt := thresholdPool.Get().(*thresholdTask)
 		tt.dt, tt.out, tt.cells, tt.dist = dt.Data, out.bits, g.Cells(), dist
-		runBands(tt, &tt.wg, len(out.bits), kernelBands(workers, g.Cells(), len(out.bits)))
+		runBands(tt, len(out.bits), kernelBands(workers, g.Cells(), len(out.bits)))
 		tt.dt, tt.out = nil, nil
 		thresholdPool.Put(tt)
 	}
@@ -262,7 +259,6 @@ func ErodeByDistance(mask *BitGrid, dist float64) *BitGrid {
 // accumulating newly set cells into per-band tiles merged serially in
 // band order.
 type dilate8Task struct {
-	wg    sync.WaitGroup
 	cur   *BitGrid
 	tiles []*[]uint64 // per-band word buffers
 	offs  []int       // per-band first word index
@@ -326,7 +322,7 @@ func Dilate8Workers(mask *BitGrid, steps, workers int) *BitGrid {
 				clear(*t.tiles[b])
 			}
 		}
-		runBands(t, &t.wg, g.NY, bands)
+		runBands(t, g.NY, bands)
 		// Serial merge, band order: OR each band's tile into the next
 		// generation. Bands only share their boundary words, and OR is
 		// commutative, so the merge is order-independent anyway.

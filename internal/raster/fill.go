@@ -16,7 +16,6 @@ import (
 // which keeps the result bit-identical at any worker count (the mask is
 // a union, and OR is commutative).
 type fillTask struct {
-	wg    sync.WaitGroup
 	mask  *BitGrid // direct-write target; used only when tiles is empty
 	g     Geometry
 	polys []geom.Polygon
@@ -156,7 +155,7 @@ func FillPolygonsInto(mask *BitGrid, polys []geom.Polygon, workers int) {
 			t.offs = append(t.offs, w0)
 		}
 	}
-	runBands(t, &t.wg, g.NY, bands)
+	runBands(t, g.NY, bands)
 	if bands > 1 {
 		// Serial merge in band order: adjacent bands share at most their
 		// boundary words (rows are bit-packed back to back), and OR is
@@ -249,11 +248,4 @@ func FillMultiPolygon(g Geometry, m geom.MultiPolygon) *BitGrid {
 // allocating a full grid per geometry and Or-ing them.
 func FillMultiPolygonInto(mask *BitGrid, m geom.MultiPolygon) {
 	FillPolygonsInto(mask, m, 0)
-}
-
-// FillMultiPolygonIntoWorkers is FillMultiPolygonInto with an explicit
-// worker bound (0 = GOMAXPROCS, 1 = serial; bit-identical at any
-// setting).
-func FillMultiPolygonIntoWorkers(mask *BitGrid, m geom.MultiPolygon, workers int) {
-	FillPolygonsInto(mask, m, workers)
 }

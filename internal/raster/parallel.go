@@ -3,60 +3,24 @@ package raster
 import (
 	"runtime"
 	"sync"
+	"sync/atomic"
 )
 
 // The tiled execution model: every raster kernel decomposes its grid
 // into contiguous bands (row ranges for scanline work, column ranges
 // for the distance transform's first pass, word ranges for bit-level
-// work) and runs the bands on a bounded pool of persistent worker
-// goroutines. Band boundaries are a pure function of (item count, band
-// count), each band writes a disjoint region of the output or a private
-// tile merged serially in band order, and no band's result depends on
-// scheduling — so the parallel kernels are bit-identical to the serial
-// path at any worker count, which the diffcheck parallel drivers
+// work) and runs the bands on goroutines scoped to the kernel call.
+// Band boundaries are a pure function of (item count, band count), each
+// band writes a disjoint region of the output or a private tile merged
+// serially in band order, and no band's result depends on which
+// goroutine ran it — so the parallel kernels are bit-identical to the
+// serial path at any worker count, which the diffcheck parallel drivers
 // enforce (DESIGN.md, "Raster execution model").
-//
-// The pool is persistent (started once, sized to GOMAXPROCS at first
-// use) so dispatching a kernel performs no allocation: jobs travel by
-// value over a channel and completion is signaled through a WaitGroup
-// owned by the kernel's pooled task struct.
 
 // A bandTask is one kernel invocation's banded execution: runBand
 // processes the half-open range [lo, hi) of band index `band`.
-// Implementations must be leaf work — a runBand must never dispatch
-// bands of its own (the pool's no-nesting rule, which is what makes the
-// bounded pool deadlock-free: every queued job completes without
-// waiting on another job).
 type bandTask interface {
 	runBand(band, lo, hi int)
-}
-
-var kernelPool struct {
-	once sync.Once
-	jobs chan kernelJob
-}
-
-type kernelJob struct {
-	t      bandTask
-	band   int
-	lo, hi int
-	wg     *sync.WaitGroup
-}
-
-func startKernelPool() {
-	n := runtime.GOMAXPROCS(0)
-	if n < 1 {
-		n = 1
-	}
-	kernelPool.jobs = make(chan kernelJob, 4*n)
-	for i := 0; i < n; i++ {
-		go func() {
-			for j := range kernelPool.jobs {
-				j.t.runBand(j.band, j.lo, j.hi)
-				j.wg.Done()
-			}
-		}()
-	}
 }
 
 // parallelMinCells is the grid size below which the auto worker setting
@@ -94,23 +58,66 @@ func kernelBands(workers, cells, items int) int {
 	return workers
 }
 
+// fanout is one runBands call's shared state: the caller and its
+// helper goroutines claim band indices from next until none remain.
+// Fan-outs are pooled so a warm kernel dispatch allocates nothing.
+type fanout struct {
+	wg       sync.WaitGroup
+	next     atomic.Int64
+	t        bandTask
+	n, bands int
+	// help is f.helpAndDone bound once when the fan-out is created:
+	// `go f.help()` on a stored no-argument func starts a goroutine
+	// without allocating, where a method call or an argument would
+	// allocate a closure per spawn.
+	help func()
+}
+
+var fanoutPool = sync.Pool{New: func() any {
+	f := new(fanout)
+	f.help = f.helpAndDone
+	return f
+}}
+
+func (f *fanout) helpAndDone() {
+	defer f.wg.Done()
+	f.claim()
+}
+
+// claim runs bands until the counter passes the last one.
+func (f *fanout) claim() {
+	for {
+		b := int(f.next.Add(1)) - 1
+		if b >= f.bands {
+			return
+		}
+		lo, hi := bandRange(b, f.n, f.bands)
+		f.t.runBand(b, lo, hi)
+	}
+}
+
 // runBands executes t over [0, n) split into bands contiguous ranges:
-// band b covers [b*n/bands, (b+1)*n/bands). Band 0 runs inline on the
-// calling goroutine; the rest are dispatched to the persistent pool.
-// wg must be an idle WaitGroup owned by t (reused across calls); on
-// return every band has completed and its writes are visible.
-func runBands(t bandTask, wg *sync.WaitGroup, n, bands int) {
+// band b covers [b*n/bands, (b+1)*n/bands). The calling goroutine and
+// up to GOMAXPROCS-1 helpers claim bands from one counter; every helper
+// has exited before runBands returns, and every band's writes are
+// visible to the caller.
+func runBands(t bandTask, n, bands int) {
 	if bands <= 1 || n <= 1 {
 		t.runBand(0, 0, n)
 		return
 	}
-	kernelPool.once.Do(startKernelPool)
-	wg.Add(bands - 1)
-	for b := 1; b < bands; b++ {
-		kernelPool.jobs <- kernelJob{t: t, band: b, lo: b * n / bands, hi: (b + 1) * n / bands, wg: wg}
+	f := fanoutPool.Get().(*fanout)
+	f.t, f.n, f.bands = t, n, bands
+	f.next.Store(0)
+	helpers := min(bands, runtime.GOMAXPROCS(0)) - 1
+	f.wg.Add(helpers)
+	for i := 0; i < helpers; i++ {
+		go f.help() //fivealarms:allow(goroleak) help is helpAndDone, which signals f.wg; runBands waits on f.wg before returning
 	}
-	t.runBand(0, 0, n/bands)
-	wg.Wait()
+	f.claim()
+	f.wg.Wait()
+	f.t = nil
+	fanoutPool.Put(f)
 }
 
 // bandRange returns the [lo, hi) range of band b when n items split

@@ -12,6 +12,7 @@ import (
 	"runtime"
 	"testing"
 
+	"fivealarms/internal/faults"
 	"fivealarms/internal/geom"
 )
 
@@ -418,4 +419,22 @@ func syntheticPerimeters(g Geometry, n int, salt uint64) []geom.Polygon {
 		polys = append(polys, geom.Polygon{Exterior: ring})
 	}
 	return polys
+}
+
+// TestKernelsLeaveNoGoroutines runs every banded kernel at GOMAXPROCS=4,
+// where each fans out across helper goroutines, and requires that none
+// of those goroutines outlives the kernel call that started it.
+func TestKernelsLeaveNoGoroutines(t *testing.T) {
+	g := Geometry{MinX: 0, MinY: 0, CellSize: 100, NX: 256, NY: 256}
+	polys := syntheticPerimeters(g, 12, 7)
+	check := faults.CheckGoroutines(t)
+	faults.WithGOMAXPROCS(4, func() {
+		mask := NewBitGrid(g)
+		FillPolygonsInto(mask, polys, 0)
+		DistanceTransform(mask)
+		DilateByDistance(mask, 250)
+		Dilate8(mask, 2)
+		TraceContours(mask)
+	})
+	check()
 }

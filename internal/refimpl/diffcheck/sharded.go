@@ -10,11 +10,12 @@ import (
 )
 
 // Sharded study conformance: the sharded execution path promises
-// bit-identical results to the monolithic build at any shard count and
-// under either pipeline schedule. These drivers enforce that promise
-// end to end — whole twin studies compared product by product — and at
-// the mask-merge kernel level with adversarial band-straddling
-// perimeters.
+// bit-identical results to the monolithic build at any shard count.
+// These drivers enforce that promise end to end — whole twin studies
+// compared product by product — and at the mask-merge kernel level with
+// adversarial band-straddling perimeters. Schedule independence (the
+// same products at any GOMAXPROCS) is the root package's schedule-twin
+// test.
 
 // shardCountGrid deliberately includes 1 (sharding machinery with no
 // partition effect), counts that leave empty coastal bands at tiny
@@ -22,8 +23,8 @@ import (
 var shardCountGrid = [...]int{1, 2, 4, 7}
 
 // genShardConfig derives one small study configuration from the seed.
-// Scales stay tiny — the value of the sweep is in shard-count and
-// schedule coverage, not fleet size.
+// Scales stay tiny — the value of the sweep is in shard-count coverage,
+// not fleet size.
 func genShardConfig(seed int64) fivealarms.Config {
 	rng := rand.New(rand.NewSource(seed ^ 0x5a4ded))
 	return fivealarms.Config{
@@ -35,8 +36,7 @@ func genShardConfig(seed int64) fivealarms.Config {
 }
 
 // CheckSharded builds one monolithic study from the seeded
-// configuration, then a sharded twin per (shard count, schedule) pair,
-// and demands byte-identical transceiver-axis products: Tables 1-3
+// configuration, then a sharded twin per shard count, and demands byte-identical transceiver-axis products: Tables 1-3
 // (including every recomputed ratio field, via reflect.DeepEqual — no
 // ulp allowance), the §3.4 validation, and both perimeter union masks
 // by fingerprint.
@@ -50,47 +50,41 @@ func CheckSharded(seed int64) error {
 	mono2019 := mono.Season2019UnionMask().Fingerprint()
 
 	for _, n := range shardCountGrid {
-		for _, serial := range []bool{false, true} {
-			opts := []fivealarms.Option{fivealarms.WithConfig(cfg), fivealarms.WithShards(n)}
-			if serial {
-				opts = append(opts, fivealarms.WithSerialPipeline())
-			}
-			sh, err := fivealarms.NewStudyWithOptions(opts...)
-			if err != nil {
-				return divergef("sharded-study", seed, "shards=%d serial=%t build: %v", n, serial, err)
-			}
-			if !reflect.DeepEqual(mono.Table1(), sh.Table1()) {
-				return divergef("sharded-table1", seed, "shards=%d serial=%t: merged overlay differs from monolithic", n, serial)
-			}
-			if !reflect.DeepEqual(mono.Table2(), sh.Table2()) {
-				return divergef("sharded-table2", seed, "shards=%d serial=%t: merged provider rows differ from monolithic", n, serial)
-			}
-			if !reflect.DeepEqual(mono.Table3(), sh.Table3()) {
-				return divergef("sharded-table3", seed, "shards=%d serial=%t: merged radio rows differ from monolithic", n, serial)
-			}
-			if !reflect.DeepEqual(mono.Validate(), sh.Validate()) {
-				return divergef("sharded-validate", seed, "shards=%d serial=%t: merged validation differs from monolithic", n, serial)
-			}
-			if got := sh.HistoryUnionMask().Fingerprint(); got != monoHist {
-				return divergef("sharded-hist-mask", seed, "shards=%d serial=%t: union fingerprint %#x != monolithic %#x", n, serial, got, monoHist)
-			}
-			if got := sh.Season2019UnionMask().Fingerprint(); got != mono2019 {
-				return divergef("sharded-2019-mask", seed, "shards=%d serial=%t: union fingerprint %#x != monolithic %#x", n, serial, got, mono2019)
-			}
-			rows, peak := sh.ShardStats()
-			if len(rows) != n {
-				return divergef("sharded-stats", seed, "shards=%d serial=%t: ShardStats reported %d shards", n, serial, len(rows))
-			}
-			total := 0
-			for _, r := range rows {
-				total += r
-			}
-			if total != len(mono.Data.T) {
-				return divergef("sharded-stats", seed, "shards=%d serial=%t: shard rows sum to %d, fleet is %d", n, serial, total, len(mono.Data.T))
-			}
-			if peak <= 0 {
-				return divergef("sharded-stats", seed, "shards=%d serial=%t: non-positive peak footprint %d", n, serial, peak)
-			}
+		sh, err := fivealarms.NewStudyWithOptions(fivealarms.WithConfig(cfg), fivealarms.WithShards(n))
+		if err != nil {
+			return divergef("sharded-study", seed, "shards=%d build: %v", n, err)
+		}
+		if !reflect.DeepEqual(mono.Table1(), sh.Table1()) {
+			return divergef("sharded-table1", seed, "shards=%d: merged overlay differs from monolithic", n)
+		}
+		if !reflect.DeepEqual(mono.Table2(), sh.Table2()) {
+			return divergef("sharded-table2", seed, "shards=%d: merged provider rows differ from monolithic", n)
+		}
+		if !reflect.DeepEqual(mono.Table3(), sh.Table3()) {
+			return divergef("sharded-table3", seed, "shards=%d: merged radio rows differ from monolithic", n)
+		}
+		if !reflect.DeepEqual(mono.Validate(), sh.Validate()) {
+			return divergef("sharded-validate", seed, "shards=%d: merged validation differs from monolithic", n)
+		}
+		if got := sh.HistoryUnionMask().Fingerprint(); got != monoHist {
+			return divergef("sharded-hist-mask", seed, "shards=%d: union fingerprint %#x != monolithic %#x", n, got, monoHist)
+		}
+		if got := sh.Season2019UnionMask().Fingerprint(); got != mono2019 {
+			return divergef("sharded-2019-mask", seed, "shards=%d: union fingerprint %#x != monolithic %#x", n, got, mono2019)
+		}
+		rows, peak := sh.ShardStats()
+		if len(rows) != n {
+			return divergef("sharded-stats", seed, "shards=%d: ShardStats reported %d shards", n, len(rows))
+		}
+		total := 0
+		for _, r := range rows {
+			total += r
+		}
+		if total != len(mono.Data.T) {
+			return divergef("sharded-stats", seed, "shards=%d: shard rows sum to %d, fleet is %d", n, total, len(mono.Data.T))
+		}
+		if peak <= 0 {
+			return divergef("sharded-stats", seed, "shards=%d: non-positive peak footprint %d", n, peak)
 		}
 	}
 	return nil

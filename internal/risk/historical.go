@@ -79,8 +79,8 @@ func (a *Analyzer) HistoricalOverlay(seasons []*wildfire.Season) []YearOverlay {
 }
 
 // HistoricalOverlayWorkers runs the historical overlay with an explicit
-// worker bound (0 selects GOMAXPROCS, 1 forces the serial schedule —
-// the debugging escape hatch). Each worker joins whole seasons with its
+// worker bound (0 selects GOMAXPROCS, 1 forces the serial schedule
+// that tests compare against). Each worker joins whole seasons with its
 // own visited/candidate scratch, the same pattern
 // wildfire.SimulateHistoryParallel uses for the season simulations.
 func (a *Analyzer) HistoricalOverlayWorkers(seasons []*wildfire.Season, workers int) []YearOverlay {
@@ -167,15 +167,8 @@ func SeasonPerimeters(seasons []*wildfire.Season) []geom.Polygon {
 // fill into one shared mask in a single fused sweep; no per-fire grids
 // are allocated.
 func (a *Analyzer) FireUnionMask(seasons []*wildfire.Season) *raster.BitGrid {
-	return a.FireUnionMaskWorkers(seasons, 0)
-}
-
-// FireUnionMaskWorkers is FireUnionMask with an explicit raster worker
-// bound (0 = GOMAXPROCS, 1 = serial; the mask is bit-identical at any
-// setting).
-func (a *Analyzer) FireUnionMaskWorkers(seasons []*wildfire.Season, workers int) *raster.BitGrid {
 	union := raster.NewBitGrid(a.World.Grid)
-	raster.FillPolygonsInto(union, SeasonPerimeters(seasons), workers)
+	raster.FillPolygonsInto(union, SeasonPerimeters(seasons), 0)
 	return union
 }
 
@@ -185,12 +178,12 @@ func (a *Analyzer) FireUnionMaskWorkers(seasons []*wildfire.Season, workers int)
 // and its distance transform run as one fused sweep: the intermediate
 // burn mask lives in the raster scratch arena and is released before
 // returning, so only the distance grid is allocated.
-func (a *Analyzer) FireDistance(seasons []*wildfire.Season, workers int) *raster.FloatGrid {
+func (a *Analyzer) FireDistance(seasons []*wildfire.Season) *raster.FloatGrid {
 	mask := raster.AcquireBitGrid(a.World.Grid)
-	raster.FillPolygonsInto(mask, SeasonPerimeters(seasons), workers)
+	raster.FillPolygonsInto(mask, SeasonPerimeters(seasons), 0)
 	dist := raster.NewFloatGrid(a.World.Grid)
 	// The error is impossible: dist was just built on the mask's geometry.
-	_ = raster.DistanceTransformInto(dist, mask, workers) //fivealarms:allow(errflow) dist was just built on the mask's geometry, the only error the kernel can report
+	_ = raster.DistanceTransformInto(dist, mask, 0) //fivealarms:allow(errflow) dist was just built on the mask's geometry, the only error the kernel can report
 	raster.ReleaseBitGrid(mask)
 	return dist
 }

@@ -35,12 +35,11 @@ type ShardOverlay struct {
 
 // ShardOverlay computes one shard's partial products: the analyzer must
 // be built over that shard's transceivers only (the partition owns
-// disjointness; this method just counts what it was given). workers
-// bounds the per-season join parallelism as in HistoricalOverlayWorkers.
-func (a *Analyzer) ShardOverlay(history []*wildfire.Season, season2019 *wildfire.Season, workers int) *ShardOverlay {
+// disjointness; this method just counts what it was given).
+func (a *Analyzer) ShardOverlay(history []*wildfire.Season, season2019 *wildfire.Season) *ShardOverlay {
 	return &ShardOverlay{
 		Rows:       a.Data.Len(),
-		Table1:     a.HistoricalOverlayWorkers(history, workers),
+		Table1:     a.HistoricalOverlay(history),
 		Provider:   a.ProviderRisk(),
 		Radio:      a.RadioTypeRisk(),
 		Validation: *a.ValidateFor(season2019, a.classOf),

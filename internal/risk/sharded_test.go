@@ -53,7 +53,7 @@ func TestMergeShardOverlaysMatchesMonolithic(t *testing.T) {
 	f := newShardMergeFixture(t, []int{0, 900, 2201}) // first shard empty
 	parts := make([]*ShardOverlay, len(f.shards))
 	for i, a := range f.shards {
-		parts[i] = a.ShardOverlay(f.history, f.s2019, 1)
+		parts[i] = a.ShardOverlay(f.history, f.s2019)
 	}
 	t1, t2, t3, v, err := MergeShardOverlays(parts)
 	if err != nil {
@@ -85,7 +85,7 @@ func TestMergeShardOverlaysMatchesMonolithic(t *testing.T) {
 // shard is the whole fleet.
 func TestMergeSingleShardIsIdentity(t *testing.T) {
 	f := newShardMergeFixture(t, nil)
-	p := f.shards[0].ShardOverlay(f.history, f.s2019, 1)
+	p := f.shards[0].ShardOverlay(f.history, f.s2019)
 	t1, t2, t3, v, err := MergeShardOverlays([]*ShardOverlay{p})
 	if err != nil {
 		t.Fatalf("MergeShardOverlays: %v", err)

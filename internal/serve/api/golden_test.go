@@ -7,9 +7,10 @@ package api_test
 // policy is only allowed for additive fields (regenerate deliberately
 // with `go test ./internal/serve/api -run Golden -update`).
 //
-// The same DTOs are rendered from a parallel-pipeline study and a
-// serial-pipeline study and must be bit-identical, extending the
-// repo's schedule-independence contract across the wire format.
+// The same DTOs are rendered from a study built at GOMAXPROCS=4 and one
+// built at GOMAXPROCS=1 (the serial schedule) and must be bit-identical,
+// extending the repo's schedule-independence contract across the wire
+// format.
 
 import (
 	"bytes"
@@ -21,6 +22,7 @@ import (
 	"testing"
 
 	"fivealarms"
+	"fivealarms/internal/faults"
 	"fivealarms/internal/serve/api"
 )
 
@@ -41,13 +43,18 @@ var (
 	studyErrP, studyErrS error
 )
 
+// goldenStudies builds the fixture study twice, at GOMAXPROCS=4 and at
+// GOMAXPROCS=1. Each study's derived layers compute lazily, so dtos
+// renders each one under the GOMAXPROCS it was built with.
 func goldenStudies(t *testing.T) (*fivealarms.Study, *fivealarms.Study) {
 	t.Helper()
 	studyOnce.Do(func() {
-		studyParallel, studyErrP = fivealarms.NewStudyWithOptions(fivealarms.WithConfig(goldenCfg))
-		serialCfg := goldenCfg
-		serialCfg.PipelineSerial = true
-		studySerial, studyErrS = fivealarms.NewStudyWithOptions(fivealarms.WithConfig(serialCfg))
+		faults.WithGOMAXPROCS(4, func() {
+			studyParallel, studyErrP = fivealarms.NewStudyWithOptions(fivealarms.WithConfig(goldenCfg))
+		})
+		faults.WithGOMAXPROCS(1, func() {
+			studySerial, studyErrS = fivealarms.NewStudyWithOptions(fivealarms.WithConfig(goldenCfg))
+		})
 	})
 	if studyErrP != nil || studyErrS != nil {
 		t.Fatalf("building golden studies: parallel=%v serial=%v", studyErrP, studyErrS)
@@ -108,7 +115,9 @@ func dtos(s *fivealarms.Study) map[string][]byte {
 
 func TestGoldenResponses(t *testing.T) {
 	parallel, serial := goldenStudies(t)
-	p, s := dtos(parallel), dtos(serial)
+	var p, s map[string][]byte
+	faults.WithGOMAXPROCS(4, func() { p = dtos(parallel) })
+	faults.WithGOMAXPROCS(1, func() { s = dtos(serial) })
 	for name, body := range p {
 		checkGolden(t, name, body)
 		if !bytes.Equal(body, s[name]) {

@@ -27,9 +27,8 @@ type studyKey struct {
 // participates.
 func keyOf(cfg fivealarms.Config) studyKey {
 	h := fnv.New64a()
-	fmt.Fprintf(h, "%g|%d|%d|%t|%d|%d|%q",
-		cfg.CellSizeM, cfg.Transceivers, cfg.MappedFiresPerSeason, cfg.PipelineSerial, cfg.RasterWorkers,
-		cfg.Shards, cfg.SnapshotPath)
+	fmt.Fprintf(h, "%g|%d|%d|%d|%q",
+		cfg.CellSizeM, cfg.Transceivers, cfg.MappedFiresPerSeason, cfg.Shards, cfg.SnapshotPath)
 	return studyKey{seed: cfg.Seed, hash: h.Sum64()}
 }
 
@@ -49,7 +48,7 @@ type studyEntry struct {
 // one fused union-fill + distance sweep over the 2000-2018 seasons.
 func (e *studyEntry) FireDist() *raster.FloatGrid {
 	return e.fireDist.Get(func() *raster.FloatGrid {
-		return e.study.Analyzer.FireDistance(e.study.History(), e.study.Cfg.RasterWorkers)
+		return e.study.Analyzer.FireDistance(e.study.History())
 	})
 }
 

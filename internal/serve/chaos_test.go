@@ -13,7 +13,6 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
-	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -38,22 +37,6 @@ func chaosServer(t *testing.T, opts Options) *Server {
 		t.Fatal(err)
 	}
 	return s
-}
-
-// waitGoroutinesBelow polls until the goroutine count settles at or
-// below limit (background builds and canceled waiters need a moment to
-// unwind), failing the test if it never does.
-func waitGoroutinesBelow(t *testing.T, limit int) {
-	t.Helper()
-	for i := 0; i < 300; i++ {
-		if runtime.NumGoroutine() <= limit {
-			return
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	buf := make([]byte, 1<<20)
-	t.Errorf("goroutines = %d, want <= %d; stacks:\n%s",
-		runtime.NumGoroutine(), limit, buf[:runtime.Stack(buf, true)])
 }
 
 // metricsSnapshot reads /v1/metrics through the full middleware stack.
@@ -82,7 +65,7 @@ func TestChaosOverloadShedsNotCrashes(t *testing.T) {
 	inj.DelayOn("serve/handler/risk_point", 50*time.Millisecond)
 	s.SetInjectionHook(inj.Hook())
 
-	baseline := runtime.NumGoroutine()
+	check := faults.CheckGoroutines(t)
 
 	const workers = 32 // 4× the weight capacity, 4× the queue
 	const perWorker = 4
@@ -141,7 +124,7 @@ func TestChaosOverloadShedsNotCrashes(t *testing.T) {
 		t.Errorf("capacity leaked: in_flight=%d queue_depth=%d",
 			m.Resilience.InFlight, m.Resilience.QueueDepth)
 	}
-	waitGoroutinesBelow(t, baseline)
+	check()
 }
 
 // TestChaosHandlerPanicIsTyped500: an injected handler panic is

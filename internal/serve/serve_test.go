@@ -396,8 +396,11 @@ func TestCacheFailedBuildRearms(t *testing.T) {
 	}
 }
 
+// TestSeedOverrideBuildsDistinctStudy runs on a private server: the
+// shared suite server may already hold the seed-43 study from an
+// earlier test or an earlier -count run.
 func TestSeedOverrideBuildsDistinctStudy(t *testing.T) {
-	s := testServer(t)
+	s := chaosServer(t, Options{Config: testCfg})
 	base := decode[api.Health](t, do(t, s, "GET", "/v1/healthz", "")).StudiesCached
 	w := do(t, s, "GET", "/v1/tables/1?seed=43", "")
 	if w.Code != http.StatusOK {

@@ -6,9 +6,9 @@ import "context"
 //
 // Ordering semantics (the single source of truth for every option):
 // options apply strictly left to right. A field option (WithSeed,
-// WithCellSizeM, WithTransceivers, WithFiresPerSeason,
-// WithRasterWorkers, WithSerialPipeline, WithContext) overrides that one field of
-// whatever the earlier options assembled. A whole-config option
+// WithCellSizeM, WithTransceivers, WithFiresPerSeason, WithShards,
+// WithSnapshot, WithContext) overrides that one field of whatever the
+// earlier options assembled. A whole-config option
 // (WithConfig, WithPaperScale) replaces the entire configuration —
 // including clearing a context installed by an earlier WithContext —
 // so place it first and adjust individual fields after it:
@@ -67,23 +67,6 @@ func WithPaperScale(seed uint64) Option {
 	return func(c *Config) { *c = PaperScale(seed) }
 }
 
-// WithRasterWorkers bounds the parallelism of the tiled raster kernels
-// (Config.RasterWorkers): perimeter-union fills, distance transforms,
-// dilations and contour tracing. 0 selects GOMAXPROCS (or serial under
-// WithSerialPipeline), 1 forces the serial kernels. Results are
-// bit-identical at any setting.
-func WithRasterWorkers(n int) Option {
-	return func(c *Config) { c.RasterWorkers = n }
-}
-
-// WithSerialPipeline forces the serial build and simulation path
-// (Config.PipelineSerial): layers build one at a time and the historical
-// seasons simulate sequentially. Results are bit-identical to the
-// default parallel pipeline; this is a debugging escape hatch.
-func WithSerialPipeline() Option {
-	return func(c *Config) { c.PipelineSerial = true }
-}
-
 // WithShards selects the sharded execution path (Config.Shards): the
 // transceiver-axis analyses — Tables 1-3, the hold-out validation, the
 // perimeter union masks — compute over n CONUS row bands with a bounded
@@ -105,8 +88,9 @@ func WithSnapshot(path string) Option {
 }
 
 // NewStudyWithOptions validates the assembled configuration and builds
-// all layers through the parallel pipeline (see Config.PipelineSerial
-// for the serial escape hatch). Unlike NewStudy, it rejects malformed
+// all layers through the parallel pipeline, which fans out to at most
+// GOMAXPROCS goroutines (at GOMAXPROCS=1 every stage runs serially, with
+// bit-identical results). Unlike NewStudy, it rejects malformed
 // configurations — negative or non-finite dimensions, absurd sizes —
 // instead of silently clamping them, and it surfaces build-pipeline
 // failures (cancellation via WithContext, contained task panics) as

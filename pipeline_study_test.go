@@ -1,10 +1,10 @@
 package fivealarms
 
-// Tests for the parallel study pipeline: the serial escape hatch must be
-// bit-identical to the parallel build, the memoized accessors must
-// compute each derived layer exactly once, and a Study must survive
-// many goroutines running every analysis concurrently (run under
-// `go test -race` / `make race`).
+// Tests for the parallel study pipeline: a study built at GOMAXPROCS=1
+// must be bit-identical to one built at GOMAXPROCS=4, the memoized
+// accessors must compute each derived layer exactly once, and a Study
+// must survive many goroutines running every analysis concurrently (run
+// under `go test -race` / `make race`).
 
 import (
 	"encoding/json"
@@ -13,15 +13,32 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"fivealarms/internal/faults"
+	"fivealarms/internal/risk"
 )
 
 // stressCfg is small enough that the -race stress test stays fast.
 var stressCfg = Config{Seed: 7, CellSizeM: 40000, Transceivers: 5000, MappedFiresPerSeason: 4}
 
-func serialCfg() Config {
-	c := stressCfg
-	c.PipelineSerial = true
-	return c
+// schedules are the GOMAXPROCS settings every schedule twin compares:
+// 1, where the build graph, the season fan-outs and the raster kernels
+// all run serially, and 4, where they fan out.
+var schedules = []int{1, 4}
+
+// fingerprintsAt builds the stress-scale study with opts at
+// GOMAXPROCS=procs and fingerprints its analyses under the same
+// setting (the derived layers compute lazily, on first use).
+func fingerprintsAt(t *testing.T, procs int, opts ...Option) (fp map[string]string) {
+	t.Helper()
+	faults.WithGOMAXPROCS(procs, func() {
+		s, err := NewStudyWithOptions(append([]Option{WithConfig(stressCfg)}, opts...)...)
+		if err != nil {
+			t.Fatalf("GOMAXPROCS=%d build: %v", procs, err)
+		}
+		fp = analysisFingerprints(s)
+	})
+	return fp
 }
 
 // analysisFingerprints serializes the headline analyses into strings;
@@ -56,15 +73,18 @@ func asJSON(v any) string {
 	return string(b)
 }
 
-// TestSerialPipelineIdentical asserts the acceptance criterion: a Study
-// built by the parallel pipeline produces byte-identical analysis rows
-// to one built through the PipelineSerial escape hatch.
+// TestSerialPipelineIdentical is the schedule twin: a Study built and
+// analysed at GOMAXPROCS=1, where every stage runs serially, produces
+// byte-identical analysis rows to one built at GOMAXPROCS=4, both
+// monolithically and over three shards.
 func TestSerialPipelineIdentical(t *testing.T) {
-	parallel := analysisFingerprints(NewStudy(stressCfg))
-	serial := analysisFingerprints(NewStudy(serialCfg()))
-	for name, want := range serial {
-		if got := parallel[name]; got != want {
-			t.Errorf("%s differs between serial and parallel builds:\nserial:\n%s\nparallel:\n%s", name, want, got)
+	for _, shards := range []int{0, 3} {
+		serial := fingerprintsAt(t, schedules[0], WithShards(shards))
+		parallel := fingerprintsAt(t, schedules[1], WithShards(shards))
+		for name, want := range serial {
+			if got := parallel[name]; got != want {
+				t.Errorf("shards=%d: %s differs between GOMAXPROCS=1 and 4:\nserial:\n%s\nparallel:\n%s", shards, name, want, got)
+			}
 		}
 	}
 }
@@ -94,41 +114,46 @@ func TestMemoizedAccessors(t *testing.T) {
 	if s.Season2019UnionMask() != s.Season2019UnionMask() {
 		t.Error("Season2019UnionMask not memoized")
 	}
+	coarse := func(d float64) *risk.ExtensionResult { return s.ExtendWith(ExtendOptions{DistM: d}).Coarse }
 	d := 2.5 * s.World.Grid.CellSize
-	if s.Extend(d) != s.Extend(d) {
-		t.Error("Extend not memoized per distance")
+	if coarse(d) != coarse(d) {
+		t.Error("coarse extension not memoized per distance")
 	}
-	if s.Extend(d) == s.Extend(2*d) {
-		t.Error("Extend conflates distinct distances")
+	if coarse(d) == coarse(2*d) {
+		t.Error("coarse extension conflates distinct distances")
 	}
-	if s.ExtendFine(800, 0) != s.ExtendFine(800, 0) {
-		t.Error("ExtendFine not memoized per parameter pair")
+	fine := ExtendOptions{CellSizeM: 800}
+	if s.ExtendWith(fine).Window != s.ExtendWith(fine).Window {
+		t.Error("fine extension not memoized per parameter pair")
 	}
 }
 
-// TestConcurrentAnalysesIdentical is the -race stress test: N goroutines
-// run every analysis concurrently on one freshly built Study and each
-// must observe exactly the serial reference results.
+// TestConcurrentAnalysesIdentical is the -race stress test: at
+// GOMAXPROCS=4, N goroutines run every analysis concurrently on one
+// freshly built Study and each must observe exactly the results of the
+// GOMAXPROCS=1 reference.
 func TestConcurrentAnalysesIdentical(t *testing.T) {
-	want := analysisFingerprints(NewStudy(serialCfg()))
-	s := NewStudy(stressCfg)
+	want := fingerprintsAt(t, schedules[0])
 
 	const goroutines = 8
-	var wg sync.WaitGroup
 	errs := make(chan string, goroutines*len(want))
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			got := analysisFingerprints(s)
-			for name, w := range want {
-				if got[name] != w {
-					errs <- fmt.Sprintf("goroutine %d: %s diverged under concurrency", g, name)
+	faults.WithGOMAXPROCS(schedules[1], func() {
+		s := NewStudy(stressCfg)
+		var wg sync.WaitGroup
+		for g := 0; g < goroutines; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				got := analysisFingerprints(s)
+				for name, w := range want {
+					if got[name] != w {
+						errs <- fmt.Sprintf("goroutine %d: %s diverged under concurrency", g, name)
+					}
 				}
-			}
-		}(g)
-	}
-	wg.Wait()
+			}(g)
+		}
+		wg.Wait()
+	})
 	close(errs)
 	for e := range errs {
 		t.Error(e)
@@ -261,33 +286,13 @@ func TestNewStudyWithOptions(t *testing.T) {
 	if _, err := NewStudyWithOptions(WithTransceivers(-7)); err == nil {
 		t.Error("negative Transceivers accepted")
 	}
-	if _, err := NewStudyWithOptions(WithRasterWorkers(-1)); err == nil {
-		t.Error("negative RasterWorkers accepted")
-	}
-	if _, err := NewStudyWithOptions(WithRasterWorkers(1 << 20)); err == nil {
-		t.Error("RasterWorkers above the pool maximum accepted")
-	}
-
-	// An explicit worker count survives option composition and must not
-	// change any result: the tiled kernels are bit-identical per band
-	// count, so the overlay tables match the serial study's exactly.
-	s3, err := NewStudyWithOptions(WithConfig(want), WithRasterWorkers(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s3.Cfg.RasterWorkers != 3 {
-		t.Errorf("RasterWorkers = %d, want 3", s3.Cfg.RasterWorkers)
-	}
-	if a, b := asJSON(s3.Table2()), asJSON(legacy.Table2()); a != b {
-		t.Error("RasterWorkers=3 changed Table 2 versus the serial study")
-	}
 
 	// WithConfig seeds the whole struct; later options override fields.
-	s2, err := NewStudyWithOptions(WithConfig(want), WithSeed(12), WithSerialPipeline())
+	s2, err := NewStudyWithOptions(WithConfig(want), WithSeed(12), WithShards(2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s2.Cfg.Seed != 12 || !s2.Cfg.PipelineSerial || s2.Cfg.CellSizeM != 40000 {
+	if s2.Cfg.Seed != 12 || s2.Cfg.Shards != 2 || s2.Cfg.CellSizeM != 40000 {
 		t.Errorf("option composition: %+v", s2.Cfg)
 	}
 }
@@ -318,11 +323,11 @@ func TestExtendWithSelectionRule(t *testing.T) {
 		t.Error("CellSizeM == national raster should stay coarse")
 	}
 
-	// Consistency with the legacy entry points it unifies.
-	if coarse.Coarse != s.Extend(coarse.DistM) {
-		t.Error("coarse path does not share the Extend memo")
+	// An explicit distance equal to the resolved default shares its memo.
+	if coarse.Coarse != s.ExtendWith(ExtendOptions{DistM: coarse.DistM}).Coarse {
+		t.Error("explicit default distance does not share the coarse memo")
 	}
-	if fine.Window != s.ExtendFine(800, 0) {
-		t.Error("fine path does not share the ExtendFine memo")
+	if fine.Window != s.ExtendWith(ExtendOptions{CellSizeM: 800}).Window {
+		t.Error("repeated fine call does not share the fine memo")
 	}
 }

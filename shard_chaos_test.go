@@ -10,11 +10,9 @@ package fivealarms
 import (
 	"context"
 	"errors"
-	"runtime"
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"fivealarms/internal/faults"
 	"fivealarms/internal/pipeline"
@@ -32,7 +30,7 @@ func shardedTaskNames(t *testing.T) []string {
 		names = append(names, task)
 		return nil
 	})
-	if _, err := NewStudyWithOptions(chaosOptions(true, WithShards(chaosShards))...); err != nil {
+	if _, err := buildAt(1, WithShards(chaosShards)); err != nil {
 		t.Fatal(err)
 	}
 	buildFaultHook = nil
@@ -55,25 +53,24 @@ func shardedTaskNames(t *testing.T) []string {
 // goroutines.
 func TestShardedChaosPanicEveryTask(t *testing.T) {
 	names := shardedTaskNames(t)
-	for _, serial := range []bool{false, true} {
+	for _, procs := range schedules {
 		for _, victim := range names {
-			time.Sleep(time.Millisecond)
-			before := runtime.NumGoroutine()
+			check := faults.CheckGoroutines(t)
 			in := faults.New(1)
 			in.PanicOn(victim, nil)
 			installHook(t, in.Hook())
-			s, err := NewStudyWithOptions(chaosOptions(serial, WithShards(chaosShards))...)
+			s, err := buildAt(procs, WithShards(chaosShards))
 			if s != nil {
-				t.Fatalf("serial=%v victim=%s: partially built sharded Study escaped", serial, victim)
+				t.Fatalf("procs=%d victim=%s: partially built sharded Study escaped", procs, victim)
 			}
 			var pe *pipeline.PanicError
 			if !errors.As(err, &pe) {
-				t.Fatalf("serial=%v victim=%s: err = %v, want pipeline.PanicError", serial, victim, err)
+				t.Fatalf("procs=%d victim=%s: err = %v, want pipeline.PanicError", procs, victim, err)
 			}
 			if pe.Task != victim {
-				t.Errorf("serial=%v victim=%s: PanicError.Task = %q", serial, victim, pe.Task)
+				t.Errorf("procs=%d victim=%s: PanicError.Task = %q", procs, victim, pe.Task)
 			}
-			studyAssertNoGoroutineLeak(t, before)
+			check()
 		}
 	}
 }
@@ -83,20 +80,20 @@ func TestShardedChaosPanicEveryTask(t *testing.T) {
 // the error must name the failed task.
 func TestShardedChaosErrorEveryTask(t *testing.T) {
 	names := shardedTaskNames(t)
-	for _, serial := range []bool{false, true} {
+	for _, procs := range schedules {
 		for _, victim := range names {
 			in := faults.New(1)
 			in.ErrorOn(victim, nil)
 			installHook(t, in.Hook())
-			s, err := NewStudyWithOptions(chaosOptions(serial, WithShards(chaosShards))...)
+			s, err := buildAt(procs, WithShards(chaosShards))
 			if s != nil || err == nil {
-				t.Fatalf("serial=%v victim=%s: s=%v err=%v", serial, victim, s != nil, err)
+				t.Fatalf("procs=%d victim=%s: s=%v err=%v", procs, victim, s != nil, err)
 			}
 			if !errors.Is(err, faults.ErrInjected) {
-				t.Errorf("serial=%v victim=%s: injected sentinel lost: %v", serial, victim, err)
+				t.Errorf("procs=%d victim=%s: injected sentinel lost: %v", procs, victim, err)
 			}
 			if !strings.Contains(err.Error(), `"`+victim+`"`) {
-				t.Errorf("serial=%v victim=%s: error does not name the task: %v", serial, victim, err)
+				t.Errorf("procs=%d victim=%s: error does not name the task: %v", procs, victim, err)
 			}
 		}
 	}
@@ -106,7 +103,7 @@ func TestShardedChaosErrorEveryTask(t *testing.T) {
 // layer (the transceiver snapshot) must skip every shard task — the
 // per-shard builders must never run against missing inputs.
 func TestShardedChaosUpstreamFailureSkipsShards(t *testing.T) {
-	for _, serial := range []bool{false, true} {
+	for _, procs := range schedules {
 		var mu sync.Mutex
 		var ran []string
 		in := faults.New(1)
@@ -118,14 +115,14 @@ func TestShardedChaosUpstreamFailureSkipsShards(t *testing.T) {
 			mu.Unlock()
 			return inner(task)
 		})
-		s, err := NewStudyWithOptions(chaosOptions(serial, WithShards(chaosShards))...)
+		s, err := buildAt(procs, WithShards(chaosShards))
 		if s != nil || !errors.Is(err, faults.ErrInjected) {
-			t.Fatalf("serial=%v: s=%v err=%v", serial, s != nil, err)
+			t.Fatalf("procs=%d: s=%v err=%v", procs, s != nil, err)
 		}
 		mu.Lock() // the graph run has joined; lock for the race detector's sake
 		for _, task := range ran {
 			if strings.HasPrefix(task, "shard") {
-				t.Errorf("serial=%v: task %q ran despite its failed upstream", serial, task)
+				t.Errorf("procs=%d: task %q ran despite its failed upstream", procs, task)
 			}
 		}
 		mu.Unlock()
@@ -136,7 +133,7 @@ func TestShardedChaosUpstreamFailureSkipsShards(t *testing.T) {
 // graph runs stops scheduling, surfaces ctx.Err(), and returns a nil
 // Study in both schedules.
 func TestShardedBuildCancellation(t *testing.T) {
-	for _, serial := range []bool{false, true} {
+	for _, procs := range schedules {
 		ctx, cancel := context.WithCancel(context.Background())
 		installHook(t, func(task string) error {
 			if task == "shards/plan" {
@@ -144,9 +141,9 @@ func TestShardedBuildCancellation(t *testing.T) {
 			}
 			return nil
 		})
-		s, err := NewStudyWithOptions(chaosOptions(serial, WithShards(chaosShards), WithContext(ctx))...)
+		s, err := buildAt(procs, WithShards(chaosShards), WithContext(ctx))
 		if s != nil || !errors.Is(err, context.Canceled) {
-			t.Fatalf("serial=%v: s=%v err=%v", serial, s != nil, err)
+			t.Fatalf("procs=%d: s=%v err=%v", procs, s != nil, err)
 		}
 		buildFaultHook = nil
 		cancel()
@@ -159,7 +156,7 @@ func TestShardedBuildCancellation(t *testing.T) {
 func TestShardedChaosCleanRunIdentical(t *testing.T) {
 	in := faults.New(5) // no rules: fires nothing
 	installHook(t, in.Hook())
-	instrumented, err := NewStudyWithOptions(chaosOptions(false, WithShards(chaosShards))...)
+	instrumented, err := buildAt(4, WithShards(chaosShards))
 	if err != nil {
 		t.Fatal(err)
 	}

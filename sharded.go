@@ -68,16 +68,6 @@ type shardBuild struct {
 	res shardedResults
 }
 
-// joinWorkers resolves the intra-shard join parallelism: serial builds
-// join serially; parallel builds let the per-season worker pool size
-// itself (the shards are already scheduled across the graph executor).
-func (sb *shardBuild) joinWorkers() int {
-	if sb.cfg.PipelineSerial {
-		return 1
-	}
-	return 0
-}
-
 // addShardedTasks appends the sharded layer builds to the study graph:
 // the simulated seasons, the partition plan, one overlay task and one
 // mask task per shard, and the stream merge. Dependencies ensure a
@@ -92,11 +82,7 @@ func addShardedTasks(g *pipeline.Graph, sb *shardBuild, ctx context.Context) {
 	sb.bytes = make([]int64, n)
 
 	g.Add("history", func() error {
-		workers := 0
-		if cfg.PipelineSerial {
-			workers = 1
-		}
-		seasons, err := wildfire.SimulateHistoryContext(ctx, sb.s.Sim, cfg.Seed, cfg.MappedFiresPerSeason, workers)
+		seasons, err := wildfire.SimulateHistoryContext(ctx, sb.s.Sim, cfg.Seed, cfg.MappedFiresPerSeason, 0)
 		if err != nil {
 			return err
 		}
@@ -153,7 +139,7 @@ func (sb *shardBuild) runOverlay(i int) {
 	rows := sb.store.AppendRows(make([]cellnet.Transceiver, 0, len(idx)), idx)
 	ds := cellnet.NewDataset(sb.s.World, rows)
 	sub := risk.New(sb.s.World, sb.s.WHP, ds, sb.s.Counties)
-	sb.overlays[i] = sub.ShardOverlay(sb.res.history, sb.res.season2019, sb.joinWorkers())
+	sb.overlays[i] = sub.ShardOverlay(sb.res.history, sb.res.season2019)
 	sb.bytes[i] = int64(len(idx)) * (aosRowBytes + indexAndCacheBytes)
 }
 
