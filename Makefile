@@ -70,21 +70,23 @@ bench-raster:
 	$(GO) test -run '^$$' -bench 'BenchmarkRasterKernels' \
 		-benchmem -json ./internal/raster > BENCH_raster.json
 
-# Regenerate the full-paper-scale sharded baseline: one cold build of
-# the 5,364,949-transceiver fleet on the 2.7 km national raster, all 19
-# seasons plus the 2019 hold-out, sharded over CONUS row bands. Records
-# wall time and the accounted peak per-shard footprint (peak-shard-B)
-# in BENCH_shard.json. Expect tens of minutes on one core.
+# Regenerate the full-paper-scale baseline: one cold build of the
+# 5,364,949-transceiver fleet on the 2.7 km national raster, plus the
+# band pass (all 19 seasons and the 2019 hold-out joined over 16 CONUS
+# row bands) and the history union mask. Records wall time and the
+# accounted peak per-band copy (peak-shard-B) in BENCH_shard.json.
+# Expect under a minute at GOMAXPROCS=2.
 bench-shard:
 	FIVEALARMS_BENCH_PAPER=1 $(GO) test -run '^$$' -bench 'BenchmarkShardedStudy' \
 		-benchtime=1x -timeout=0 -benchmem -json . > BENCH_shard.json
 
-# Scaled-down CI twin of the full-scale sharded study: 500k transceivers
-# over 4 shards with the diffcheck conformance twin on. Gates the
-# bit-identity contract at a scale CI can afford.
+# Scaled-down CI twin of the full-scale study: 500k transceivers over 4
+# bands, then every root band-pass test (the band-count sweep, the pass
+# chaos suite, ShardStats). Gates the bit-identity contract at a scale
+# CI can afford.
 shard-smoke:
 	$(GO) run ./cmd/fivealarms -seed 7 -cell 10000 -transceivers 500000 -fires 40 -shards 4 table1 >/dev/null
-	$(GO) test -count=1 . -run 'Sharded'
+	$(GO) test -count=1 . -run 'Shard'
 
 # End-to-end smoke test of the risk-query server: boot fivealarmsd on
 # a random port at test scale, probe healthz and one risk query via
@@ -115,7 +117,7 @@ diffcheck:
 	$(GO) test -count=1 ./internal/geom ./internal/raster ./internal/rtree \
 		./internal/grid ./internal/proj -run 'Conformance|Golden'
 	$(GO) test -count=1 ./internal/risk -run 'CrossCheck'
-	$(GO) test -count=1 . -run 'SeedDeterminism|Metamorphic|ShardedDiffcheck|ShardedMaskMerge'
+	$(GO) test -count=1 . -run 'SeedDeterminism|Metamorphic|ShardedDiffcheck'
 
 # Enforce the per-package coverage floors (COVERAGE_FLOOR.txt); pass a
 # path to keep the merged profile, e.g. `make cover PROFILE=coverage.out`.

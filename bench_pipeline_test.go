@@ -31,11 +31,11 @@ func runHeadlineAnalyses(b *testing.B, s *Study) {
 func BenchmarkStudyColdWarm(b *testing.B) {
 	b.Run("cold", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			runHeadlineAnalyses(b, NewStudy(benchPipelineCfg))
+			runHeadlineAnalyses(b, mustStudy(benchPipelineCfg))
 		}
 	})
 	b.Run("warm", func(b *testing.B) {
-		s := NewStudy(benchPipelineCfg)
+		s := mustStudy(benchPipelineCfg)
 		runHeadlineAnalyses(b, s) // prime every memo cell
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -49,7 +49,7 @@ func BenchmarkStudyColdWarm(b *testing.B) {
 // schedule with the parallel dependency-graph build.
 func BenchmarkStudyBuild(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if s := NewStudy(benchPipelineCfg); s.Analyzer == nil {
+		if s := mustStudy(benchPipelineCfg); s.Analyzer == nil {
 			b.Fatal("analyzer missing")
 		}
 	}

@@ -1,15 +1,15 @@
 package fivealarms
 
-// BenchmarkShardedStudy measures the out-of-core sharded path. At the
-// default scale it benches a small sharded build (so `make bench` stays
-// fast); with FIVEALARMS_BENCH_PAPER=1 in the environment — the mode
-// `make bench-shard` runs — it records the full paper-scale cold build:
-// the 5,364,949-transceiver fleet on the 2.7 km national raster, all 19
-// historical seasons plus the 2019 hold-out, sharded over CONUS row
-// bands. Reported metrics: wall time per cold build (ns/op), the
-// accounted peak per-shard transient footprint (peak-shard-B), and the
-// fleet size (rows). `make bench-shard` captures the run as test2json
-// events in BENCH_shard.json.
+// BenchmarkShardedStudy measures a cold build plus its multi-band pass.
+// At the default scale it benches a small 4-band study (so `make bench`
+// stays fast); with FIVEALARMS_BENCH_PAPER=1 in the environment — the
+// mode `make bench-shard` runs — it records the full paper-scale cold
+// build: the 5,364,949-transceiver fleet on the 2.7 km national raster,
+// with all 19 historical seasons plus the 2019 hold-out joined over 16
+// CONUS row bands, and the history union mask. Reported metrics: wall
+// time per cold build (ns/op), the accounted peak per-band copy
+// (peak-shard-B), and the fleet size (rows). `make bench-shard`
+// captures the run as test2json events in BENCH_shard.json.
 
 import (
 	"fmt"
@@ -41,8 +41,8 @@ func BenchmarkShardedStudy(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				// Touch the merged products so an unbuilt result can't
-				// masquerade as a fast build.
+				// Touch the pass's products and the mask so a lazy
+				// result can't masquerade as a fast build.
 				if len(s.Table1()) != 19 {
 					b.Fatal("table1 incomplete")
 				}

@@ -27,7 +27,7 @@ import (
 )
 
 // benchStudy is shared by all benchmarks (built once).
-var benchStudy = NewStudy(Config{Seed: 7, CellSizeM: 20000, Transceivers: 60000, MappedFiresPerSeason: 40})
+var benchStudy = mustStudy(Config{Seed: 7, CellSizeM: 20000, Transceivers: 60000, MappedFiresPerSeason: 40})
 
 // BenchmarkTable1 regenerates the historical overlay (Table 1): 19
 // simulated seasons joined against the transceiver snapshot.

@@ -9,6 +9,7 @@ package fivealarms
 import (
 	"context"
 	"errors"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -39,9 +40,11 @@ func installHook(t *testing.T, hook func(string) error) {
 }
 
 // buildTaskNames discovers the pipeline's task names by running one
-// clean build with a recording hook, so the chaos sweep stays in sync
-// with the graph definition without a hand-maintained list.
-func buildTaskNames(t *testing.T) []string {
+// clean build (plus any extra options) with a recording hook, so the
+// chaos sweep stays in sync with the graph definition without a
+// hand-maintained list. The names come back sorted: the order tasks
+// start in depends on the schedule.
+func buildTaskNames(t *testing.T, extra ...Option) []string {
 	t.Helper()
 	var mu sync.Mutex
 	var names []string
@@ -51,14 +54,27 @@ func buildTaskNames(t *testing.T) []string {
 		mu.Unlock()
 		return nil
 	})
-	if _, err := buildAt(4); err != nil {
+	if _, err := buildAt(4, extra...); err != nil {
 		t.Fatal(err)
 	}
 	buildFaultHook = nil
 	if len(names) == 0 {
 		t.Fatal("recording hook saw no tasks")
 	}
+	slices.Sort(names)
 	return names
+}
+
+// TestBuildTasksIndependentOfShards: every Config builds through the
+// same six layer tasks — the band count only shapes the lazy band pass,
+// never the build.
+func TestBuildTasksIndependentOfShards(t *testing.T) {
+	want := []string{"analyzer", "cellnet", "census", "sim", "whp", "world"}
+	for _, shards := range []int{0, 1, 16} {
+		if got := buildTaskNames(t, WithShards(shards)); !slices.Equal(got, want) {
+			t.Errorf("shards=%d: build ran tasks %v, want %v", shards, got, want)
+		}
+	}
 }
 
 // TestStudyChaosPanicEveryTask is the acceptance-criterion sweep: inject
@@ -152,7 +168,7 @@ func TestStudyChaosCleanRunIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	buildFaultHook = nil
-	clean := NewStudy(stressCfg)
+	clean := mustStudy(stressCfg)
 	a, b := analysisFingerprints(instrumented), analysisFingerprints(clean)
 	for name, want := range b {
 		if a[name] != want {

@@ -26,7 +26,7 @@ func main() {
 		fires      = flag.Int("fires", 60, "mapped fires per simulated season")
 		format     = flag.String("format", "text", "output format: text, csv or json")
 		paperScale = flag.Bool("paper-scale", false, "start from the paper's full data volumes (5.36M transceivers, 2.7 km raster); explicit scale flags still override")
-		shards     = flag.Int("shards", 0, "shard the transceiver-axis analyses over this many CONUS row bands (0 = monolithic; results identical)")
+		shards     = flag.Int("shards", 0, "join Table 1 and the validation over this many CONUS row bands (0 or 1 = one band; results identical)")
 		snapshot   = flag.String("snapshot", "", "warm-load the transceiver layer from this columnar snapshot file")
 		saveSnap   = flag.String("save-snapshot", "", "after building, write the transceiver layer to this snapshot file")
 	)

@@ -38,7 +38,7 @@ func main() {
 		cell     = flag.Float64("cell", 10000, "world raster cell size in meters")
 		tx       = flag.Int("transceivers", 150000, "synthetic OpenCelliD snapshot size")
 		fires    = flag.Int("fires", 60, "mapped fires per simulated season")
-		shards   = flag.Int("shards", 0, "shard the transceiver-axis analyses over this many CONUS row bands (0 = monolithic)")
+		shards   = flag.Int("shards", 0, "join Table 1 and the validation over this many CONUS row bands (0 or 1 = one band)")
 		snapshot = flag.String("snapshot", "", "warm-load the transceiver layer from this columnar snapshot file")
 
 		studies = flag.Int("studies", 4, "max studies resident in the LRU cache")

@@ -8,12 +8,16 @@ import (
 )
 
 // The quickstart: build a small world and ask the headline question.
-func ExampleNewStudy() {
-	study := fivealarms.NewStudy(fivealarms.Config{
-		Seed:         42,
-		CellSizeM:    40000, // coarse grid: fast enough for documentation
-		Transceivers: 5000,
-	})
+func Example() {
+	study, err := fivealarms.NewStudyWithOptions(
+		fivealarms.WithSeed(42),
+		fivealarms.WithCellSizeM(40000), // coarse grid: fast enough for documentation
+		fivealarms.WithTransceivers(5000),
+	)
+	if err != nil {
+		fmt.Println(err)
+		return
+	}
 	overlay := study.WHPOverlay()
 	// The structural result is stable even at toy scale: moderate
 	// exposure outweighs high outweighs very-high.
@@ -51,9 +55,13 @@ func ExampleNewStudyWithOptions() {
 
 // Reproducing Table 2: who operates the most at-risk infrastructure.
 func ExampleStudy_Table2() {
-	study := fivealarms.NewStudy(fivealarms.Config{
-		Seed: 42, CellSizeM: 40000, Transceivers: 5000,
-	})
+	study, err := fivealarms.NewStudyWithOptions(
+		fivealarms.WithSeed(42), fivealarms.WithCellSizeM(40000), fivealarms.WithTransceivers(5000),
+	)
+	if err != nil {
+		fmt.Println(err)
+		return
+	}
 	rows := study.Table2()
 	fmt.Println(rows[0].Provider) // the paper's Table 2 leads with AT&T
 	// Output:
@@ -62,9 +70,14 @@ func ExampleStudy_Table2() {
 
 // Simulating the fall-2019 PSPS event (Figure 5).
 func ExampleStudy_CaseStudy() {
-	study := fivealarms.NewStudy(fivealarms.Config{
-		Seed: 42, CellSizeM: 40000, Transceivers: 5000, MappedFiresPerSeason: 5,
-	})
+	study, err := fivealarms.NewStudyWithOptions(
+		fivealarms.WithSeed(42), fivealarms.WithCellSizeM(40000), fivealarms.WithTransceivers(5000),
+		fivealarms.WithFiresPerSeason(5),
+	)
+	if err != nil {
+		fmt.Println(err)
+		return
+	}
 	cs := study.CaseStudy()
 	// The event peaks on the fourth reporting day, 28 October.
 	fmt.Println(cs.Series.Labels[cs.PeakDay])

@@ -36,7 +36,8 @@
 // any mix of analysis methods on one Study at the same time. The
 // expensive derived products — the simulated fire seasons, the
 // SLC-Denver corridor, the WHP overlay, the perimeter union masks, the
-// extension experiments — are computed once per Study on first use
+// band pass behind Table 1 and the validation, the extension
+// experiments — are computed once per Study on first use
 // (singleflight) and shared by every caller; see the README's
 // "Performance & concurrency" section for the cold/warm cost model.
 package fivealarms
@@ -75,14 +76,13 @@ type Config struct {
 	Transceivers int
 	// MappedFiresPerSeason bounds fire-simulation cost. Defaults to 40.
 	MappedFiresPerSeason int
-	// Shards selects the sharded execution path for the transceiver-axis
-	// analyses (Table 1-3, the hold-out validation, the perimeter union
-	// masks): the fleet is partitioned into this many CONUS row bands,
-	// each band builds through its own pipeline tasks with a bounded
-	// transient footprint, and the partial products stream-merge in band
-	// order. Results are bit-identical to the monolithic build at any
-	// shard count (see DESIGN.md §10). 0 (the default) builds
-	// monolithically.
+	// Shards is the number of CONUS row bands the band pass splits the
+	// fleet into for the products that join simulated perimeters
+	// against it (Table 1 and the hold-out validation): each band joins
+	// its own rows in a pipeline task and the partial counts merge in
+	// band order. Results are bit-identical at any band count (see
+	// DESIGN.md §10). 0 or 1 (the default) is one band, which joins the
+	// Study's own Analyzer and copies nothing.
 	Shards int
 	// SnapshotPath, when non-empty, warm-loads the transceiver layer
 	// from a columnar snapshot file (cellnet's "FA5C" format, written by
@@ -135,8 +135,7 @@ const (
 // (errors.Join), so a caller fixing a rejected configuration sees the
 // whole list at once instead of one field per attempt.
 // NewStudyWithOptions and the command-line binaries surface these
-// errors; NewStudy retains the legacy lenient behavior for
-// compatibility.
+// errors.
 func (c Config) Validate() error {
 	var errs []error
 	switch {
@@ -186,10 +185,10 @@ func PaperScale(seed uint64) Config {
 //
 // A Study is safe for concurrent use by multiple goroutines and must not
 // be copied after creation. The derived-layer accessors (History,
-// Season2019, Corridor, WHPOverlay, the union masks, ExtendWith)
-// memoize their results: the first caller computes, concurrent callers
-// during that computation block and share it, and every later call is a
-// cache hit.
+// Season2019, Corridor, WHPOverlay, the union masks, Table1, Validate,
+// ExtendWith) memoize their results: the first caller computes,
+// concurrent callers during that computation block and share it, and
+// every later call is a cache hit.
 type Study struct {
 	Cfg      Config
 	World    *conus.World
@@ -199,12 +198,6 @@ type Study struct {
 	Analyzer *risk.Analyzer
 	Sim      *wildfire.Simulator
 
-	// sharded, non-nil only when Config.Shards > 0, holds the stream-
-	// merged transceiver-axis products the build graph computed shard by
-	// shard. The memoized accessors below consult it before falling back
-	// to the monolithic computation; it is immutable after build.
-	sharded *shardedResults
-
 	// Memoized derived layers (see the type comment).
 	mem struct {
 		history    pipeline.Cell[[]*wildfire.Season]
@@ -213,51 +206,26 @@ type Study struct {
 		overlay    pipeline.Cell[*risk.WHPResult]
 		unionHist  pipeline.Cell[*raster.BitGrid]
 		union2019  pipeline.Cell[*raster.BitGrid]
-		table1     pipeline.Cell[[]risk.YearOverlay]
-		validate   pipeline.Cell[*risk.ValidationResult]
+		bands      pipeline.Cell[*bandResults]
 		caseStudy  pipeline.Cell[*risk.CaseStudyResult]
 		extend     pipeline.Keyed[float64, *risk.ExtensionResult]
 		extendFine pipeline.Keyed[[2]float64, *risk.FineExtension]
 	}
 }
 
-// NewStudy builds all layers for the configuration. Out-of-range fields
-// are silently defaulted (the legacy behavior); use NewStudyWithOptions
-// to surface configuration errors instead.
-//
-// NewStudy keeps its infallible signature because its failure surface is
-// provably empty for the configurations it predates: every monolithic
-// layer builder below returns nil unconditionally, the task graph is
-// acyclic by pipeline.Graph.Add's declared-before-use contract, no
-// context reaches it (Config.ctx is settable only through WithContext),
-// and no injection hook is installed outside the chaos tests. A non-nil
-// error is therefore a programming error in this file, and panicking is
-// the correct report. The exceptions are Config.SnapshotPath (file I/O
-// can genuinely fail) and the sharded merge's internal invariants: for
-// those configurations use NewStudyWithOptions, which surfaces the
-// error instead.
-func NewStudy(cfg Config) *Study {
-	cfg.ctx = nil
-	s, err := build(cfg.withDefaults())
-	if err != nil {
-		panic(err)
-	}
-	return s
-}
-
 // buildFaultHook, when non-nil, is installed as the chaos-injection
-// hook on every study build graph. It exists solely for the fault-
-// containment tests in this package and must stay nil in production
-// paths (nothing outside _test files assigns it).
+// hook on every study build graph and band-pass graph. It exists solely
+// for the fault-containment tests in this package and must stay nil in
+// production paths (nothing outside _test files assigns it).
 var buildFaultHook func(task string) error
 
-// build constructs the study layers over the dependency-graph executor:
-// once the shared world exists, the WHP raster, the transceiver snapshot
-// and the county synthesis build concurrently; the fire simulator and
-// the risk engine follow as their inputs complete. Each layer is a pure
-// function of its declared inputs, so every schedule — one task at a
-// time at GOMAXPROCS=1, or fanned out — produces the same Study bit for
-// bit.
+// build constructs the study layers over the dependency-graph executor,
+// with the same six tasks for every Config: once the shared world
+// exists, the WHP raster, the transceiver snapshot and the county
+// synthesis build concurrently; the fire simulator and the risk engine
+// follow as their inputs complete. Each layer is a pure function of
+// its declared inputs, so every schedule — one task at a time at
+// GOMAXPROCS=1, or fanned out — produces the same Study bit for bit.
 //
 // A non-nil error means no usable Study exists: cancellation of cfg.ctx,
 // a contained panic (pipeline.PanicError) or an injected fault. The
@@ -306,17 +274,8 @@ func build(cfg Config) (*Study, error) {
 		return nil
 	}, "whp", "cellnet", "census")
 
-	var sb *shardBuild
-	if cfg.Shards > 0 {
-		sb = &shardBuild{s: s, cfg: cfg}
-		addShardedTasks(g, sb, ctx)
-	}
-
 	if err := g.RunContext(ctx); err != nil {
 		return nil, fmt.Errorf("fivealarms: building study: %w", err)
-	}
-	if sb != nil {
-		s.sharded = &sb.res
 	}
 	return s, nil
 }
@@ -327,9 +286,6 @@ func build(cfg Config) (*Study, error) {
 // GOMAXPROCS), and cached for every later caller.
 func (s *Study) History() []*wildfire.Season {
 	return s.mem.history.Get(func() []*wildfire.Season {
-		if s.sharded != nil {
-			return s.sharded.history
-		}
 		return wildfire.SimulateHistoryParallel(s.Sim, s.Cfg.Seed, s.Cfg.MappedFiresPerSeason, 0)
 	})
 }
@@ -338,40 +294,31 @@ func (s *Study) History() []*wildfire.Season {
 // anchor fires (Kincade, Getty, Saddle Ridge, Tick), once per Study.
 func (s *Study) Season2019() *wildfire.Season {
 	return s.mem.season2019.Get(func() *wildfire.Season {
-		if s.sharded != nil {
-			return s.sharded.season2019
-		}
 		return wildfire.Simulate2019(s.Sim, s.Cfg.Seed, s.Cfg.MappedFiresPerSeason)
 	})
 }
 
 // Table1 runs the historical overlay over the 2000-2018 seasons, once
-// per Study. The seasons join in parallel — each season is an
-// independent join over read-only layers, so the result is identical at
-// any GOMAXPROCS. The returned slice is shared between callers:
-// read-only.
+// per Study, in the band pass (see ShardStats). The seasons join in
+// parallel — each season is an independent join over read-only layers,
+// so the result is identical at any GOMAXPROCS and any band count. The
+// returned slice is shared between callers: read-only.
+//
+// Table1 panics with the band pass's error — a *pipeline.PanicError or
+// a wrapped task error — if a pass task fails, which only a bug or an
+// injected fault can cause; the pass is not memoized then, so the next
+// call retries.
 func (s *Study) Table1() []risk.YearOverlay {
-	return s.mem.table1.Get(func() []risk.YearOverlay {
-		if s.sharded != nil {
-			return s.sharded.table1
-		}
-		return s.Analyzer.HistoricalOverlay(s.History())
-	})
+	return s.bands().table1
 }
 
 // Table2 computes the provider risk breakdown.
 func (s *Study) Table2() []risk.ProviderRow {
-	if s.sharded != nil {
-		return s.sharded.table2
-	}
 	return s.Analyzer.ProviderRisk()
 }
 
 // Table3 computes the radio-technology risk breakdown.
 func (s *Study) Table3() []risk.RadioRow {
-	if s.sharded != nil {
-		return s.sharded.table3
-	}
 	return s.Analyzer.RadioTypeRisk()
 }
 
@@ -385,9 +332,6 @@ func (s *Study) WHPOverlay() *risk.WHPResult {
 // the world grid (the data behind Figure 3), once per Study.
 func (s *Study) HistoryUnionMask() *raster.BitGrid {
 	return s.mem.unionHist.Get(func() *raster.BitGrid {
-		if s.sharded != nil {
-			return s.sharded.unionHist
-		}
 		return s.Analyzer.FireUnionMask(s.History())
 	})
 }
@@ -396,9 +340,6 @@ func (s *Study) HistoryUnionMask() *raster.BitGrid {
 // perimeters onto the world grid, once per Study.
 func (s *Study) Season2019UnionMask() *raster.BitGrid {
 	return s.mem.union2019.Get(func() *raster.BitGrid {
-		if s.sharded != nil {
-			return s.sharded.union2019
-		}
 		return s.Analyzer.FireUnionMask([]*wildfire.Season{s.Season2019()})
 	})
 }
@@ -411,15 +352,13 @@ func (s *Study) CaseStudy() *risk.CaseStudyResult {
 	})
 }
 
-// Validate runs the §3.4 hold-out validation, once per Study. The
-// result is shared between callers: read-only.
+// Validate runs the §3.4 hold-out validation, once per Study, in the
+// band pass (see ShardStats). The result is shared between callers:
+// read-only.
+//
+// Validate panics like Table1 if a band-pass task fails.
 func (s *Study) Validate() *risk.ValidationResult {
-	return s.mem.validate.Get(func() *risk.ValidationResult {
-		if s.sharded != nil {
-			return s.sharded.validation
-		}
-		return s.Analyzer.Validate(s.Season2019())
-	})
+	return s.bands().validation
 }
 
 // extendCoarse is ExtendWith's memoized coarse-path extension. distM

@@ -8,7 +8,19 @@ import (
 
 // sharedStudy is the package-level fixture: small but large enough for
 // every experiment to produce nonzero results.
-var sharedStudy = NewStudy(Config{Seed: 7, CellSizeM: 20000, Transceivers: 60000, MappedFiresPerSeason: 12})
+var sharedStudy = mustStudy(Config{Seed: 7, CellSizeM: 20000, Transceivers: 60000, MappedFiresPerSeason: 12})
+
+// mustStudy builds a fixture study through the validating constructor.
+// Fixture configurations are valid by construction, so an error means a
+// broken test setup; it panics because package-level fixtures have no
+// *testing.T to fail.
+func mustStudy(cfg Config) *Study {
+	s, err := NewStudyWithOptions(WithConfig(cfg))
+	if err != nil {
+		panic(err)
+	}
+	return s
+}
 
 func TestConfigDefaults(t *testing.T) {
 	cfg := Config{}.withDefaults()
@@ -111,8 +123,8 @@ func TestEndToEndFuture(t *testing.T) {
 }
 
 func TestDeterministicStudies(t *testing.T) {
-	a := NewStudy(Config{Seed: 11, CellSizeM: 40000, Transceivers: 5000, MappedFiresPerSeason: 4})
-	b := NewStudy(Config{Seed: 11, CellSizeM: 40000, Transceivers: 5000, MappedFiresPerSeason: 4})
+	a := mustStudy(Config{Seed: 11, CellSizeM: 40000, Transceivers: 5000, MappedFiresPerSeason: 4})
+	b := mustStudy(Config{Seed: 11, CellSizeM: 40000, Transceivers: 5000, MappedFiresPerSeason: 4})
 	if a.Data.Len() != b.Data.Len() {
 		t.Fatal("dataset sizes differ")
 	}

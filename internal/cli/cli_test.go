@@ -11,9 +11,20 @@ import (
 
 // cliStudy is a minimal study: the CLI tests exercise dispatch and
 // rendering, not statistical shape.
-var cliStudy = fivealarms.NewStudy(fivealarms.Config{
+var cliStudy = mustStudy(fivealarms.Config{
 	Seed: 7, CellSizeM: 40000, Transceivers: 10000, MappedFiresPerSeason: 5,
 })
+
+// mustStudy builds a fixture study through the validating constructor.
+// Fixture configurations are valid by construction, so an error means
+// a broken test setup and panics at package initialization.
+func mustStudy(cfg fivealarms.Config) *fivealarms.Study {
+	s, err := fivealarms.NewStudyWithOptions(fivealarms.WithConfig(cfg))
+	if err != nil {
+		panic(err)
+	}
+	return s
+}
 
 func TestRunEveryExperiment(t *testing.T) {
 	for _, exp := range Experiments {

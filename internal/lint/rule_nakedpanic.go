@@ -17,7 +17,7 @@ func ruleNakedPanic() Rule {
 // runNakedPanic enforces the PR-3 failure model: library code returns
 // errors; panicking is reserved for documented programming-error
 // contracts (pipeline.Graph.Add on a malformed graph, rng.Intn on
-// non-positive n, NewStudy's provably-infallible build). A panic call
+// non-positive n, a failed task in a Study's band pass). A panic call
 // is clean only when the doc comment of the enclosing top-level
 // function states the contract (mentions "panic"); everything else
 // must return an error or carry an allow annotation. Function

@@ -176,55 +176,6 @@ func FillPolygonsInto(mask *BitGrid, polys []geom.Polygon, workers int) {
 	putInts(rowsP)
 }
 
-// FillPolygonsRows is FillPolygonsInto restricted to the row window
-// [y0, y1): cells on rows outside the window are never written, and
-// cells inside it are set exactly as the full fill would set them — the
-// scanline rasterizer computes each row's spans from the polygon and
-// that row's center line alone, so a row-restricted fill is bit-
-// identical per row to the unrestricted one. This is the sharded study
-// build's kernel: each shard fills its own band, and the word-level Or
-// of the bands reproduces the monolithic mask's fingerprint. The window
-// is clamped to the grid; an empty window is a no-op. The fill runs
-// serially (a band is one shard's bounded slice of work; cross-shard
-// parallelism comes from the pipeline scheduling the shards).
-func FillPolygonsRows(mask *BitGrid, polys []geom.Polygon, y0, y1 int) {
-	g := mask.Geometry
-	if y0 < 0 {
-		y0 = 0
-	}
-	if y1 > g.NY {
-		y1 = g.NY
-	}
-	if len(polys) == 0 || g.Cells() == 0 || y0 >= y1 {
-		return
-	}
-	rowsP := getInts(2 * len(polys))
-	rows := *rowsP
-	for i := range polys {
-		rows[2*i], rows[2*i+1] = 1, 0
-		bb := polys[i].BBox().Intersection(g.Bounds())
-		if bb.IsEmpty() {
-			continue
-		}
-		cy0 := int((bb.MinY - g.MinY) / g.CellSize)
-		cy1 := int((bb.MaxY - g.MinY) / g.CellSize)
-		if cy0 < 0 {
-			cy0 = 0
-		}
-		if cy1 >= g.NY {
-			cy1 = g.NY - 1
-		}
-		rows[2*i], rows[2*i+1] = cy0, cy1
-	}
-	t := fillPool.Get().(*fillTask)
-	t.mask, t.g, t.polys, t.rows = mask, g, polys, rows
-	t.tiles, t.offs = t.tiles[:0], t.offs[:0]
-	t.runBand(0, y0, y1) // direct-write serial band over the window
-	t.mask, t.polys, t.rows = nil, nil, nil
-	fillPool.Put(t)
-	putInts(rowsP)
-}
-
 // FillPolygon sets every cell of the returned mask whose center lies inside
 // the polygon (even-odd rule over all rings), clipped to the geometry.
 func FillPolygon(g Geometry, poly geom.Polygon) *BitGrid {

@@ -55,18 +55,12 @@ func TestMergeShardOverlaysMatchesMonolithic(t *testing.T) {
 	for i, a := range f.shards {
 		parts[i] = a.ShardOverlay(f.history, f.s2019)
 	}
-	t1, t2, t3, v, err := MergeShardOverlays(parts)
+	t1, v, err := MergeShardOverlays(parts)
 	if err != nil {
 		t.Fatalf("MergeShardOverlays: %v", err)
 	}
 	if want := f.mono.HistoricalOverlayWorkers(f.history, 1); !reflect.DeepEqual(t1, want) {
 		t.Errorf("merged Table 1 differs from monolithic:\n got %+v\nwant %+v", t1, want)
-	}
-	if want := f.mono.ProviderRisk(); !reflect.DeepEqual(t2, want) {
-		t.Errorf("merged Table 2 differs from monolithic:\n got %+v\nwant %+v", t2, want)
-	}
-	if want := f.mono.RadioTypeRisk(); !reflect.DeepEqual(t3, want) {
-		t.Errorf("merged Table 3 differs from monolithic:\n got %+v\nwant %+v", t3, want)
 	}
 	if want := f.mono.Validate(f.s2019); !reflect.DeepEqual(v, want) {
 		t.Errorf("merged validation differs from monolithic:\n got %+v\nwant %+v", v, want)
@@ -86,15 +80,12 @@ func TestMergeShardOverlaysMatchesMonolithic(t *testing.T) {
 func TestMergeSingleShardIsIdentity(t *testing.T) {
 	f := newShardMergeFixture(t, nil)
 	p := f.shards[0].ShardOverlay(f.history, f.s2019)
-	t1, t2, t3, v, err := MergeShardOverlays([]*ShardOverlay{p})
+	t1, v, err := MergeShardOverlays([]*ShardOverlay{p})
 	if err != nil {
 		t.Fatalf("MergeShardOverlays: %v", err)
 	}
 	if want := f.mono.HistoricalOverlayWorkers(f.history, 1); !reflect.DeepEqual(t1, want) {
 		t.Errorf("single-shard Table 1 differs from monolithic")
-	}
-	if !reflect.DeepEqual(t2, f.mono.ProviderRisk()) || !reflect.DeepEqual(t3, f.mono.RadioTypeRisk()) {
-		t.Errorf("single-shard Table 2/3 differ from monolithic")
 	}
 	if !reflect.DeepEqual(v, f.mono.Validate(f.s2019)) {
 		t.Errorf("single-shard validation differs from monolithic")
@@ -104,20 +95,14 @@ func TestMergeSingleShardIsIdentity(t *testing.T) {
 // TestMergeErrorPaths: empty inputs, nil parts, shape mismatches and
 // season-fact disagreements are all rejected with descriptive errors.
 func TestMergeErrorPaths(t *testing.T) {
-	if _, _, _, _, err := MergeShardOverlays(nil); err == nil {
+	if _, _, err := MergeShardOverlays(nil); err == nil {
 		t.Error("zero-shard merge succeeded")
 	}
-	if _, _, _, _, err := MergeShardOverlays([]*ShardOverlay{nil}); err == nil || !strings.Contains(err.Error(), "missing") {
+	if _, _, err := MergeShardOverlays([]*ShardOverlay{nil}); err == nil || !strings.Contains(err.Error(), "missing") {
 		t.Errorf("nil shard overlay: err = %v", err)
 	}
 	if _, err := MergeYearOverlays(nil); err == nil {
 		t.Error("zero-shard Table 1 merge succeeded")
-	}
-	if _, err := MergeProviderRows(nil); err == nil {
-		t.Error("zero-shard Table 2 merge succeeded")
-	}
-	if _, err := MergeRadioRows(nil); err == nil {
-		t.Error("zero-shard Table 3 merge succeeded")
 	}
 	if _, err := MergeValidations(nil); err == nil {
 		t.Error("zero-shard validation merge succeeded")
@@ -135,24 +120,6 @@ func TestMergeErrorPaths(t *testing.T) {
 	if _, err := MergeYearOverlays([][]YearOverlay{a, c}); err == nil {
 		t.Error("acres mismatch merged")
 	}
-
-	p := []ProviderRow{{Provider: "AT&T"}}
-	q := []ProviderRow{{Provider: "Verizon"}}
-	if _, err := MergeProviderRows([][]ProviderRow{p, q}); err == nil {
-		t.Error("provider-order mismatch merged")
-	}
-	if _, err := MergeProviderRows([][]ProviderRow{p, {}}); err == nil {
-		t.Error("provider-shape mismatch merged")
-	}
-
-	r := []RadioRow{{Radio: cellnet.LTE}}
-	s := []RadioRow{{Radio: cellnet.GSM}}
-	if _, err := MergeRadioRows([][]RadioRow{r, s}); err == nil {
-		t.Error("radio-order mismatch merged")
-	}
-	if _, err := MergeRadioRows([][]RadioRow{r, {}}); err == nil {
-		t.Error("radio-shape mismatch merged")
-	}
 }
 
 // TestMergeRecomputesRatios: merged ratio fields come from the merged
@@ -166,33 +133,5 @@ func TestMergeRecomputesRatios(t *testing.T) {
 	}
 	if got[0].TransceiversIn != 8 || got[0].PerMillionAcres != 4 {
 		t.Errorf("merged row = %+v, want 8 transceivers at 4 per million acres", got[0])
-	}
-
-	p := [][]ProviderRow{
-		{{Provider: "X", Fleet: 10, Moderate: 1, High: 2, VHigh: 3, PctM: 77}},
-		{{Provider: "X", Fleet: 30, Moderate: 3, High: 2, VHigh: 1, PctM: -77}},
-	}
-	pr, err := MergeProviderRows(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pr[0].Fleet != 40 || pr[0].PctM != 10 || pr[0].PctH != 10 || pr[0].PctVH != 10 {
-		t.Errorf("merged provider row = %+v", pr[0])
-	}
-	// An all-empty provider group divides by nothing.
-	zero, err := MergeProviderRows([][]ProviderRow{{{Provider: "Y"}}, {{Provider: "Y"}}})
-	if err != nil || zero[0].PctM != 0 {
-		t.Errorf("empty-fleet merge = %+v, err %v", zero, err)
-	}
-
-	rr, err := MergeRadioRows([][]RadioRow{
-		{{Radio: cellnet.LTE, VHigh: 1, High: 2, Moderate: 3, Total: 999}},
-		{{Radio: cellnet.LTE, VHigh: 4, High: 5, Moderate: 6}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rr[0].Total != 21 {
-		t.Errorf("merged radio total = %d, want 21", rr[0].Total)
 	}
 }

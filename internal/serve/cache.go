@@ -24,11 +24,12 @@ type studyKey struct {
 // keyOf derives the cache key from a configuration. The hash covers
 // every exported Config field except Seed (which keys separately, so
 // operators can read it in logs); the unexported build context never
-// participates.
+// participates. Shards hashes as its band count, max(Shards, 1), so 0
+// and 1 — the same one-band study — share one entry.
 func keyOf(cfg fivealarms.Config) studyKey {
 	h := fnv.New64a()
 	fmt.Fprintf(h, "%g|%d|%d|%d|%q",
-		cfg.CellSizeM, cfg.Transceivers, cfg.MappedFiresPerSeason, cfg.Shards, cfg.SnapshotPath)
+		cfg.CellSizeM, cfg.Transceivers, cfg.MappedFiresPerSeason, max(cfg.Shards, 1), cfg.SnapshotPath)
 	return studyKey{seed: cfg.Seed, hash: h.Sum64()}
 }
 

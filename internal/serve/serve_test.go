@@ -641,12 +641,18 @@ func TestGracefulShutdownDrains(t *testing.T) {
 }
 
 // TestStudyKeyCoversShardingFields: the cache key must distinguish
-// configurations that differ only in the sharded-execution fields, so
-// a sharded or snapshot-loaded study can never be served from a
-// monolithic entry (the results are identical, but the operator asked
+// configurations that differ only in the band count or the snapshot
+// source, so a 4-band or snapshot-loaded study can never be served from
+// a one-band entry (the results are identical, but the operator asked
 // for a specific execution shape and ShardStats must reflect it).
+// Shards 0 and 1 are the same one-band study and share one key.
 func TestStudyKeyCoversShardingFields(t *testing.T) {
 	base := keyOf(testCfg)
+	one := testCfg
+	one.Shards = 1
+	if testCfg.Shards != 0 || keyOf(one) != base {
+		t.Error("Shards 0 and 1 key different entries for the same one-band study")
+	}
 	sharded := testCfg
 	sharded.Shards = 4
 	if keyOf(sharded) == base {

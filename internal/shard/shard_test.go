@@ -1,7 +1,6 @@
 package shard
 
 import (
-	"math"
 	"testing"
 
 	"fivealarms/internal/geom"
@@ -131,107 +130,5 @@ func TestPartitionRejectsMismatchedGrid(t *testing.T) {
 	p := MakePlan(g.NY+1, 4)
 	if _, err := Partition(p, g, []float64{1, 2, 3}); err == nil {
 		t.Fatalf("mismatched partition succeeded")
-	}
-}
-
-// randomPolys builds perimeter-like polygons, biased so that many
-// straddle band boundaries of common shard counts.
-func randomPolys(r *rng.Source, g raster.Geometry, count int) []geom.Polygon {
-	polys := make([]geom.Polygon, 0, count)
-	w := g.Bounds()
-	for len(polys) < count {
-		cx := w.MinX + r.Float64()*(w.MaxX-w.MinX)
-		cy := w.MinY + r.Float64()*(w.MaxY-w.MinY)
-		rad := (0.02 + 0.2*r.Float64()) * (w.MaxY - w.MinY)
-		ring := make(geom.Ring, 0, 9)
-		for k := 0; k < 8; k++ {
-			ang := float64(k) / 8 * 2 * math.Pi
-			rr := rad * (0.5 + r.Float64())
-			ring = append(ring, geom.Pt(cx+rr*math.Cos(ang), cy+rr*math.Sin(ang)))
-		}
-		polys = append(polys, geom.Polygon{Exterior: ring})
-	}
-	return polys
-}
-
-// TestBandFillsMergeToMonolithicFingerprint: filling each band with
-// FillPolygonsRows and merging — both by word-level Or and by
-// ForEachSetRun span replay — reproduces the monolithic fill's
-// fingerprint exactly, for perimeters that straddle band boundaries.
-func TestBandFillsMergeToMonolithicFingerprint(t *testing.T) {
-	g := testGeometry(50, 96, 131)
-	r := rng.NewStream(9, 0xF111)
-	polys := randomPolys(r, g, 40)
-
-	mono := raster.NewBitGrid(g)
-	raster.FillPolygonsInto(mono, polys, 0)
-	want := mono.Fingerprint()
-	if mono.Count() == 0 {
-		t.Fatalf("monolithic fill set no cells; test polygons degenerate")
-	}
-
-	for _, n := range []int{1, 2, 4, 7, 131, 200} {
-		p := MakePlan(g.NY, n)
-		orMerged := raster.NewBitGrid(g)
-		runMerged := raster.NewBitGrid(g)
-		covered := 0
-		for i := 0; i < n; i++ {
-			y0, y1 := p.Band(i)
-			covered += y1 - y0
-			band := raster.NewBitGrid(g)
-			raster.FillPolygonsRows(band, polys, y0, y1)
-			if err := orMerged.Or(band); err != nil {
-				t.Fatalf("n=%d: Or: %v", n, err)
-			}
-			band.ForEachSetRun(func(cy, cx0, cx1 int) {
-				runMerged.SetSpan(cy, cx0, cx1)
-			})
-		}
-		if covered != g.NY {
-			t.Fatalf("n=%d: bands covered %d of %d rows", n, covered, g.NY)
-		}
-		if got := orMerged.Fingerprint(); got != want {
-			t.Fatalf("n=%d: Or-merged fingerprint %#x != monolithic %#x", n, got, want)
-		}
-		if got := runMerged.Fingerprint(); got != want {
-			t.Fatalf("n=%d: run-merged fingerprint %#x != monolithic %#x", n, got, want)
-		}
-	}
-}
-
-// TestFillPolygonsRowsWindowIsExact: rows outside the window stay
-// untouched and rows inside match the monolithic fill bit for bit.
-func TestFillPolygonsRowsWindowIsExact(t *testing.T) {
-	g := testGeometry(75, 50, 61)
-	r := rng.NewStream(21, 0x3140)
-	polys := randomPolys(r, g, 12)
-	mono := raster.NewBitGrid(g)
-	raster.FillPolygonsInto(mono, polys, 0)
-
-	y0, y1 := 13, 44
-	win := raster.NewBitGrid(g)
-	raster.FillPolygonsRows(win, polys, y0, y1)
-	for cy := 0; cy < g.NY; cy++ {
-		for cx := 0; cx < g.NX; cx++ {
-			got := win.Get(cx, cy)
-			switch {
-			case cy < y0 || cy >= y1:
-				if got {
-					t.Fatalf("cell (%d, %d) outside window was written", cx, cy)
-				}
-			default:
-				if got != mono.Get(cx, cy) {
-					t.Fatalf("cell (%d, %d) inside window differs from monolithic fill", cx, cy)
-				}
-			}
-		}
-	}
-	// Degenerate windows are no-ops.
-	before := win.Fingerprint()
-	raster.FillPolygonsRows(win, polys, 44, 13)
-	raster.FillPolygonsRows(win, nil, 0, g.NY)
-	raster.FillPolygonsRows(win, polys, -10, 0)
-	if win.Fingerprint() != before {
-		t.Fatalf("degenerate windows mutated the mask")
 	}
 }

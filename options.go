@@ -67,13 +67,12 @@ func WithPaperScale(seed uint64) Option {
 	return func(c *Config) { *c = PaperScale(seed) }
 }
 
-// WithShards selects the sharded execution path (Config.Shards): the
-// transceiver-axis analyses — Tables 1-3, the hold-out validation, the
-// perimeter union masks — compute over n CONUS row bands with a bounded
-// per-shard transient footprint and stream-merge in band order. Results
-// are bit-identical to the monolithic build at any shard count (see
-// DESIGN.md §10); Study.ShardStats reports the shape. n <= 0 builds
-// monolithically.
+// WithShards sets the band pass's band count (Config.Shards): Table 1
+// and the hold-out validation join the fleet over n CONUS row bands,
+// each copying only its own rows, and merge in band order. Results are
+// bit-identical at any band count (see DESIGN.md §10);
+// Study.ShardStats reports the shape. n of 0 or 1 is one band, which
+// joins the Study's own Analyzer and copies nothing.
 func WithShards(n int) Option {
 	return func(c *Config) { c.Shards = n }
 }
@@ -90,12 +89,12 @@ func WithSnapshot(path string) Option {
 // NewStudyWithOptions validates the assembled configuration and builds
 // all layers through the parallel pipeline, which fans out to at most
 // GOMAXPROCS goroutines (at GOMAXPROCS=1 every stage runs serially, with
-// bit-identical results). Unlike NewStudy, it rejects malformed
-// configurations — negative or non-finite dimensions, absurd sizes —
-// instead of silently clamping them, and it surfaces build-pipeline
-// failures (cancellation via WithContext, contained task panics) as
-// errors rather than crashing. On error the returned Study is nil:
-// partially built state never escapes.
+// bit-identical results). It rejects malformed configurations —
+// negative or non-finite dimensions, absurd sizes — instead of silently
+// clamping them, and it surfaces build-pipeline failures (cancellation
+// via WithContext, contained task panics, snapshot I/O) as errors
+// rather than crashing. On error the returned Study is nil: partially
+// built state never escapes.
 func NewStudyWithOptions(opts ...Option) (*Study, error) {
 	var cfg Config
 	for _, opt := range opts {

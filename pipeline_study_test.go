@@ -75,8 +75,8 @@ func asJSON(v any) string {
 
 // TestSerialPipelineIdentical is the schedule twin: a Study built and
 // analysed at GOMAXPROCS=1, where every stage runs serially, produces
-// byte-identical analysis rows to one built at GOMAXPROCS=4, both
-// monolithically and over three shards.
+// byte-identical analysis rows to one built at GOMAXPROCS=4, both with
+// one band and with three.
 func TestSerialPipelineIdentical(t *testing.T) {
 	for _, shards := range []int{0, 3} {
 		serial := fingerprintsAt(t, schedules[0], WithShards(shards))
@@ -94,7 +94,7 @@ func TestSerialPipelineIdentical(t *testing.T) {
 // identity), so a second Table1/Validate/CaseStudy triggers zero new
 // fire-season simulations.
 func TestMemoizedAccessors(t *testing.T) {
-	s := NewStudy(stressCfg)
+	s := mustStudy(stressCfg)
 	h1, h2 := s.History(), s.History()
 	if len(h1) == 0 || &h1[0] != &h2[0] {
 		t.Error("History not memoized")
@@ -138,7 +138,7 @@ func TestConcurrentAnalysesIdentical(t *testing.T) {
 	const goroutines = 8
 	errs := make(chan string, goroutines*len(want))
 	faults.WithGOMAXPROCS(schedules[1], func() {
-		s := NewStudy(stressCfg)
+		s := mustStudy(stressCfg)
 		var wg sync.WaitGroup
 		for g := 0; g < goroutines; g++ {
 			wg.Add(1)
@@ -273,13 +273,6 @@ func TestNewStudyWithOptions(t *testing.T) {
 		t.Errorf("Cfg = %+v, want %+v", s.Cfg, want)
 	}
 
-	// The thin-wrapper contract: NewStudy with the same config produces
-	// the same results.
-	legacy := NewStudy(want)
-	if a, b := asJSON(s.Table2()), asJSON(legacy.Table2()); a != b {
-		t.Error("NewStudyWithOptions and NewStudy disagree for the same config")
-	}
-
 	if _, err := NewStudyWithOptions(WithCellSizeM(-1)); err == nil {
 		t.Error("negative CellSizeM accepted")
 	}
@@ -298,7 +291,7 @@ func TestNewStudyWithOptions(t *testing.T) {
 }
 
 func TestExtendWithSelectionRule(t *testing.T) {
-	s := NewStudy(stressCfg)
+	s := mustStudy(stressCfg)
 
 	coarse := s.ExtendWith(ExtendOptions{})
 	if coarse.Fine || coarse.Coarse == nil || coarse.Window != nil {

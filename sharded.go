@@ -1,214 +1,131 @@
 package fivealarms
 
 import (
-	"context"
 	"fmt"
 	"unsafe"
 
 	"fivealarms/internal/cellnet"
 	"fivealarms/internal/pipeline"
-	"fivealarms/internal/raster"
 	"fivealarms/internal/risk"
 	"fivealarms/internal/shard"
-	"fivealarms/internal/wildfire"
 )
 
-// Sharded execution (Config.Shards > 0): the transceiver-axis products
-// — Table 1/2/3, the §3.4 validation and the two perimeter union masks
-// — are computed shard by shard over a row-band partition of the CONUS
-// grid and stream-merged, instead of in one pass over the whole fleet.
-// The results are bit-identical to the monolithic build (see DESIGN.md
-// §10 for the merge-order determinism rule and the exactness argument);
-// what changes is the working-set shape: each shard task materializes
-// only its band's slice of the fleet as analysis-ready AoS rows plus
-// two band masks, so the transient per-shard footprint is bounded by
-// the largest band rather than the fleet, and the compact columnar
-// Store is the only fleet-wide transceiver container the heavy joins
-// ever touch.
+// The band pass computes the two products that join simulated
+// perimeters against the whole fleet — Table 1 and the §3.4 validation
+// counts — over a row-band partition of the CONUS grid, then merges the
+// per-band counts in band order. Both are sums of independent
+// per-transceiver contributions, so the merged results are bit-identical
+// at any band count (see DESIGN.md §10). The pass runs once per Study,
+// on the first call to Table1, Validate or ShardStats, with
+// max(1, Config.Shards) bands. One band joins the Study's own Analyzer
+// and copies nothing; more bands each copy their rows from Data.T into
+// a private Analyzer that lives only as long as the band's task.
 
-// shardedResults holds the stream-merged products of a sharded build.
-// Built entirely inside build()'s task graph; immutable afterwards.
-type shardedResults struct {
-	history    []*wildfire.Season
-	season2019 *wildfire.Season
+// bandResults is the memoized output of the band pass.
+type bandResults struct {
 	table1     []risk.YearOverlay
-	table2     []risk.ProviderRow
-	table3     []risk.RadioRow
 	validation *risk.ValidationResult
-	unionHist  *raster.BitGrid
-	union2019  *raster.BitGrid
 
-	// shardRows is the per-shard transceiver count, in band order.
-	shardRows []int
-	// peakShardBytes is the largest single shard's accounted transient
-	// footprint: AoS rows + spatial index + class/county caches + two
-	// band masks (an accounting figure, not measured RSS; see
-	// DESIGN.md §10).
-	peakShardBytes int64
+	// rows is the per-band transceiver count, in band order.
+	rows []int
+	// peakBytes is the largest band's accounted copy: its AoS rows plus
+	// the per-row cost of its spatial index and class/county caches (an
+	// accounting figure, not measured RSS; see DESIGN.md §10). One band
+	// copies nothing and accounts 0.
+	peakBytes int64
 }
 
-// shardBuild carries the sharded tasks' intermediate state. Tasks
-// communicate only through their dependency edges: a field is written
-// by exactly one task and read only by tasks downstream of it, so the
-// pipeline's happens-before edges make the builds race-free under any
-// schedule.
-type shardBuild struct {
-	s   *Study
-	cfg Config
+// bandRowBytes accounts one copied row of a band: the AoS transceiver
+// plus its spatial-index point (16 bytes), WHP class (1) and county
+// index (4).
+const bandRowBytes = int64(unsafe.Sizeof(cellnet.Transceiver{})) + 16 + 1 + 4
 
-	plan  shard.Plan
-	store *cellnet.Store
-	parts [][]int
-
-	overlays  []*risk.ShardOverlay
-	histMasks []*raster.BitGrid
-	valMasks  []*raster.BitGrid
-	bytes     []int64
-
-	res shardedResults
-}
-
-// addShardedTasks appends the sharded layer builds to the study graph:
-// the simulated seasons, the partition plan, one overlay task and one
-// mask task per shard, and the stream merge. Dependencies ensure a
-// failed or cancelled task skips every dependent, so a partial sharded
-// Study never escapes build().
-func addShardedTasks(g *pipeline.Graph, sb *shardBuild, ctx context.Context) {
-	cfg := sb.cfg
-	n := cfg.Shards
-	sb.overlays = make([]*risk.ShardOverlay, n)
-	sb.histMasks = make([]*raster.BitGrid, n)
-	sb.valMasks = make([]*raster.BitGrid, n)
-	sb.bytes = make([]int64, n)
-
-	g.Add("history", func() error {
-		seasons, err := wildfire.SimulateHistoryContext(ctx, sb.s.Sim, cfg.Seed, cfg.MappedFiresPerSeason, 0)
-		if err != nil {
-			return err
-		}
-		sb.res.history = seasons
-		return nil
-	}, "sim")
-	g.Add("season2019", func() error {
-		sb.res.season2019 = wildfire.Simulate2019(sb.s.Sim, cfg.Seed, cfg.MappedFiresPerSeason)
-		return nil
-	}, "sim")
-	g.Add("shards/plan", func() error {
-		sb.plan = shard.MakePlan(sb.s.World.Grid.NY, n)
-		sb.store = cellnet.StoreOf(sb.s.Data.T)
-		parts, err := shard.Partition(sb.plan, sb.s.World.Grid, sb.store.Y)
-		if err != nil {
-			return err
-		}
-		sb.parts = parts
-		return nil
-	}, "analyzer")
-
-	shardTasks := make([]string, 0, 2*n)
-	for i := 0; i < n; i++ {
-		overlayTask := fmt.Sprintf("shard%d/overlay", i)
-		maskTask := fmt.Sprintf("shard%d/mask", i)
-		shardTasks = append(shardTasks, overlayTask, maskTask)
-		g.Add(overlayTask, func() error {
-			sb.runOverlay(i)
-			return nil
-		}, "shards/plan", "history", "season2019")
-		g.Add(maskTask, func() error {
-			sb.runMask(i)
-			return nil
-		}, "shards/plan", "history", "season2019")
-	}
-	g.Add("shards/merge", sb.merge, shardTasks...)
-}
-
-// aosRowBytes is the in-memory size of one analysis-ready transceiver
-// row — the unit of the per-shard footprint accounting.
-const aosRowBytes = int64(unsafe.Sizeof(cellnet.Transceiver{}))
-
-// indexAndCacheBytes accounts the per-row cost of a shard's spatial
-// index (one projected point) plus the analyzer's class and county
-// caches.
-const indexAndCacheBytes = int64(16 + 1 + 4)
-
-// runOverlay materializes shard i's rows from the columnar store,
-// builds its private analyzer, and counts its partial Table 1/2/3 and
-// validation products. The AoS rows, index and caches are released
-// when the task returns — only the counts survive.
-func (sb *shardBuild) runOverlay(i int) {
-	idx := sb.parts[i]
-	rows := sb.store.AppendRows(make([]cellnet.Transceiver, 0, len(idx)), idx)
-	ds := cellnet.NewDataset(sb.s.World, rows)
-	sub := risk.New(sb.s.World, sb.s.WHP, ds, sb.s.Counties)
-	sb.overlays[i] = sub.ShardOverlay(sb.res.history, sb.res.season2019)
-	sb.bytes[i] = int64(len(idx)) * (aosRowBytes + indexAndCacheBytes)
-}
-
-// runMask fills shard i's band of the two perimeter union masks. The
-// fills are row-window-restricted, so a band mask holds exactly the
-// rows the monolithic fill would produce there and zero elsewhere;
-// the band-ordered Or in merge reassembles the monolithic masks bit
-// for bit.
-func (sb *shardBuild) runMask(i int) {
-	y0, y1 := sb.plan.Band(i)
-	g := sb.s.World.Grid
-	hist := raster.NewBitGrid(g)
-	val := raster.NewBitGrid(g)
-	raster.FillPolygonsRows(hist, risk.SeasonPerimeters(sb.res.history), y0, y1)
-	raster.FillPolygonsRows(val, risk.SeasonPerimeters([]*wildfire.Season{sb.res.season2019}), y0, y1)
-	sb.histMasks[i] = hist
-	sb.valMasks[i] = val
-}
-
-// maskBytes accounts one full-geometry bit mask.
-func maskBytes(g raster.Geometry) int64 {
-	return int64((g.Cells()+63)/64) * 8
-}
-
-// merge folds the per-shard products, in band order, into the final
-// sharded results. Integer counts add; ratios are recomputed once from
-// the merged counts; masks merge by word-level Or. Merge order is
-// fixed (band 0 upward) even though every merge here is commutative —
-// the determinism rule is "band order, always" so no future merge has
-// to re-litigate it.
-func (sb *shardBuild) merge() error {
-	t1, t2, t3, v, err := risk.MergeShardOverlays(sb.overlays)
+// bands returns the band pass, running it on first use.
+//
+// It panics with the pass's error — a *pipeline.PanicError or a wrapped
+// task error — when a pass task fails, which only a bug or an injected
+// fault can cause. A failed pass is not memoized, so the next call
+// retries it.
+func (s *Study) bands() *bandResults {
+	r, err := s.mem.bands.GetErr(s.runBands)
 	if err != nil {
-		return err
+		panic(err)
 	}
-	sb.res.table1, sb.res.table2, sb.res.table3, sb.res.validation = t1, t2, t3, v
-
-	g := sb.s.World.Grid
-	unionHist := raster.NewBitGrid(g)
-	union2019 := raster.NewBitGrid(g)
-	for i := range sb.histMasks {
-		if err := unionHist.Or(sb.histMasks[i]); err != nil {
-			return fmt.Errorf("merging shard %d history mask: %w", i, err)
-		}
-		if err := union2019.Or(sb.valMasks[i]); err != nil {
-			return fmt.Errorf("merging shard %d 2019 mask: %w", i, err)
-		}
-		sb.histMasks[i], sb.valMasks[i] = nil, nil // release band masks as they fold in
-	}
-	sb.res.unionHist, sb.res.union2019 = unionHist, union2019
-
-	sb.res.shardRows = make([]int, len(sb.parts))
-	mb := 2 * maskBytes(g)
-	for i, part := range sb.parts {
-		sb.res.shardRows[i] = len(part)
-		if b := sb.bytes[i] + mb; b > sb.res.peakShardBytes {
-			sb.res.peakShardBytes = b
-		}
-	}
-	return nil
+	return r
 }
 
-// ShardStats reports the sharded build's shape: per-shard transceiver
-// counts in band order and the accounted peak per-shard transient
-// footprint in bytes. A monolithic study returns (nil, 0).
-func (s *Study) ShardStats() (rows []int, peakBytes int64) {
-	if s.sharded == nil {
-		return nil, 0
+// runBands plans the bands and runs one shard<i>/overlay task per band
+// plus the band-order shards/merge on a pipeline graph. A multi-band
+// plan first partitions the fleet by row in shards/plan. Tasks
+// communicate only through their dependency edges, so the pass is
+// race-free under any schedule.
+func (s *Study) runBands() (*bandResults, error) {
+	plan := shard.MakePlan(s.World.Grid.NY, s.Cfg.Shards)
+	n := plan.Shards()
+	parts := make([]*risk.ShardOverlay, n)
+	res := &bandResults{rows: make([]int, n)}
+	var idx [][]int // per-band indices into Data.T; nil for one band
+
+	g := pipeline.New(0)
+	if buildFaultHook != nil {
+		g.SetInjectionHook(buildFaultHook)
 	}
-	rows = append([]int(nil), s.sharded.shardRows...)
-	return rows, s.sharded.peakShardBytes
+	var planned []string
+	if n > 1 {
+		g.Add("shards/plan", func() (err error) {
+			ys := make([]float64, len(s.Data.T))
+			for i := range s.Data.T {
+				ys[i] = s.Data.T[i].XY.Y
+			}
+			idx, err = shard.Partition(plan, s.World.Grid, ys)
+			return err
+		})
+		planned = []string{"shards/plan"}
+	}
+	overlays := make([]string, n)
+	for i := range overlays {
+		overlays[i] = fmt.Sprintf("shard%d/overlay", i)
+		g.Add(overlays[i], func() error {
+			a := s.Analyzer
+			if idx != nil {
+				rows := make([]cellnet.Transceiver, len(idx[i]))
+				for j, k := range idx[i] {
+					rows[j] = s.Data.T[k]
+				}
+				a = risk.New(s.World, s.WHP, cellnet.NewDataset(s.World, rows), s.Counties)
+			}
+			parts[i] = a.ShardOverlay(s.History(), s.Season2019())
+			return nil
+		}, planned...)
+	}
+	g.Add("shards/merge", func() (err error) {
+		if res.table1, res.validation, err = risk.MergeShardOverlays(parts); err != nil {
+			return err
+		}
+		for i, p := range parts {
+			res.rows[i] = p.Rows
+			if idx != nil {
+				res.peakBytes = max(res.peakBytes, int64(p.Rows)*bandRowBytes)
+			}
+		}
+		return nil
+	}, overlays...)
+
+	if err := g.Run(); err != nil {
+		return nil, fmt.Errorf("fivealarms: band pass: %w", err)
+	}
+	return res, nil
+}
+
+// ShardStats reports the band pass's shape, running the pass on first
+// use: the per-band transceiver counts in band order and the accounted
+// peak per-band copy in bytes (a band's rows, spatial index and
+// class/county caches). A one-band Study (Shards 0 or 1) joins its own
+// Analyzer, so it reports the whole fleet as one band and 0 bytes. The
+// returned slice is the caller's own copy.
+//
+// ShardStats panics like Table1 if a band-pass task fails.
+func (s *Study) ShardStats() (rows []int, peakBytes int64) {
+	r := s.bands()
+	return append([]int(nil), r.rows...), r.peakBytes
 }

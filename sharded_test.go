@@ -1,16 +1,15 @@
 package fivealarms
 
-// Sharded-execution and snapshot warm-load tests: the out-of-core path
-// must be observationally identical to the monolithic build — same
-// tables, same validation, same masks, same downstream analyses — at
-// any shard count, with any mix of snapshot loading, and its ShardStats
-// must account the shape honestly. The cross-shard-count conformance
-// sweep lives in shard_conformance_test.go (external package, driving
-// refimpl/diffcheck).
+// Band-count and snapshot warm-load tests: a study is observationally
+// identical at any band count — same tables, same validation, same
+// masks, same downstream analyses — with any mix of snapshot loading,
+// and its ShardStats must account the shape honestly. The seeded
+// band-count sweep lives in shard_conformance_test.go.
 
 import (
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -27,64 +26,49 @@ func shardedTwin(t *testing.T, n int, extra ...Option) *Study {
 	return s
 }
 
-// TestShardedStudyMatchesMonolithic: every analysis fingerprint — the
-// sharded products and the monolithic analyses downstream of them —
-// is byte-identical between the monolithic build and sharded twins.
+// TestShardedStudyMatchesMonolithic: every analysis fingerprint is
+// byte-identical between the one-band study (Shards 0) and its
+// multi-band twins.
 func TestShardedStudyMatchesMonolithic(t *testing.T) {
-	want := analysisFingerprints(NewStudy(stressCfg))
+	want := analysisFingerprints(mustStudy(stressCfg))
 	for _, n := range []int{1, 3, 5} {
 		got := analysisFingerprints(shardedTwin(t, n))
 		for name, w := range want {
 			if got[name] != w {
-				t.Errorf("n=%d: %s differs from monolithic:\nmonolithic:\n%s\nsharded:\n%s", n, name, w, got[name])
+				t.Errorf("n=%d: %s differs from one band:\none band:\n%s\nn bands:\n%s", n, name, w, got[name])
 			}
 		}
 	}
 }
 
-// TestShardedSeasonAccessors: on a sharded study the memoized History
-// and Season2019 accessors serve the graph-built seasons — identical
-// to the monolithic simulations.
+// TestShardedSeasonAccessors: at any band count the memoized History
+// and Season2019 accessors serve the same simulated seasons.
 func TestShardedSeasonAccessors(t *testing.T) {
-	mono := NewStudy(stressCfg)
+	mono := mustStudy(stressCfg)
 	sh := shardedTwin(t, 2)
 	if got, want := len(sh.History()), len(mono.History()); got != want {
-		t.Fatalf("sharded History has %d seasons, monolithic %d", got, want)
+		t.Fatalf("2-band History has %d seasons, one-band %d", got, want)
 	}
 	for i, season := range sh.History() {
 		if season.Year != mono.History()[i].Year || len(season.Mapped) != len(mono.History()[i].Mapped) {
-			t.Errorf("season %d differs between sharded and monolithic history", i)
+			t.Errorf("season %d differs between the 2-band and one-band history", i)
 		}
 	}
 	if sh.Season2019().Year != mono.Season2019().Year {
-		t.Errorf("sharded 2019 season year %d", sh.Season2019().Year)
+		t.Errorf("2-band 2019 season year %d", sh.Season2019().Year)
 	}
 }
 
-// TestNewStudyPanicsOnSnapshotError: NewStudy keeps its infallible
-// signature by panicking on the configurations whose failure surface is
-// real (snapshot I/O) — NewStudyWithOptions is the error-returning path.
-func TestNewStudyPanicsOnSnapshotError(t *testing.T) {
-	cfg := stressCfg
-	cfg.SnapshotPath = filepath.Join(t.TempDir(), "absent.fa5c")
-	defer func() {
-		if recover() == nil {
-			t.Error("NewStudy with a missing snapshot did not panic")
-		}
-	}()
-	NewStudy(cfg)
-}
-
-// TestShardedMasksBitIdentical: the merged union masks match the
-// monolithic fills word for word (fingerprint, not just count).
+// TestShardedMasksBitIdentical: a multi-band study's union masks match
+// the one-band study's word for word (fingerprint, not just count).
 func TestShardedMasksBitIdentical(t *testing.T) {
-	mono := NewStudy(stressCfg)
+	mono := mustStudy(stressCfg)
 	sh := shardedTwin(t, 4)
 	if got, want := sh.HistoryUnionMask().Fingerprint(), mono.HistoryUnionMask().Fingerprint(); got != want {
-		t.Errorf("history union fingerprint %#x != monolithic %#x", got, want)
+		t.Errorf("history union fingerprint %#x != one-band %#x", got, want)
 	}
 	if got, want := sh.Season2019UnionMask().Fingerprint(), mono.Season2019UnionMask().Fingerprint(); got != want {
-		t.Errorf("2019 union fingerprint %#x != monolithic %#x", got, want)
+		t.Errorf("2019 union fingerprint %#x != one-band %#x", got, want)
 	}
 }
 
@@ -92,7 +76,7 @@ func TestShardedMasksBitIdentical(t *testing.T) {
 // bands empty (zero rows, zero transceivers). Empty shards must build,
 // merge as no-ops, and leave the results untouched.
 func TestShardedManyEmptyShards(t *testing.T) {
-	mono := NewStudy(stressCfg)
+	mono := mustStudy(stressCfg)
 	sh := shardedTwin(t, 300)
 	rows, peak := sh.ShardStats()
 	if len(rows) != 300 {
@@ -118,23 +102,24 @@ func TestShardedManyEmptyShards(t *testing.T) {
 	got := analysisFingerprints(sh)
 	for name, w := range want {
 		if got[name] != w {
-			t.Errorf("%s differs from monolithic with empty shards present", name)
+			t.Errorf("%s differs from one band with empty shards present", name)
 		}
 	}
 }
 
-// TestShardStats: a monolithic study reports (nil, 0); a sharded one
-// reports band-ordered row counts whose peak accounting is monotone in
-// the largest band, and the returned slice is a private copy.
+// TestShardStats: a one-band study reports its whole fleet as one band
+// and 0 bytes, since it copies nothing; a 4-band one reports band-ordered
+// row counts and accounts the copy of its largest band, and the
+// returned slice is a private copy.
 func TestShardStats(t *testing.T) {
-	mono := NewStudy(stressCfg)
-	if rows, peak := mono.ShardStats(); rows != nil || peak != 0 {
-		t.Fatalf("monolithic ShardStats = (%v, %d), want (nil, 0)", rows, peak)
+	one := mustStudy(stressCfg)
+	if rows, peak := one.ShardStats(); !slices.Equal(rows, []int{one.Data.Len()}) || peak != 0 {
+		t.Fatalf("one-band ShardStats = (%v, %d), want ([%d], 0)", rows, peak, one.Data.Len())
 	}
 	sh := shardedTwin(t, 4)
 	rows, peak := sh.ShardStats()
-	if len(rows) != 4 || peak <= 0 {
-		t.Fatalf("sharded ShardStats = (%v, %d)", rows, peak)
+	if len(rows) != 4 || peak != int64(slices.Max(rows))*bandRowBytes {
+		t.Fatalf("4-band ShardStats = (%v, %d)", rows, peak)
 	}
 	rows[0] = -1
 	again, _ := sh.ShardStats()
@@ -145,20 +130,16 @@ func TestShardStats(t *testing.T) {
 
 // TestSnapshotWarmLoadBitIdentical: a study warm-loaded from a snapshot
 // written by its own twin is indistinguishable from the cold build —
-// including under sharded execution on top of the warm load.
+// with one band and with four on top of the warm load.
 func TestSnapshotWarmLoadBitIdentical(t *testing.T) {
-	cold := NewStudy(stressCfg)
+	cold := mustStudy(stressCfg)
 	path := filepath.Join(t.TempDir(), "fleet.fa5c")
 	if err := cold.WriteSnapshot(path); err != nil {
 		t.Fatalf("WriteSnapshot: %v", err)
 	}
 	want := analysisFingerprints(cold)
 	for _, shards := range []int{0, 4} {
-		opts := []Option{WithConfig(stressCfg), WithSnapshot(path)}
-		if shards > 0 {
-			opts = append(opts, WithShards(shards))
-		}
-		warm, err := NewStudyWithOptions(opts...)
+		warm, err := NewStudyWithOptions(WithConfig(stressCfg), WithSnapshot(path), WithShards(shards))
 		if err != nil {
 			t.Fatalf("warm build (shards=%d): %v", shards, err)
 		}
@@ -198,7 +179,7 @@ func TestSnapshotLoadErrorsSurface(t *testing.T) {
 // TestWriteSnapshotErrors: an unwritable destination is reported and no
 // partial file is left behind.
 func TestWriteSnapshotErrors(t *testing.T) {
-	s := NewStudy(stressCfg)
+	s := mustStudy(stressCfg)
 	path := filepath.Join(t.TempDir(), "no-such-dir", "fleet.fa5c")
 	if err := s.WriteSnapshot(path); err == nil {
 		t.Fatal("WriteSnapshot into a missing directory succeeded")
