@@ -118,13 +118,14 @@ func (c Config) withDefaults() Config {
 
 // Validation bounds: a national raster finer than minCellSizeM exhausts
 // memory (the CONUS window is ~4.6M x 2.9M meters), one coarser than
-// maxCellSizeM degenerates below state scale.
+// maxCellSizeM degenerates below state scale. Transceivers is capped at
+// cellnet.MaxRows, the largest snapshot the reader accepts, so every
+// Study that builds can be saved with WriteSnapshot and loaded again.
 const (
-	minCellSizeM    = 100
-	maxCellSizeM    = 1e6
-	maxTransceivers = 100_000_000
-	maxMappedFires  = 100_000
-	maxShards       = 4096
+	minCellSizeM   = 100
+	maxCellSizeM   = 1e6
+	maxMappedFires = 100_000
+	maxShards      = 4096
 )
 
 // Validate rejects configurations that withDefaults would otherwise
@@ -151,8 +152,8 @@ func (c Config) Validate() error {
 	switch {
 	case c.Transceivers < 0:
 		errs = append(errs, fmt.Errorf("fivealarms: Transceivers must be >= 0, got %d", c.Transceivers))
-	case c.Transceivers > maxTransceivers:
-		errs = append(errs, fmt.Errorf("fivealarms: Transceivers %d above the %d maximum", c.Transceivers, maxTransceivers))
+	case c.Transceivers > cellnet.MaxRows:
+		errs = append(errs, fmt.Errorf("fivealarms: Transceivers %d above the %d maximum", c.Transceivers, cellnet.MaxRows))
 	}
 	switch {
 	case c.MappedFiresPerSeason < 0:

@@ -257,3 +257,18 @@ func BenchmarkResolver(b *testing.B) {
 		_ = r.ProviderGroup(&tr)
 	}
 }
+
+func BenchmarkCSVRead(b *testing.B) {
+	small := Generate(testWorld, GenConfig{Seed: 3, Total: 5000})
+	var buf bytes.Buffer
+	if err := small.WriteCSV(&buf); err != nil {
+		b.Fatal(err)
+	}
+	data := buf.Bytes()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := ReadCSV(bytes.NewReader(data), testWorld); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

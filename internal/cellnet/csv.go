@@ -177,10 +177,3 @@ func unixToYear(ts int64) uint16 {
 func isLeap(y int) bool {
 	return (y%4 == 0 && y%100 != 0) || y%400 == 0
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -3,6 +3,7 @@ package cellnet
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"io"
@@ -11,17 +12,14 @@ import (
 	"fivealarms/internal/conus"
 )
 
-// Columnar snapshot format: the full-paper-scale on-disk layout of a
-// transceiver store. Where the v1 record stream (binary.go) interleaves
-// fields per row, the snapshot lays each column out contiguously, so an
-// out-of-core reader can fetch any row range of any column with one
-// ReadAt per column — the access pattern of the sharded study build.
-// Layout (little-endian):
+// FA5C snapshot format: the one on-disk layout of the transceiver
+// layer. Each field is laid out as one contiguous column, in this order
+// (little-endian):
 //
 //	magic    [4]byte "FA5C"
 //	version  uint16  (1)
 //	flags    uint16  (0; readers reject nonzero)
-//	count    uint64
+//	count    uint64  (at most MaxRows)
 //	columns, each count long, in this order:
 //	  x, y      float64   projected CONUS Albers position
 //	  lon, lat  float64   geographic position
@@ -30,17 +28,25 @@ import (
 //	  cell      uint32
 //	  site      uint32    (SiteID two's-complement)
 //	  radio     uint8
-//	  created   uint8     (year-2000, clamped like the record codec)
+//	  created   uint8     (year-2000, clamped to [2000, 2255])
 //	  updated   uint8
 //	  samples   uint16
 //	checksum uint64  FNV-1a over every preceding byte
 //
-// Unlike the record codec, the snapshot serializes the projected x/y
-// columns: the Albers projection is a program constant, and storing the
-// projected bits makes a warm-loaded study bit-identical to a cold
-// build (ToXY(ToLonLat(p)) does not round-trip to the last ulp). State
-// assignment is still recomputed on load, keeping files world-raster
+// The snapshot serializes the projected x/y columns: the Albers
+// projection is a program constant, and storing the projected bits
+// makes a warm-loaded study bit-identical to a cold build
+// (ToXY(ToLonLat(p)) does not round-trip to the last ulp). State
+// assignment is recomputed on load, keeping files world-raster
 // independent.
+
+// ErrBadFormat is wrapped by every snapshot decode error.
+var ErrBadFormat = errors.New("cellnet: bad binary format")
+
+// MaxRows is the largest transceiver count a snapshot may declare. It
+// is also the largest fleet fivealarms.Config accepts, so every study
+// that builds can be saved and loaded again.
+const MaxRows = 1 << 26
 
 var snapshotMagic = [4]byte{'F', 'A', '5', 'C'}
 
@@ -48,59 +54,85 @@ const (
 	snapshotVersion = 1
 	// snapshotHeader is magic+version+flags+count.
 	snapshotHeader = 4 + 2 + 2 + 8
-	// snapshotRowBytes is the per-row payload across all columns.
+	// snapshotRowBytes is the per-row payload across all columns: the
+	// sum of the snapshotColumns widths.
 	snapshotRowBytes = 8 + 8 + 8 + 8 + 2 + 2 + 2 + 4 + 4 + 1 + 1 + 1 + 2 // 51
-	// snapshotMaxRows mirrors the record codec's 67M cap: generous for
-	// any realistic snapshot, small enough to refuse absurd headers
-	// before allocating.
-	snapshotMaxRows = 1 << 26
+	// maxProjectedM bounds the projected columns. Every Albers
+	// projection of a point on Earth lies within ~3.4e7 m of the
+	// origin, and the spatial index cannot size a grid over extents
+	// that overflow an int.
+	maxProjectedM = 1e8
 )
 
-// snapshotColWidths lists the column element widths in wire order.
-var snapshotColWidths = [...]int{8, 8, 8, 8, 2, 2, 2, 4, 4, 1, 1, 1, 2}
-
-// snapshotColOffset returns the file offset of column col's first byte
-// for an n-row snapshot.
-func snapshotColOffset(col, n int) int64 {
-	off := int64(snapshotHeader)
-	for c := 0; c < col; c++ {
-		off += int64(snapshotColWidths[c]) * int64(n)
-	}
-	return off
+// snapshotColumn is one FA5C column: its element width and how one
+// transceiver's value is put into and read back from an element.
+type snapshotColumn struct {
+	width int
+	put   func(b []byte, t *Transceiver)
+	get   func(b []byte, t *Transceiver)
 }
 
-// WriteSnapshot streams the store in the columnar snapshot format.
-func (s *Store) WriteSnapshot(w io.Writer) error {
+var le = binary.LittleEndian
+
+// snapshotColumns lists the columns in wire order.
+var snapshotColumns = [...]snapshotColumn{
+	{8, func(b []byte, t *Transceiver) { le.PutUint64(b, math.Float64bits(t.XY.X)) },
+		func(b []byte, t *Transceiver) { t.XY.X = math.Float64frombits(le.Uint64(b)) }},
+	{8, func(b []byte, t *Transceiver) { le.PutUint64(b, math.Float64bits(t.XY.Y)) },
+		func(b []byte, t *Transceiver) { t.XY.Y = math.Float64frombits(le.Uint64(b)) }},
+	{8, func(b []byte, t *Transceiver) { le.PutUint64(b, math.Float64bits(t.Lon)) },
+		func(b []byte, t *Transceiver) { t.Lon = math.Float64frombits(le.Uint64(b)) }},
+	{8, func(b []byte, t *Transceiver) { le.PutUint64(b, math.Float64bits(t.Lat)) },
+		func(b []byte, t *Transceiver) { t.Lat = math.Float64frombits(le.Uint64(b)) }},
+	{2, func(b []byte, t *Transceiver) { le.PutUint16(b, t.MCC) },
+		func(b []byte, t *Transceiver) { t.MCC = le.Uint16(b) }},
+	{2, func(b []byte, t *Transceiver) { le.PutUint16(b, t.MNC) },
+		func(b []byte, t *Transceiver) { t.MNC = le.Uint16(b) }},
+	{2, func(b []byte, t *Transceiver) { le.PutUint16(b, t.Area) },
+		func(b []byte, t *Transceiver) { t.Area = le.Uint16(b) }},
+	{4, func(b []byte, t *Transceiver) { le.PutUint32(b, t.Cell) },
+		func(b []byte, t *Transceiver) { t.Cell = le.Uint32(b) }},
+	{4, func(b []byte, t *Transceiver) { le.PutUint32(b, uint32(t.SiteID)) },
+		func(b []byte, t *Transceiver) { t.SiteID = int32(le.Uint32(b)) }},
+	{1, func(b []byte, t *Transceiver) { b[0] = uint8(t.Radio) },
+		func(b []byte, t *Transceiver) { t.Radio = Radio(b[0]) }},
+	{1, func(b []byte, t *Transceiver) { b[0] = clampYear(t.Created) },
+		func(b []byte, t *Transceiver) { t.Created = 2000 + uint16(b[0]) }},
+	{1, func(b []byte, t *Transceiver) { b[0] = clampYear(t.Updated) },
+		func(b []byte, t *Transceiver) { t.Updated = 2000 + uint16(b[0]) }},
+	{2, func(b []byte, t *Transceiver) { le.PutUint16(b, t.Samples) },
+		func(b []byte, t *Transceiver) { t.Samples = le.Uint16(b) }},
+}
+
+// clampYear stores a year as its offset from 2000 in one byte.
+func clampYear(y uint16) uint8 {
+	if y < 2000 {
+		return 0
+	}
+	if y > 2255 {
+		return 255
+	}
+	return uint8(y - 2000)
+}
+
+// WriteSnapshot streams the dataset in the FA5C snapshot format.
+func (d *Dataset) WriteSnapshot(w io.Writer) error {
 	h := fnv.New64a()
 	bw := bufio.NewWriter(io.MultiWriter(w, h))
 	var hdr [snapshotHeader]byte
 	copy(hdr[0:4], snapshotMagic[:])
-	binary.LittleEndian.PutUint16(hdr[4:6], snapshotVersion)
-	binary.LittleEndian.PutUint16(hdr[6:8], 0)
-	binary.LittleEndian.PutUint64(hdr[8:16], uint64(s.Len()))
+	le.PutUint16(hdr[4:6], snapshotVersion)
+	le.PutUint16(hdr[6:8], 0)
+	le.PutUint64(hdr[8:16], uint64(len(d.T)))
 	if _, err := bw.Write(hdr[:]); err != nil {
 		return fmt.Errorf("cellnet: writing snapshot header: %w", err)
 	}
-	cols := []func(i int, b []byte) int{
-		func(i int, b []byte) int { binary.LittleEndian.PutUint64(b, math.Float64bits(s.X[i])); return 8 },
-		func(i int, b []byte) int { binary.LittleEndian.PutUint64(b, math.Float64bits(s.Y[i])); return 8 },
-		func(i int, b []byte) int { binary.LittleEndian.PutUint64(b, math.Float64bits(s.Lon[i])); return 8 },
-		func(i int, b []byte) int { binary.LittleEndian.PutUint64(b, math.Float64bits(s.Lat[i])); return 8 },
-		func(i int, b []byte) int { binary.LittleEndian.PutUint16(b, s.MCC[i]); return 2 },
-		func(i int, b []byte) int { binary.LittleEndian.PutUint16(b, s.MNC[i]); return 2 },
-		func(i int, b []byte) int { binary.LittleEndian.PutUint16(b, s.Area[i]); return 2 },
-		func(i int, b []byte) int { binary.LittleEndian.PutUint32(b, s.Cell[i]); return 4 },
-		func(i int, b []byte) int { binary.LittleEndian.PutUint32(b, uint32(s.Site[i])); return 4 },
-		func(i int, b []byte) int { b[0] = s.Radio[i]; return 1 },
-		func(i int, b []byte) int { b[0] = clampYear(s.Created[i]); return 1 },
-		func(i int, b []byte) int { b[0] = clampYear(s.Updated[i]); return 1 },
-		func(i int, b []byte) int { binary.LittleEndian.PutUint16(b, s.Samples[i]); return 2 },
-	}
 	var buf [8]byte
-	for ci, put := range cols {
-		for i := 0; i < s.Len(); i++ {
-			n := put(i, buf[:])
-			if _, err := bw.Write(buf[:n]); err != nil {
+	for ci, col := range snapshotColumns {
+		b := buf[:col.width]
+		for i := range d.T {
+			col.put(b, &d.T[i])
+			if _, err := bw.Write(b); err != nil {
 				return fmt.Errorf("cellnet: writing snapshot column %d: %w", ci, err)
 			}
 		}
@@ -109,7 +141,7 @@ func (s *Store) WriteSnapshot(w io.Writer) error {
 		return fmt.Errorf("cellnet: flushing snapshot: %w", err)
 	}
 	var sum [8]byte
-	binary.LittleEndian.PutUint64(sum[:], h.Sum64())
+	le.PutUint64(sum[:], h.Sum64())
 	if _, err := w.Write(sum[:]); err != nil {
 		return fmt.Errorf("cellnet: writing snapshot checksum: %w", err)
 	}
@@ -124,15 +156,15 @@ func parseSnapshotHeader(hdr []byte) (int, error) {
 	if magic != snapshotMagic {
 		return 0, fmt.Errorf("%w: snapshot magic %q", ErrBadFormat, magic[:])
 	}
-	if v := binary.LittleEndian.Uint16(hdr[4:6]); v != snapshotVersion {
+	if v := le.Uint16(hdr[4:6]); v != snapshotVersion {
 		return 0, fmt.Errorf("%w: snapshot version %d", ErrBadFormat, v)
 	}
-	if f := binary.LittleEndian.Uint16(hdr[6:8]); f != 0 {
+	if f := le.Uint16(hdr[6:8]); f != 0 {
 		return 0, fmt.Errorf("%w: snapshot flags %#x", ErrBadFormat, f)
 	}
-	count := binary.LittleEndian.Uint64(hdr[8:16])
-	if count > snapshotMaxRows {
-		return 0, fmt.Errorf("%w: snapshot declares %d rows, limit %d", ErrBadFormat, count, snapshotMaxRows)
+	count := le.Uint64(hdr[8:16])
+	if count > MaxRows {
+		return 0, fmt.Errorf("%w: snapshot declares %d rows, limit %d", ErrBadFormat, count, MaxRows)
 	}
 	return int(count), nil
 }
@@ -142,187 +174,96 @@ func snapshotSize(n int) int64 {
 	return int64(snapshotHeader) + int64(n)*snapshotRowBytes + 8
 }
 
-// validateSnapshotRow applies the per-row invariants shared by every
-// decode path: a known radio technology, geographic coordinates in
-// range, and finite projected coordinates.
-func validateSnapshotRow(s *Store, i int) error {
-	if Radio(s.Radio[i]) >= numRadios {
-		return fmt.Errorf("%w: snapshot row %d: radio %d", ErrBadFormat, i, s.Radio[i])
+// readBounded reads r to EOF, or until it has read limit bytes. The
+// buffer starts at 1 MiB at most and doubles (capped at limit) only as
+// bytes arrive, so its capacity never exceeds the larger of 1 MiB and
+// twice the bytes actually present, whatever row count the header
+// declared.
+func readBounded(r io.Reader, limit int64) ([]byte, error) {
+	lr := io.LimitReader(r, limit)
+	buf := make([]byte, 0, min(limit, 1<<20))
+	for {
+		n, err := lr.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+n]
+		if err == io.EOF {
+			return buf, nil
+		}
+		if err != nil {
+			return nil, err
+		}
+		if len(buf) == cap(buf) && int64(len(buf)) < limit {
+			buf = append(make([]byte, 0, min(2*int64(len(buf)), limit)), buf...)
+		}
 	}
-	if math.IsNaN(s.Lon[i]) || math.IsNaN(s.Lat[i]) ||
-		s.Lon[i] < -180 || s.Lon[i] > 180 || s.Lat[i] < -90 || s.Lat[i] > 90 {
-		return fmt.Errorf("%w: snapshot row %d: position (%v, %v)", ErrBadFormat, i, s.Lon[i], s.Lat[i])
+}
+
+// validateSnapshotRow applies the per-row invariants: a known radio
+// technology, geographic coordinates in range, and projected
+// coordinates within maxProjectedM.
+func validateSnapshotRow(t *Transceiver, i int) error {
+	if t.Radio >= numRadios {
+		return fmt.Errorf("%w: snapshot row %d: radio %d", ErrBadFormat, i, t.Radio)
 	}
-	if math.IsNaN(s.X[i]) || math.IsInf(s.X[i], 0) || math.IsNaN(s.Y[i]) || math.IsInf(s.Y[i], 0) {
-		return fmt.Errorf("%w: snapshot row %d: projected (%v, %v)", ErrBadFormat, i, s.X[i], s.Y[i])
+	if math.IsNaN(t.Lon) || math.IsNaN(t.Lat) ||
+		t.Lon < -180 || t.Lon > 180 || t.Lat < -90 || t.Lat > 90 {
+		return fmt.Errorf("%w: snapshot row %d: position (%v, %v)", ErrBadFormat, i, t.Lon, t.Lat)
+	}
+	// The negated comparison also rejects NaN.
+	if !(math.Abs(t.XY.X) <= maxProjectedM && math.Abs(t.XY.Y) <= maxProjectedM) {
+		return fmt.Errorf("%w: snapshot row %d: projected (%v, %v)", ErrBadFormat, i, t.XY.X, t.XY.Y)
 	}
 	return nil
 }
 
-// decodeSnapshotColumns parses the column payload of an n-row snapshot
-// from raw (which must hold exactly the column bytes) into a Store with
-// the State column zeroed.
-func decodeSnapshotColumns(raw []byte, n int) *Store {
-	s := NewStore(n)
-	off := 0
-	f64 := func(dst []float64) {
-		for i := range dst {
-			dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[off:]))
-			off += 8
-		}
-	}
-	u16 := func(dst []uint16) {
-		for i := range dst {
-			dst[i] = binary.LittleEndian.Uint16(raw[off:])
-			off += 2
-		}
-	}
-	f64(s.X)
-	f64(s.Y)
-	f64(s.Lon)
-	f64(s.Lat)
-	u16(s.MCC)
-	u16(s.MNC)
-	u16(s.Area)
-	for i := range s.Cell {
-		s.Cell[i] = binary.LittleEndian.Uint32(raw[off:])
-		off += 4
-	}
-	for i := range s.Site {
-		s.Site[i] = int32(binary.LittleEndian.Uint32(raw[off:]))
-		off += 4
-	}
-	copy(s.Radio, raw[off:off+n])
-	off += n
-	for i := range s.Created {
-		s.Created[i] = 2000 + uint16(raw[off+i])
-	}
-	off += n
-	for i := range s.Updated {
-		s.Updated[i] = 2000 + uint16(raw[off+i])
-	}
-	off += n
-	u16(s.Samples)
-	return s
-}
-
-// ReadSnapshotStore parses a whole columnar snapshot strictly: header,
-// checksum, per-row validation and trailing-byte detection. The State
-// column of the returned store is unassigned (all zero) — callers
-// resolve it against a world with AssignStates, or use ReadSnapshot.
-// No partially decoded store ever escapes: any error returns nil.
-func ReadSnapshotStore(r io.Reader) (*Store, error) {
-	br := bufio.NewReaderSize(r, 1<<16)
+// ReadSnapshot parses a whole FA5C snapshot strictly — header, exact
+// length, checksum and per-row validation — and resolves it into a
+// Dataset over the world (state assignment recomputed, spatial index
+// rebuilt). Projected positions come from the file bit-for-bit, so a
+// dataset written by the same program version round-trips exactly. The
+// read is bounded by the bytes present, not by the header's row count.
+// Every error wraps ErrBadFormat, and no partially decoded dataset ever
+// escapes.
+func ReadSnapshot(r io.Reader, w *conus.World) (*Dataset, error) {
 	var hdr [snapshotHeader]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, fmt.Errorf("%w: reading snapshot header: %v", ErrBadFormat, err)
 	}
 	n, err := parseSnapshotHeader(hdr[:])
 	if err != nil {
 		return nil, err
 	}
-	raw := make([]byte, int64(n)*snapshotRowBytes)
-	if _, err := io.ReadFull(br, raw); err != nil {
-		return nil, fmt.Errorf("%w: reading snapshot columns: %v", ErrBadFormat, err)
+	// Read one byte past the columns and checksum to detect trailing data.
+	want := snapshotSize(n) - snapshotHeader
+	body, err := readBounded(r, want+1)
+	if err != nil {
+		return nil, fmt.Errorf("%w: reading snapshot body: %v", ErrBadFormat, err)
 	}
-	var sum [8]byte
-	if _, err := io.ReadFull(br, sum[:]); err != nil {
-		return nil, fmt.Errorf("%w: reading snapshot checksum: %v", ErrBadFormat, err)
+	switch got := int64(len(body)); {
+	case got < want:
+		return nil, fmt.Errorf("%w: snapshot truncated: %d of %d body bytes for %d rows", ErrBadFormat, got, want, n)
+	case got > want:
+		return nil, fmt.Errorf("%w: trailing data after %d snapshot rows", ErrBadFormat, n)
 	}
+	raw, sum := body[:want-8], body[want-8:]
 	h := fnv.New64a()
 	h.Write(hdr[:])
 	h.Write(raw)
-	if got := binary.LittleEndian.Uint64(sum[:]); got != h.Sum64() {
+	if le.Uint64(sum) != h.Sum64() {
 		return nil, fmt.Errorf("%w: snapshot checksum mismatch", ErrBadFormat)
 	}
-	if _, err := br.ReadByte(); err != io.EOF {
-		return nil, fmt.Errorf("%w: trailing data after %d snapshot rows", ErrBadFormat, n)
-	}
-	s := decodeSnapshotColumns(raw, n)
-	for i := 0; i < n; i++ {
-		if err := validateSnapshotRow(s, i); err != nil {
-			return nil, err
-		}
-	}
-	return s, nil
-}
-
-// ReadSnapshot parses a whole columnar snapshot and resolves it into a
-// Dataset over the world (state assignment recomputed, spatial index
-// rebuilt). Projected positions come from the file bit-for-bit, so a
-// dataset written by the same program version round-trips exactly.
-func ReadSnapshot(r io.Reader, w *conus.World) (*Dataset, error) {
-	s, err := ReadSnapshotStore(r)
-	if err != nil {
-		return nil, err
-	}
-	s.AssignStates(w)
-	return NewDataset(w, s.Transceivers()), nil
-}
-
-// Snapshot is an open columnar snapshot positioned for out-of-core
-// range reads: the header has been validated against the file size, and
-// ReadRange fetches any row window with one ReadAt per column. The
-// trailer checksum is NOT verified by OpenSnapshot (that would read the
-// whole file, defeating the point) — run Verify for an end-to-end
-// integrity pass, or use ReadSnapshot for strict whole-file loads.
-type Snapshot struct {
-	ra io.ReaderAt
-	n  int
-}
-
-// OpenSnapshot validates the header of a columnar snapshot backed by an
-// io.ReaderAt of the given total size and returns a range reader. The
-// size must match the row count exactly; a truncated or padded file is
-// rejected here, before any column read.
-func OpenSnapshot(ra io.ReaderAt, size int64) (*Snapshot, error) {
-	var hdr [snapshotHeader]byte
-	if _, err := ra.ReadAt(hdr[:], 0); err != nil {
-		return nil, fmt.Errorf("%w: reading snapshot header: %v", ErrBadFormat, err)
-	}
-	n, err := parseSnapshotHeader(hdr[:])
-	if err != nil {
-		return nil, err
-	}
-	if want := snapshotSize(n); size != want {
-		return nil, fmt.Errorf("%w: snapshot size %d, want %d for %d rows", ErrBadFormat, size, want, n)
-	}
-	return &Snapshot{ra: ra, n: n}, nil
-}
-
-// Len returns the snapshot's row count.
-func (s *Snapshot) Len() int { return s.n }
-
-// ReadRange decodes rows [lo, hi) into a Store (State unassigned),
-// reading only those rows' bytes of each column. Rows are validated;
-// no partially decoded store escapes.
-func (s *Snapshot) ReadRange(lo, hi int) (*Store, error) {
-	if lo < 0 || hi < lo || hi > s.n {
-		return nil, fmt.Errorf("%w: snapshot range [%d, %d) outside %d rows", ErrBadFormat, lo, hi, s.n)
-	}
-	n := hi - lo
-	raw := make([]byte, int64(n)*snapshotRowBytes)
+	ts := make([]Transceiver, n)
 	off := 0
-	for col, width := range snapshotColWidths {
-		span := n * width
-		at := snapshotColOffset(col, s.n) + int64(lo)*int64(width)
-		if _, err := s.ra.ReadAt(raw[off:off+span], at); err != nil {
-			return nil, fmt.Errorf("%w: reading snapshot column %d rows [%d, %d): %v", ErrBadFormat, col, lo, hi, err)
+	for _, col := range snapshotColumns {
+		for i := range ts {
+			col.get(raw[off:off+col.width], &ts[i])
+			off += col.width
 		}
-		off += span
 	}
-	st := decodeSnapshotColumns(raw, n)
-	for i := 0; i < n; i++ {
-		if err := validateSnapshotRow(st, i); err != nil {
+	for i := range ts {
+		if err := validateSnapshotRow(&ts[i], i); err != nil {
 			return nil, err
 		}
+		ts[i].StateIdx = int16(w.StateAt(ts[i].XY))
 	}
-	return st, nil
-}
-
-// Verify re-reads the whole snapshot sequentially and checks the
-// trailer checksum, returning nil on an intact file.
-func (s *Snapshot) Verify() error {
-	_, err := ReadSnapshotStore(io.NewSectionReader(s.ra, 0, snapshotSize(s.n)))
-	return err
+	return NewDataset(w, ts), nil
 }

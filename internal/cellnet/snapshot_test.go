@@ -5,8 +5,12 @@ import (
 	"errors"
 	"io"
 	"math"
+	"os"
 	"reflect"
+	"runtime"
+	"strings"
 	"testing"
+	"testing/iotest"
 
 	"fivealarms/internal/conus"
 )
@@ -29,7 +33,7 @@ func snapTestDataset(t testing.TB, w *conus.World, n int) *Dataset {
 func encodeSnapshot(t testing.TB, d *Dataset) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := StoreOf(d.T).WriteSnapshot(&buf); err != nil {
+	if err := d.WriteSnapshot(&buf); err != nil {
 		t.Fatalf("WriteSnapshot: %v", err)
 	}
 	return buf.Bytes()
@@ -61,27 +65,25 @@ func TestSnapshotRoundTripBitIdentical(t *testing.T) {
 	}
 }
 
-func TestSnapshotStoreRoundTrip(t *testing.T) {
-	w := snapTestWorld(t)
-	d := snapTestDataset(t, w, 500)
-	st := StoreOf(d.T)
-	raw := encodeSnapshot(t, d)
-	got, err := ReadSnapshotStore(bytes.NewReader(raw))
+// TestSnapshotFixtureWireFormat pins the FA5C v1 bytes: the fixture was
+// written by an earlier encoder, so an encoder and decoder that changed
+// the format together would still round-trip but fail here.
+func TestSnapshotFixtureWireFormat(t *testing.T) {
+	fixture, err := os.ReadFile("testdata/v1_seed11.fa5c")
 	if err != nil {
-		t.Fatalf("ReadSnapshotStore: %v", err)
+		t.Fatal(err)
 	}
-	// State is unassigned until AssignStates.
-	for i, s := range got.State {
-		if s != 0 {
-			t.Fatalf("row %d state pre-assignment = %d, want 0", i, s)
-		}
+	w := snapTestWorld(t)
+	want := Generate(w, GenConfig{Seed: 11, Total: 64})
+	got, err := ReadSnapshot(bytes.NewReader(fixture), w)
+	if err != nil {
+		t.Fatalf("ReadSnapshot(fixture): %v", err)
 	}
-	got.AssignStates(w)
-	if !reflect.DeepEqual(got, st) {
-		t.Fatalf("store round trip differs")
+	if !reflect.DeepEqual(got.T, want.T) {
+		t.Fatalf("fixture decodes to %d rows that differ from the %d regenerated rows", got.Len(), want.Len())
 	}
-	if got.Bytes() != st.Bytes() || got.Bytes() <= 0 {
-		t.Fatalf("bytes accounting: got %d want %d", got.Bytes(), st.Bytes())
+	if again := encodeSnapshot(t, got); !bytes.Equal(again, fixture) {
+		t.Fatalf("fixture re-encodes to %d bytes that differ from its %d", len(again), len(fixture))
 	}
 }
 
@@ -124,114 +126,113 @@ func TestSnapshotRejectsBadRows(t *testing.T) {
 	d := snapTestDataset(t, w, 400)
 	// Corrupt semantic fields pre-encode so header and checksum stay
 	// valid: decode must still reject the rows.
-	for name, mut := range map[string]func(*Store){
-		"bad radio":     func(s *Store) { s.Radio[3] = 200 },
-		"nan lon":       func(s *Store) { s.Lon[1] = math.NaN() },
-		"lat range":     func(s *Store) { s.Lat[2] = 91 },
-		"inf projected": func(s *Store) { s.X[4] = math.Inf(1) },
+	for name, mut := range map[string]func([]Transceiver){
+		"bad radio":     func(ts []Transceiver) { ts[3].Radio = 200 },
+		"nan lon":       func(ts []Transceiver) { ts[1].Lon = math.NaN() },
+		"lat range":     func(ts []Transceiver) { ts[2].Lat = 91 },
+		"inf projected": func(ts []Transceiver) { ts[4].XY.X = math.Inf(1) },
+		// Finite but beyond any projection of a point on Earth: the
+		// spatial index cannot size a grid over such an extent.
+		"far projected": func(ts []Transceiver) { ts[5].XY.Y = -1e300 },
 	} {
 		t.Run(name, func(t *testing.T) {
-			st := StoreOf(d.T)
-			mut(st)
-			var buf bytes.Buffer
-			if err := st.WriteSnapshot(&buf); err != nil {
-				t.Fatalf("WriteSnapshot: %v", err)
-			}
-			if _, err := ReadSnapshotStore(bytes.NewReader(buf.Bytes())); !errors.Is(err, ErrBadFormat) {
+			ts := append([]Transceiver(nil), d.T...)
+			mut(ts)
+			raw := encodeSnapshot(t, &Dataset{T: ts})
+			if _, err := ReadSnapshot(bytes.NewReader(raw), w); !errors.Is(err, ErrBadFormat) {
 				t.Fatalf("err = %v, want ErrBadFormat", err)
 			}
 		})
 	}
 }
 
-func TestOpenSnapshotRangeReads(t *testing.T) {
-	w := snapTestWorld(t)
-	d := snapTestDataset(t, w, 999)
-	raw := encodeSnapshot(t, d)
-	snap, err := OpenSnapshot(bytes.NewReader(raw), int64(len(raw)))
-	if err != nil {
-		t.Fatalf("OpenSnapshot: %v", err)
-	}
-	n := d.Len()
-	if snap.Len() != n {
-		t.Fatalf("Len = %d, want %d", snap.Len(), n)
-	}
-	if err := snap.Verify(); err != nil {
-		t.Fatalf("Verify: %v", err)
-	}
-	full := StoreOf(d.T)
-	for _, r := range [][2]int{{0, n}, {0, 0}, {n, n}, {0, 1}, {n - 1, n}, {n / 7, n / 2}} {
-		st, err := snap.ReadRange(r[0], r[1])
-		if err != nil {
-			t.Fatalf("ReadRange(%d, %d): %v", r[0], r[1], err)
-		}
-		if st.Len() != r[1]-r[0] {
-			t.Fatalf("ReadRange(%d, %d) rows = %d", r[0], r[1], st.Len())
-		}
-		st.AssignStates(w)
-		for i := 0; i < st.Len(); i++ {
-			if got, want := st.Row(i), full.Row(r[0]+i); got != want {
-				t.Fatalf("range [%d,%d) row %d differs:\n got %+v\nwant %+v", r[0], r[1], i, got, want)
-			}
-		}
-	}
-	for _, r := range [][2]int{{-1, 5}, {5, 4}, {0, n + 1}} {
-		if _, err := snap.ReadRange(r[0], r[1]); !errors.Is(err, ErrBadFormat) {
-			t.Fatalf("ReadRange(%d, %d) err = %v, want ErrBadFormat", r[0], r[1], err)
-		}
-	}
-}
-
-func TestOpenSnapshotRejectsSizeMismatch(t *testing.T) {
-	w := snapTestWorld(t)
-	d := snapTestDataset(t, w, 32)
-	raw := encodeSnapshot(t, d)
-	if _, err := OpenSnapshot(bytes.NewReader(raw), int64(len(raw))-1); !errors.Is(err, ErrBadFormat) {
-		t.Fatalf("short size err = %v, want ErrBadFormat", err)
-	}
-	if _, err := OpenSnapshot(bytes.NewReader(raw), int64(len(raw))+8); !errors.Is(err, ErrBadFormat) {
-		t.Fatalf("padded size err = %v, want ErrBadFormat", err)
-	}
-	if _, err := OpenSnapshot(bytes.NewReader(raw[:4]), 4); !errors.Is(err, ErrBadFormat) {
-		t.Fatalf("tiny file err = %v, want ErrBadFormat", err)
-	}
-}
-
-func TestStoreSelectAndRows(t *testing.T) {
-	w := snapTestWorld(t)
-	d := snapTestDataset(t, w, 100)
-	st := StoreOf(d.T)
-	if st.Len() != d.Len() {
-		t.Fatalf("Len = %d, want %d", st.Len(), d.Len())
-	}
-	all := st.Transceivers()
-	if !reflect.DeepEqual(all, d.T) {
-		t.Fatalf("Transceivers() differs from source")
-	}
-	idx := []int{st.Len() - 1, 0, st.Len() / 2, st.Len() / 2}
-	rows := st.AppendRows(nil, idx)
-	if len(rows) != len(idx) {
-		t.Fatalf("AppendRows len = %d", len(rows))
-	}
-	for i, want := range idx {
-		if rows[i] != d.T[want] {
-			t.Fatalf("AppendRows[%d] = %+v, want row %d", i, rows[i], want)
-		}
-	}
-}
-
-// TestSnapshotReadFailurePropagates covers the ReaderAt error path.
+// TestSnapshotReadFailurePropagates: an I/O error from the underlying
+// reader, in the header or in the body, fails the load with
+// ErrBadFormat and names the cause.
 func TestSnapshotReadFailurePropagates(t *testing.T) {
 	w := snapTestWorld(t)
 	d := snapTestDataset(t, w, 200)
 	raw := encodeSnapshot(t, d)
-	snap, err := OpenSnapshot(bytes.NewReader(raw), int64(len(raw)))
-	if err != nil {
-		t.Fatalf("OpenSnapshot: %v", err)
+	cause := errors.New("disk on fire")
+	for _, keep := range []int{snapshotHeader / 2, snapshotHeader + 100} {
+		r := io.MultiReader(bytes.NewReader(raw[:keep]), iotest.ErrReader(cause))
+		got, err := ReadSnapshot(r, w)
+		if got != nil || !errors.Is(err, ErrBadFormat) || !strings.Contains(err.Error(), cause.Error()) {
+			t.Fatalf("failing after %d bytes: dataset=%v err=%v, want ErrBadFormat naming %q", keep, got, err, cause)
+		}
 	}
-	// Swap in a reader that fails beyond the header.
-	snap.ra = io.NewSectionReader(bytes.NewReader(raw), 0, snapshotHeader)
-	if _, err := snap.ReadRange(0, d.Len()); !errors.Is(err, ErrBadFormat) {
-		t.Fatalf("err = %v, want ErrBadFormat", err)
+}
+
+// TestSnapshotForgedHeaderAllocatesLittle: a header that declares the
+// maximum row count but ships no rows is rejected without allocating
+// for the rows it claims (2^26 rows would be 3.4 GB of columns).
+func TestSnapshotForgedHeaderAllocatesLittle(t *testing.T) {
+	w := snapTestWorld(t)
+	forged := encodeSnapshot(t, &Dataset{})[:snapshotHeader]
+	le.PutUint64(forged[8:16], MaxRows)
+	for _, input := range [][]byte{forged, append(forged, make([]byte, 1<<16)...)} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := ReadSnapshot(bytes.NewReader(input), w)
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, ErrBadFormat) {
+			t.Fatalf("%d-byte forged input: err = %v, want ErrBadFormat", len(input), err)
+		}
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 64<<20 {
+			t.Fatalf("%d-byte forged input allocated %d MiB, want under 64", len(input), alloc>>20)
+		}
+	}
+}
+
+// TestSnapshotClampsYears: years are stored as one byte past 2000, so
+// years outside [2000, 2255] load as the nearest end of that range.
+func TestSnapshotClampsYears(t *testing.T) {
+	w := snapTestWorld(t)
+	ts := append([]Transceiver(nil), snapTestDataset(t, w, 64).T...)
+	ts[0].Created, ts[0].Updated = 1995, 2300
+	got, err := ReadSnapshot(bytes.NewReader(encodeSnapshot(t, &Dataset{T: ts})), w)
+	if err != nil {
+		t.Fatalf("ReadSnapshot: %v", err)
+	}
+	if c, u := got.T[0].Created, got.T[0].Updated; c != 2000 || u != 2255 {
+		t.Fatalf("years 1995/2300 load as %d/%d, want 2000/2255", c, u)
+	}
+}
+
+// failAfter accepts n bytes, then fails every write.
+type failAfter struct{ n int }
+
+func (f *failAfter) Write(p []byte) (int, error) {
+	if len(p) > f.n {
+		k := f.n
+		f.n = 0
+		return k, errors.New("device full")
+	}
+	f.n -= len(p)
+	return len(p), nil
+}
+
+// TestSnapshotWriteErrors: a writer failing in the columns, at the
+// final flush, or at the checksum fails WriteSnapshot.
+func TestSnapshotWriteErrors(t *testing.T) {
+	d := snapTestDataset(t, snapTestWorld(t), 2000)
+	size := int(snapshotSize(d.Len()))
+	for _, n := range []int{0, size - 9, size - 8} {
+		if err := d.WriteSnapshot(&failAfter{n: n}); err == nil {
+			t.Errorf("writer failing after %d of %d bytes: WriteSnapshot succeeded", n, size)
+		}
+	}
+}
+
+func BenchmarkSnapshotRead(b *testing.B) {
+	w := snapTestWorld(b)
+	raw := encodeSnapshot(b, snapTestDataset(b, w, 5000))
+	b.SetBytes(int64(len(raw)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := ReadSnapshot(bytes.NewReader(raw), w); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

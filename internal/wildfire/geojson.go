@@ -67,7 +67,7 @@ func (s *Season) WriteGeoJSON(w io.Writer, world *conus.World) error {
 // raster resolution — thousands of vertices per fire — so a million-plus
 // total marks a corrupt or hostile file, and rejecting it up front keeps
 // a small document from driving an arbitrarily large projection pass
-// (the same posture as cellnet.ReadBinary's record cap and
+// (the same posture as cellnet.ReadSnapshot's row cap and
 // raster.ReadArcASCII's cell cap).
 const maxGeoJSONVertices = 1 << 20
 
@@ -136,7 +136,7 @@ func ReadGeoJSON(r io.Reader, world *conus.World) ([]Fire, error) {
 	return fires, nil
 }
 
-// checkLonLat rejects the coordinates ReadBinary's position guard
+// checkLonLat rejects the coordinates cellnet.ReadSnapshot's position guard
 // rejects: NaN, infinities, and values outside the geographic range.
 func checkLonLat(lon, lat float64) error {
 	if math.IsNaN(lon) || math.IsNaN(lat) || math.IsInf(lon, 0) || math.IsInf(lat, 0) ||

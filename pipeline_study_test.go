@@ -14,6 +14,7 @@ import (
 	"sync"
 	"testing"
 
+	"fivealarms/internal/cellnet"
 	"fivealarms/internal/faults"
 	"fivealarms/internal/risk"
 )
@@ -166,6 +167,7 @@ func TestConfigValidate(t *testing.T) {
 		{Seed: 9},
 		{CellSizeM: 2700, Transceivers: 100000, MappedFiresPerSeason: 50},
 		PaperScale(3),
+		{Transceivers: cellnet.MaxRows}, // the largest snapshot ReadSnapshot accepts
 	}
 	for i, c := range valid {
 		if err := c.Validate(); err != nil {
@@ -180,6 +182,7 @@ func TestConfigValidate(t *testing.T) {
 		{CellSizeM: 1e12}, // coarser than the continent
 		{Transceivers: -1},
 		{Transceivers: 2_000_000_000},
+		{Transceivers: cellnet.MaxRows + 1}, // would save a snapshot no reader loads
 		{MappedFiresPerSeason: -5},
 		{MappedFiresPerSeason: 10_000_000},
 	}

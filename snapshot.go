@@ -36,7 +36,7 @@ func (s *Study) WriteSnapshot(path string) error {
 	if err != nil {
 		return fmt.Errorf("creating transceiver snapshot: %w", err)
 	}
-	if err := cellnet.StoreOf(s.Data.T).WriteSnapshot(f); err != nil {
+	if err := s.Data.WriteSnapshot(f); err != nil {
 		f.Close()       //fivealarms:allow(errflow) best-effort cleanup; the write error above is the one worth returning
 		os.Remove(path) //fivealarms:allow(errflow) best-effort cleanup; the write error above is the one worth returning
 		return fmt.Errorf("writing transceiver snapshot %s: %w", path, err)
