@@ -56,19 +56,21 @@ bench-pipeline:
 	$(GO) test -run '^$$' -bench 'BenchmarkStudyColdWarm|BenchmarkStudyBuild' -cpu 1,2 -benchmem -json . > BENCH_pipeline.json
 
 # Regenerate the prepared-geometry baseline: the naive-vs-prepared
-# point-in-polygon microbenchmarks, the overlay join (naive-serial /
-# prepared-serial / prepared-parallel) and the end-to-end Table 1 join.
+# point-in-polygon microbenchmarks, the overlay join (naive-serial vs
+# prepared) and the end-to-end Table 1 join. -cpu 1,2 records each under
+# the serial schedule (GOMAXPROCS=1) and the parallel one.
 bench-geom:
 	$(GO) test -run '^$$' -bench 'BenchmarkPreparedContains|BenchmarkHistoricalOverlay|BenchmarkTable1$$' \
-		-benchmem -json . ./internal/geom ./internal/risk > BENCH_geom.json
+		-cpu 1,2 -benchmem -json . ./internal/geom ./internal/risk > BENCH_geom.json
 
 # Regenerate the raster-kernel baseline: the banded fill / distance /
-# dilate / contour kernels serial vs parallel at 1/2/4/8 workers, the
-# unfused per-fire union, and the fused union+distance ensemble sweep
-# (which must report 0 allocs/op warm), at full-scale CONUS dimensions.
+# dilate kernels and the serial contour tracer at GOMAXPROCS 1/2/4/8
+# (band counts follow GOMAXPROCS), the unfused per-fire union, and the
+# fused union+distance ensemble sweep (which must report 0 allocs/op
+# warm), at full-scale CONUS dimensions.
 bench-raster:
 	$(GO) test -run '^$$' -bench 'BenchmarkRasterKernels' \
-		-benchmem -json ./internal/raster > BENCH_raster.json
+		-cpu 1,2,4,8 -benchmem -json ./internal/raster > BENCH_raster.json
 
 # Regenerate the full-paper-scale baseline: one cold build of the
 # 5,364,949-transceiver fleet on the 2.7 km national raster, plus the

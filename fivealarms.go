@@ -238,7 +238,7 @@ func build(cfg Config) (*Study, error) {
 	}
 	s := &Study{Cfg: cfg}
 	s.Cfg.ctx = nil // the Study must not retain the build context
-	g := pipeline.New(0)
+	g := pipeline.New()
 	if buildFaultHook != nil {
 		g.SetInjectionHook(buildFaultHook)
 	}
@@ -287,7 +287,9 @@ func build(cfg Config) (*Study, error) {
 // GOMAXPROCS), and cached for every later caller.
 func (s *Study) History() []*wildfire.Season {
 	return s.mem.history.Get(func() []*wildfire.Season {
-		return wildfire.SimulateHistoryParallel(s.Sim, s.Cfg.Seed, s.Cfg.MappedFiresPerSeason, 0)
+		// context.Background never cancels, so the error is unreachable.
+		seasons, _ := wildfire.SimulateHistory(context.Background(), s.Sim, s.Cfg.Seed, s.Cfg.MappedFiresPerSeason) //fivealarms:allow(errflow) context.Background never cancels, so the error is unreachable
+		return seasons
 	})
 }
 

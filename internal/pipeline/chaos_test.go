@@ -10,10 +10,10 @@ import (
 )
 
 // chaosGraph builds the reference diamond-with-tail graph the chaos
-// sweeps run against on workers goroutines, recording which tasks
+// sweeps run against at GOMAXPROCS procs, recording which tasks
 // completed.
-func chaosGraph(workers int, hook func(string) error, completed *atomic.Int32) *Graph {
-	g := New(workers)
+func chaosGraph(procs int, hook func(string) error, completed *atomic.Int32) *Graph {
+	g := newGraph(procs)
 	g.SetInjectionHook(hook)
 	note := func() error { completed.Add(1); return nil }
 	g.Add("root", note)

@@ -12,8 +12,8 @@ import (
 	"fivealarms/internal/faults"
 )
 
-// schedules are the worker counts every schedule-sensitive test runs
-// under: bounded parallel, and New(1)'s one-task-at-a-time schedule.
+// schedules are the GOMAXPROCS settings every schedule-sensitive test
+// makes its graphs at: bounded parallel, and one task at a time.
 var schedules = []int{4, 1}
 
 func TestRunContextCancelledBeforeStart(t *testing.T) {
@@ -21,7 +21,7 @@ func TestRunContextCancelledBeforeStart(t *testing.T) {
 	cancel()
 	for _, workers := range schedules {
 		var ran atomic.Int32
-		g := New(workers)
+		g := newGraph(workers)
 		g.Add("a", func() error { ran.Add(1); return nil })
 		g.Add("b", func() error { ran.Add(1); return nil }, "a")
 		err := g.RunContext(ctx)
@@ -44,7 +44,7 @@ func TestRunContextCancelMidFlight(t *testing.T) {
 	check := faults.CheckGoroutines(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	var afterRan atomic.Bool
-	g := New(4)
+	g := newGraph(4)
 	g.Add("slow", func() error {
 		cancel()
 		<-ctx.Done() // the task itself survives cancellation; it drains
@@ -68,7 +68,7 @@ func TestRunContextCancelMidFlight(t *testing.T) {
 func TestRunContextDeadline(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
 	defer cancel()
-	g := New(2)
+	g := newGraph(2)
 	g.Add("sleepy", func() error {
 		<-ctx.Done()
 		return nil
@@ -85,7 +85,7 @@ func TestRunContextCompletionBeatsLateCancel(t *testing.T) {
 	// error: the work is done and the result is whole.
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	g := New(2)
+	g := newGraph(2)
 	g.Add("a", func() error { return nil })
 	if err := g.RunContext(ctx); err != nil {
 		t.Fatalf("err = %v", err)
@@ -95,7 +95,7 @@ func TestRunContextCompletionBeatsLateCancel(t *testing.T) {
 func TestPanicContainment(t *testing.T) {
 	for _, workers := range schedules {
 		check := faults.CheckGoroutines(t)
-		g := New(workers)
+		g := newGraph(workers)
 		g.Add("fine", func() error { return nil })
 		g.Add("bomb", func() error { panic("boom") })
 		g.Add("downstream", func() error { t.Error("dependent of panicking task ran"); return nil }, "bomb")
@@ -122,7 +122,7 @@ func TestJoinErrorsAggregatesInDeclarationOrder(t *testing.T) {
 	errC := errors.New("layer C broken")
 	for _, workers := range schedules {
 		var dRan, okRan atomic.Bool
-		g := New(workers)
+		g := newGraph(workers)
 		g.JoinErrors()
 		g.Add("a", func() error { return errA })
 		g.Add("b", func() error { return nil })
@@ -150,7 +150,7 @@ func TestJoinErrorsAggregatesInDeclarationOrder(t *testing.T) {
 
 func TestJoinErrorsCollectsPanics(t *testing.T) {
 	boom := errors.New("plain failure")
-	g := New(4)
+	g := newGraph(4)
 	g.JoinErrors()
 	g.Add("fails", func() error { return boom })
 	g.Add("panics", func() error { panic(42) })
@@ -168,7 +168,7 @@ func TestFirstErrorModeStillWins(t *testing.T) {
 	// Without JoinErrors the legacy contract holds: one error comes back
 	// and not-yet-started tasks are abandoned.
 	boom := errors.New("boom")
-	g := New(1)
+	g := newGraph(1)
 	g.Add("fail", func() error { return boom })
 	g.Add("after", func() error { t.Error("ran after failure"); return nil }, "fail")
 	if err := g.Run(); !errors.Is(err, boom) {
@@ -179,7 +179,7 @@ func TestFirstErrorModeStillWins(t *testing.T) {
 func TestCycleDetectionUnderRunContext(t *testing.T) {
 	// Add cannot declare a cycle (deps must pre-exist), so splice one in
 	// behind its back: the executor must report it, not deadlock.
-	g := New(2)
+	g := newGraph(2)
 	g.Add("a", func() error { return nil })
 	g.Add("b", func() error { return nil }, "a")
 	g.byName["a"].deps = []string{"b"} // a <-> b
@@ -195,7 +195,7 @@ func TestCycleDetectionUnderRunContext(t *testing.T) {
 }
 
 func TestTaskNames(t *testing.T) {
-	g := New(1)
+	g := New()
 	g.Add("x", func() error { return nil })
 	g.Add("y", func() error { return nil }, "x")
 	names := g.TaskNames()

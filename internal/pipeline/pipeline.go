@@ -1,6 +1,6 @@
 // Package pipeline provides the small concurrency toolkit behind the
 // public Study: a dependency-graph executor that fans independent build
-// steps out across bounded workers, and memoization cells (Cell, Keyed)
+// steps out across GOMAXPROCS workers, and memoization cells (Cell, Keyed)
 // that compute a derived product exactly once and share it between
 // concurrent callers (singleflight semantics).
 //
@@ -8,7 +8,7 @@
 // tasks by name, and run as soon as every dependency has finished.
 // Determinism is the caller's contract — tasks must not communicate
 // except through their declared dependency edges, so the schedule (any
-// worker count, New(1) included) cannot change any task's result.
+// GOMAXPROCS, 1 included) cannot change any task's result.
 //
 // # Failure model
 //
@@ -60,9 +60,10 @@ type task struct {
 }
 
 // Graph is a build-once dependency graph. Declare tasks with Add, then
-// execute with Run or RunContext on at most the graph's worker count of
-// goroutines (one at a time under New(1)). A Graph is not safe for
-// concurrent declaration and is consumed by a single run call.
+// execute with Run or RunContext on at most GOMAXPROCS goroutines, as
+// read when the graph was made (one task at a time at GOMAXPROCS=1). A
+// Graph is not safe for concurrent declaration and is consumed by a
+// single run call.
 type Graph struct {
 	workers int
 	tasks   []*task
@@ -71,13 +72,9 @@ type Graph struct {
 	inject  func(task string) error
 }
 
-// New returns a graph that runs at most workers tasks concurrently.
-// workers <= 0 selects GOMAXPROCS.
-func New(workers int) *Graph {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	return &Graph{workers: workers, byName: map[string]*task{}}
+// New returns a graph that runs at most GOMAXPROCS tasks concurrently.
+func New() *Graph {
+	return &Graph{workers: runtime.GOMAXPROCS(0), byName: map[string]*task{}}
 }
 
 // Add declares a task. Every name in deps must already be declared, so

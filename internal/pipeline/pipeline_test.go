@@ -6,12 +6,21 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"fivealarms/internal/faults"
 )
+
+// newGraph makes a graph at GOMAXPROCS procs, which bounds how many of
+// its tasks run at once.
+func newGraph(procs int) (g *Graph) {
+	faults.WithGOMAXPROCS(procs, func() { g = New() })
+	return g
+}
 
 func TestGraphRunsAllTasksOnce(t *testing.T) {
 	for _, workers := range []int{3, 1} {
 		var counts [5]int32
-		g := New(workers)
+		g := newGraph(workers)
 		g.Add("a", func() error { atomic.AddInt32(&counts[0], 1); return nil })
 		g.Add("b", func() error { atomic.AddInt32(&counts[1], 1); return nil }, "a")
 		g.Add("c", func() error { atomic.AddInt32(&counts[2], 1); return nil }, "a")
@@ -34,7 +43,7 @@ func TestGraphRespectsDependencies(t *testing.T) {
 	for trial := 0; trial < 50; trial++ {
 		var parentDone bool
 		var observed bool
-		g := New(8)
+		g := newGraph(8)
 		g.Add("parent", func() error { parentDone = true; return nil })
 		g.Add("child", func() error { observed = parentDone; return nil }, "parent")
 		if err := g.Run(); err != nil {
@@ -49,7 +58,7 @@ func TestGraphRespectsDependencies(t *testing.T) {
 func TestGraphPropagatesError(t *testing.T) {
 	boom := errors.New("boom")
 	ran := false
-	g := New(2)
+	g := newGraph(2)
 	g.Add("fail", func() error { return boom })
 	g.Add("after", func() error { ran = true; return nil }, "fail")
 	err := g.Run()
@@ -71,12 +80,12 @@ func TestGraphPanicsOnBadDeclarations(t *testing.T) {
 		fn()
 	}
 	mustPanic("duplicate", func() {
-		g := New(1)
+		g := New()
 		g.Add("a", func() error { return nil })
 		g.Add("a", func() error { return nil })
 	})
 	mustPanic("unknown dep", func() {
-		g := New(1)
+		g := New()
 		g.Add("a", func() error { return nil }, "ghost")
 	})
 }
@@ -84,7 +93,7 @@ func TestGraphPanicsOnBadDeclarations(t *testing.T) {
 func TestGraphBoundsWorkers(t *testing.T) {
 	const workers = 2
 	var cur, max int32
-	g := New(workers)
+	g := newGraph(workers)
 	for i := 0; i < 10; i++ {
 		g.Add(string(rune('a'+i)), func() error {
 			n := atomic.AddInt32(&cur, 1)

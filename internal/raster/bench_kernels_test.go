@@ -1,9 +1,6 @@
 package raster
 
-import (
-	"fmt"
-	"testing"
-)
+import "testing"
 
 // conusGeometry approximates the paper's full-scale national raster:
 // the CONUS window (~4.6M x 2.9M meters) at 2.7 km resolution,
@@ -12,111 +9,96 @@ func conusGeometry() Geometry {
 	return Geometry{MinX: -2.36e6, MinY: -1.5e6, CellSize: 2700, NX: 1704, NY: 1074}
 }
 
-var benchWorkers = [...]int{1, 2, 4, 8}
-
 // BenchmarkRasterKernels measures every tiled kernel at full-scale
-// CONUS dimensions across worker counts, plus the unfused (per-fire)
-// union and the fused union+distance ensemble sweep. The fused case is
-// the one the 0-steady-state-allocs criterion applies to: with the
-// arena warm, allocs/op must report 0.
+// CONUS dimensions, plus the unfused (per-fire) union and the fused
+// union+distance ensemble sweep. Band counts follow GOMAXPROCS, so
+// `-cpu 1,2,4,8` sweeps the schedules. The fused case is the one the
+// 0-steady-state-allocs criterion applies to: with the arena warm,
+// allocs/op must report 0.
 func BenchmarkRasterKernels(b *testing.B) {
 	g := conusGeometry()
 	polys := syntheticPerimeters(g, 120, 13)
 	mask := NewBitGrid(g)
-	FillPolygonsInto(mask, polys, 0)
+	FillPolygonsInto(mask, polys)
 
-	for _, w := range benchWorkers {
-		b.Run(fmt.Sprintf("fill/w%d", w), func(b *testing.B) {
-			out := AcquireBitGrid(g)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				out.Clear()
-				FillPolygonsInto(out, polys, w)
+	b.Run("fill", func(b *testing.B) {
+		out := AcquireBitGrid(g)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			out.Clear()
+			FillPolygonsInto(out, polys)
+		}
+		b.StopTimer()
+		ReleaseBitGrid(out)
+	})
+	b.Run("union", func(b *testing.B) {
+		// The pre-fusion call pattern: one fill pass per fire.
+		out := AcquireBitGrid(g)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			out.Clear()
+			for pi := range polys {
+				FillPolygonsInto(out, polys[pi:pi+1])
 			}
-			b.StopTimer()
-			ReleaseBitGrid(out)
-		})
-	}
-	for _, w := range benchWorkers {
-		b.Run(fmt.Sprintf("union/w%d", w), func(b *testing.B) {
-			// The pre-fusion call pattern: one fill pass per fire.
-			out := AcquireBitGrid(g)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				out.Clear()
-				for pi := range polys {
-					FillPolygonsInto(out, polys[pi:pi+1], w)
-				}
-			}
-			b.StopTimer()
-			ReleaseBitGrid(out)
-		})
-	}
-	for _, w := range benchWorkers {
-		b.Run(fmt.Sprintf("distance/w%d", w), func(b *testing.B) {
-			out := AcquireFloatGrid(g)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := DistanceTransformInto(out, mask, w); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.StopTimer()
-			ReleaseFloatGrid(out)
-		})
-	}
-	for _, w := range benchWorkers {
-		b.Run(fmt.Sprintf("dilate/w%d", w), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				DilateByDistanceWorkers(mask, 5*g.CellSize, w)
-			}
-		})
-	}
-	for _, w := range benchWorkers {
-		b.Run(fmt.Sprintf("dilate8/w%d", w), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				Dilate8Workers(mask, 2, w)
-			}
-		})
-	}
-	for _, w := range benchWorkers {
-		b.Run(fmt.Sprintf("contour/w%d", w), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				TraceContoursWorkers(mask, w)
-			}
-		})
-	}
-	for _, w := range benchWorkers {
-		b.Run(fmt.Sprintf("fused/w%d", w), func(b *testing.B) {
-			// The ensemble steady state: mask union + distance transform
-			// over a fixed geometry with arena-held grids.
-			um := AcquireBitGrid(g)
-			dist := AcquireFloatGrid(g)
-			// Warm the arena: the first sweep grows the pooled buffers to
-			// this geometry's sizes.
-			um.Clear()
-			FillPolygonsInto(um, polys, w)
-			if err := DistanceTransformInto(dist, um, w); err != nil {
+		}
+		b.StopTimer()
+		ReleaseBitGrid(out)
+	})
+	b.Run("distance", func(b *testing.B) {
+		out := AcquireFloatGrid(g)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := DistanceTransformInto(out, mask); err != nil {
 				b.Fatal(err)
 			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				um.Clear()
-				FillPolygonsInto(um, polys, w)
-				if err := DistanceTransformInto(dist, um, w); err != nil {
-					b.Fatal(err)
-				}
+		}
+		b.StopTimer()
+		ReleaseFloatGrid(out)
+	})
+	b.Run("dilate", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			DilateByDistance(mask, 5*g.CellSize)
+		}
+	})
+	b.Run("dilate8", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			Dilate8(mask, 2)
+		}
+	})
+	b.Run("contour", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			TraceContours(mask)
+		}
+	})
+	b.Run("fused", func(b *testing.B) {
+		// The ensemble steady state: mask union + distance transform
+		// over a fixed geometry with arena-held grids.
+		um := AcquireBitGrid(g)
+		dist := AcquireFloatGrid(g)
+		// Warm the arena: the first sweep grows the pooled buffers to
+		// this geometry's sizes.
+		um.Clear()
+		FillPolygonsInto(um, polys)
+		if err := DistanceTransformInto(dist, um); err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			um.Clear()
+			FillPolygonsInto(um, polys)
+			if err := DistanceTransformInto(dist, um); err != nil {
+				b.Fatal(err)
 			}
-			b.StopTimer()
-			ReleaseBitGrid(um)
-			ReleaseFloatGrid(dist)
-		})
-	}
+		}
+		b.StopTimer()
+		ReleaseBitGrid(um)
+		ReleaseFloatGrid(dist)
+	})
 }

@@ -2,55 +2,9 @@ package raster
 
 import (
 	"sort"
-	"sync"
 
 	"fivealarms/internal/geom"
 )
-
-// contourTask is the parallel half of the contour tracer: bands are row
-// ranges, and each band collects the directed boundary edges of its rows
-// (via word-level set-run iteration) into a private packed list, in the
-// exact order the serial row-major cell scan would visit them. The bands
-// are then replayed serially in band order, which reproduces the serial
-// tracer's edge-insertion sequence — the seam-stitching step that makes
-// the traced rings identical at any worker count.
-type contourTask struct {
-	mask  *BitGrid
-	edges []*[]uint64 // per-band edge lists, packed from<<32|to
-}
-
-var contourPool = sync.Pool{New: func() any { return new(contourTask) }}
-
-func (t *contourTask) runBand(band, lo, hi int) {
-	mask := t.mask
-	w := int32(mask.NX + 1)
-	buf := (*t.edges[band])[:0]
-	// Collect directed boundary edges with the interior on the left:
-	//   bottom edge -> +x, right edge -> +y, top edge -> -x, left edge -> -y.
-	// Vertices are grid corners addressed as vy*(NX+1)+vx. Within a
-	// maximal set run the left/right neighbors are known implicitly, so
-	// only the vertical neighbors need bit probes.
-	t.mask.forEachSetRunRows(lo, hi, func(cy, cx0, cx1 int) {
-		for cx := cx0; cx <= cx1; cx++ {
-			v00 := int32(cy)*w + int32(cx) // the cell's SW corner
-			if !mask.Get(cx, cy-1) {       // bottom: left-to-right
-				buf = append(buf, packEdge(v00, v00+1))
-			}
-			if cx == cx1 { // right: bottom-to-top
-				buf = append(buf, packEdge(v00+1, v00+1+w))
-			}
-			if !mask.Get(cx, cy+1) { // top: right-to-left
-				buf = append(buf, packEdge(v00+1+w, v00+w))
-			}
-			if cx == cx0 { // left: top-to-bottom
-				buf = append(buf, packEdge(v00+w, v00))
-			}
-		}
-	})
-	*t.edges[band] = buf
-}
-
-func packEdge(from, to int32) uint64 { return uint64(uint32(from))<<32 | uint64(uint32(to)) }
 
 // TraceContours extracts the boundary polygons of the set region of a
 // binary mask. The result is a MultiPolygon in projected coordinates whose
@@ -62,13 +16,6 @@ func packEdge(from, to int32) uint64 { return uint64(uint32(from))<<32 | uint64(
 // This is how the wildfire simulator converts a burned-cell mask into a
 // GeoMAC-style perimeter geometry.
 func TraceContours(mask *BitGrid) geom.MultiPolygon {
-	return TraceContoursWorkers(mask, 0)
-}
-
-// TraceContoursWorkers is TraceContours with an explicit worker bound
-// (0 = GOMAXPROCS, 1 = serial). Edge collection is banded; the traced
-// rings are identical at any setting.
-func TraceContoursWorkers(mask *BitGrid, workers int) geom.MultiPolygon {
 	g := mask.Geometry
 	w := int32(g.NX + 1)
 
@@ -86,24 +33,30 @@ func TraceContoursWorkers(mask *BitGrid, workers int) geom.MultiPolygon {
 		}
 	}
 
-	if g.Cells() > 0 {
-		bands := kernelBands(workers, g.Cells(), g.NY)
-		t := contourPool.Get().(*contourTask)
-		t.mask = mask
-		t.edges = t.edges[:0]
-		for b := 0; b < bands; b++ {
-			t.edges = append(t.edges, getWords(0))
-		}
-		runBands(t, g.NY, bands)
-		for _, bp := range t.edges {
-			for _, e := range *bp {
-				addEdge(int32(e>>32), int32(uint32(e)))
+	// Collect directed boundary edges with the interior on the left:
+	//   bottom edge -> +x, right edge -> +y, top edge -> -x, left edge -> -y.
+	// Vertices are grid corners addressed as vy*(NX+1)+vx. Cells are
+	// visited in row-major order, the insertion order start-edge
+	// selection depends on. Within a maximal set run the left/right
+	// neighbors are known implicitly, so only the vertical neighbors
+	// need bit probes.
+	mask.ForEachSetRun(func(cy, cx0, cx1 int) {
+		for cx := cx0; cx <= cx1; cx++ {
+			v00 := int32(cy)*w + int32(cx) // the cell's SW corner
+			if !mask.Get(cx, cy-1) {       // bottom: left-to-right
+				addEdge(v00, v00+1)
 			}
-			putWords(bp)
+			if cx == cx1 { // right: bottom-to-top
+				addEdge(v00+1, v00+1+w)
+			}
+			if !mask.Get(cx, cy+1) { // top: right-to-left
+				addEdge(v00+1+w, v00+w)
+			}
+			if cx == cx0 { // left: top-to-bottom
+				addEdge(v00+w, v00)
+			}
 		}
-		t.mask, t.edges = nil, t.edges[:0]
-		contourPool.Put(t)
-	}
+	})
 	if len(out) == 0 {
 		return nil
 	}

@@ -32,8 +32,8 @@ func TestDistanceConformance(t *testing.T) {
 }
 
 // TestParallelKernelConformance sweeps every tiled kernel at several
-// explicit worker counts against its serial one-band result: masks and
-// distances bit-identical, contours deeply equal, no carve-out.
+// GOMAXPROCS settings against its serial one-band result: masks and
+// distances bit-identical, no carve-out.
 func TestParallelKernelConformance(t *testing.T) {
 	if err := diffcheck.Sweep(100, diffcheck.CheckParallel); err != nil {
 		t.Fatal(err)

@@ -16,19 +16,12 @@ import (
 // Complexity is O(NX*NY). Both passes run banded across goroutines
 // scoped to the call (columns sharded by column range, rows by row
 // range; each band writes a disjoint region, so the result is
-// bit-identical to the serial path at any worker count). Scratch comes
+// bit-identical to the serial path at any GOMAXPROCS). Scratch comes
 // from the arena; the only allocation is the returned grid.
 func DistanceTransform(mask *BitGrid) *FloatGrid {
-	return DistanceTransformWorkers(mask, 0)
-}
-
-// DistanceTransformWorkers is DistanceTransform with an explicit worker
-// bound: 0 selects GOMAXPROCS (serial on small grids), 1 forces the
-// serial path. Results are bit-identical at any setting.
-func DistanceTransformWorkers(mask *BitGrid, workers int) *FloatGrid {
 	out := NewFloatGrid(mask.Geometry)
 	// The error is impossible: out was just built on mask's geometry.
-	_ = DistanceTransformInto(out, mask, workers) //fivealarms:allow(errflow) out was just built on mask's geometry, the only error the kernel can report
+	_ = DistanceTransformInto(out, mask) //fivealarms:allow(errflow) out was just built on mask's geometry, the only error the kernel can report
 	return out
 }
 
@@ -155,7 +148,7 @@ func (t *dtRowsTask) runBand(_, lo, hi int) {
 // must share mask's geometry or ErrShapeMismatch is returned. All
 // intermediate state comes from the scratch arena, so repeated sweeps
 // over a fixed geometry allocate nothing.
-func DistanceTransformInto(out *FloatGrid, mask *BitGrid, workers int) error {
+func DistanceTransformInto(out *FloatGrid, mask *BitGrid) error {
 	if !out.Same(mask.Geometry) {
 		return ErrShapeMismatch
 	}
@@ -167,13 +160,13 @@ func DistanceTransformInto(out *FloatGrid, mask *BitGrid, workers int) error {
 
 	ct := dtColsPool.Get().(*dtColsTask)
 	ct.mask, ct.colDist = mask, *colDistP
-	runBands(ct, g.NX, kernelBands(workers, g.Cells(), g.NX))
+	runBands(ct, g.NX, kernelBands(g.Cells(), g.NX))
 	ct.mask, ct.colDist = nil, nil
 	dtColsPool.Put(ct)
 
 	rt := dtRowsPool.Get().(*dtRowsTask)
 	rt.g, rt.colDist, rt.out = g, *colDistP, out.Data
-	runBands(rt, g.NY, kernelBands(workers, g.Cells(), g.NY))
+	runBands(rt, g.NY, kernelBands(g.Cells(), g.NY))
 	rt.colDist, rt.out = nil, nil
 	dtRowsPool.Put(rt)
 
@@ -212,27 +205,21 @@ func (t *thresholdTask) runBand(_, lo, hi int) {
 
 // DilateByDistance returns the mask grown outward by dist meters: every
 // cell whose center lies within dist of a set cell's center becomes set.
-// dist <= 0 returns a clone.
+// dist <= 0 returns a clone. The intermediate distance field lives in
+// the arena, not the heap.
 func DilateByDistance(mask *BitGrid, dist float64) *BitGrid {
-	return DilateByDistanceWorkers(mask, dist, 0)
-}
-
-// DilateByDistanceWorkers is DilateByDistance with an explicit worker
-// bound (0 = GOMAXPROCS, 1 = serial; bit-identical at any setting). The
-// intermediate distance field lives in the arena, not the heap.
-func DilateByDistanceWorkers(mask *BitGrid, dist float64, workers int) *BitGrid {
 	if dist <= 0 {
 		return mask.Clone()
 	}
 	g := mask.Geometry
 	dt := AcquireFloatGrid(g)
 	// The error is impossible: dt was just acquired on mask's geometry.
-	_ = DistanceTransformInto(dt, mask, workers) //fivealarms:allow(errflow) dt was just acquired on mask's geometry, the only error the kernel can report
+	_ = DistanceTransformInto(dt, mask) //fivealarms:allow(errflow) dt was just acquired on mask's geometry, the only error the kernel can report
 	out := NewBitGrid(g)
 	if len(out.bits) > 0 {
 		tt := thresholdPool.Get().(*thresholdTask)
 		tt.dt, tt.out, tt.cells, tt.dist = dt.Data, out.bits, g.Cells(), dist
-		runBands(tt, len(out.bits), kernelBands(workers, g.Cells(), len(out.bits)))
+		runBands(tt, len(out.bits), kernelBands(g.Cells(), len(out.bits)))
 		tt.dt, tt.out = nil, nil
 		thresholdPool.Put(tt)
 	}
@@ -249,7 +236,7 @@ func ErodeByDistance(mask *BitGrid, dist float64) *BitGrid {
 	}
 	inv := mask.Clone()
 	inv.Not()
-	out := DilateByDistanceWorkers(inv, dist, 0)
+	out := DilateByDistance(inv, dist)
 	out.Not()
 	return out
 }
@@ -287,23 +274,16 @@ func (t *dilate8Task) runBand(band, lo, hi int) {
 
 // Dilate8 returns the mask grown by steps rings of 8-neighborhood
 // dilation — the cheap morphological alternative to DilateByDistance used
-// by the ablation benchmarks.
+// by the ablation benchmarks. The two generations ping-pong between one
+// pair of grids instead of cloning per ring.
 func Dilate8(mask *BitGrid, steps int) *BitGrid {
-	return Dilate8Workers(mask, steps, 0)
-}
-
-// Dilate8Workers is Dilate8 with an explicit worker bound (0 =
-// GOMAXPROCS, 1 = serial; bit-identical at any setting). The two
-// generations ping-pong between one pair of grids instead of cloning
-// per ring.
-func Dilate8Workers(mask *BitGrid, steps, workers int) *BitGrid {
 	cur := mask.Clone()
 	if steps <= 0 || cur.Cells() == 0 {
 		return cur
 	}
 	g := cur.Geometry
 	next := NewBitGrid(g)
-	bands := kernelBands(workers, g.Cells(), g.NY)
+	bands := kernelBands(g.Cells(), g.NY)
 	t := dilate8Pool.Get().(*dilate8Task)
 	t.tiles = t.tiles[:0]
 	t.offs = t.offs[:0]

@@ -13,7 +13,7 @@ import (
 // overlapping polygon in a single sweep instead of once per full-grid
 // pass. Serial runs (one band) write the mask directly; parallel bands
 // accumulate into private word tiles merged serially in band order,
-// which keeps the result bit-identical at any worker count (the mask is
+// which keeps the result bit-identical at any GOMAXPROCS (the mask is
 // a union, and OR is commutative).
 type fillTask struct {
 	mask  *BitGrid // direct-write target; used only when tiles is empty
@@ -115,10 +115,9 @@ func (t *fillTask) runBand(band, lo, hi int) {
 // leaving already-set cells set. This is the fused multi-layer sweep:
 // one banded pass over the grid rasterizes the whole collection, so a
 // season's fire perimeters cost one traversal instead of one per fire.
-// workers bounds the parallelism (0 = GOMAXPROCS, 1 = serial); the
-// result is bit-identical at any setting. Scratch comes from the arena,
-// so repeated sweeps allocate nothing.
-func FillPolygonsInto(mask *BitGrid, polys []geom.Polygon, workers int) {
+// The result is bit-identical at any GOMAXPROCS. Scratch comes from the
+// arena, so repeated sweeps allocate nothing.
+func FillPolygonsInto(mask *BitGrid, polys []geom.Polygon) {
 	g := mask.Geometry
 	if len(polys) == 0 || g.Cells() == 0 {
 		return
@@ -142,7 +141,7 @@ func FillPolygonsInto(mask *BitGrid, polys []geom.Polygon, workers int) {
 		rows[2*i], rows[2*i+1] = cy0, cy1
 	}
 
-	bands := kernelBands(workers, g.Cells(), g.NY)
+	bands := kernelBands(g.Cells(), g.NY)
 	t := fillPool.Get().(*fillTask)
 	t.mask, t.g, t.polys, t.rows = mask, g, polys, rows
 	t.tiles, t.offs = t.tiles[:0], t.offs[:0]
@@ -180,7 +179,7 @@ func FillPolygonsInto(mask *BitGrid, polys []geom.Polygon, workers int) {
 // the polygon (even-odd rule over all rings), clipped to the geometry.
 func FillPolygon(g Geometry, poly geom.Polygon) *BitGrid {
 	mask := NewBitGrid(g)
-	FillPolygonsInto(mask, []geom.Polygon{poly}, 0)
+	FillPolygonsInto(mask, []geom.Polygon{poly})
 	return mask
 }
 
@@ -198,5 +197,5 @@ func FillMultiPolygon(g Geometry, m geom.MultiPolygon) *BitGrid {
 // national grid) fills into one shared mask this way instead of
 // allocating a full grid per geometry and Or-ing them.
 func FillMultiPolygonInto(mask *BitGrid, m geom.MultiPolygon) {
-	FillPolygonsInto(mask, m, 0)
+	FillPolygonsInto(mask, m)
 }

@@ -14,7 +14,7 @@ import (
 // band writes a disjoint region of the output or a private tile merged
 // serially in band order, and no band's result depends on which
 // goroutine ran it — so the parallel kernels are bit-identical to the
-// serial path at any worker count, which the diffcheck parallel drivers
+// serial path at any GOMAXPROCS, which the diffcheck parallel drivers
 // enforce (DESIGN.md, "Raster execution model").
 
 // A bandTask is one kernel invocation's banded execution: runBand
@@ -23,10 +23,10 @@ type bandTask interface {
 	runBand(band, lo, hi int)
 }
 
-// parallelMinCells is the grid size below which the auto worker setting
-// stays serial: dispatch plus merge overhead is ~µs, so tiny grids are
-// faster single-threaded and the parallel machinery only pays for
-// itself on study-scale rasters.
+// parallelMinCells is the grid size below which kernels stay serial:
+// dispatch plus merge overhead is ~µs, so tiny grids are faster
+// single-threaded and the parallel machinery only pays for itself on
+// study-scale rasters.
 const parallelMinCells = 1 << 14
 
 // maxKernelBands caps the band count: more bands than this only adds
@@ -34,28 +34,14 @@ const parallelMinCells = 1 << 14
 // exploit.
 const maxKernelBands = 256
 
-// kernelBands resolves a kernel's exported workers parameter to a band
-// count for items work units on a cells-sized grid. 0 selects
-// GOMAXPROCS (falling back to serial below parallelMinCells), 1 forces
-// the serial path, larger values request that many bands; the result is
-// always within [1, items] so every band is non-empty.
-func kernelBands(workers, cells, items int) int {
-	if workers == 0 {
-		if cells < parallelMinCells {
-			return 1
-		}
-		workers = runtime.GOMAXPROCS(0)
+// kernelBands returns the band count for items work units on a
+// cells-sized grid: one band below parallelMinCells, else GOMAXPROCS
+// capped at maxKernelBands and at items, so every band is non-empty.
+func kernelBands(cells, items int) int {
+	if cells < parallelMinCells {
+		return 1
 	}
-	if workers > maxKernelBands {
-		workers = maxKernelBands
-	}
-	if workers > items {
-		workers = items
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	return workers
+	return min(runtime.GOMAXPROCS(0), maxKernelBands, items)
 }
 
 // fanout is one runBands call's shared state: the caller and its

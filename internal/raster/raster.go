@@ -329,12 +329,7 @@ func (b *BitGrid) maskTail() {
 // iterate in time proportional to words plus runs, not cells — the
 // bulk replacement for per-cell Get loops over set regions.
 func (b *BitGrid) ForEachSetRun(fn func(cy, cx0, cx1 int)) {
-	b.forEachSetRunRows(0, b.NY, fn)
-}
-
-// forEachSetRunRows is ForEachSetRun restricted to rows [y0, y1).
-func (b *BitGrid) forEachSetRunRows(y0, y1 int, fn func(cy, cx0, cx1 int)) {
-	for cy := y0; cy < y1; cy++ {
+	for cy := 0; cy < b.NY; cy++ {
 		base := cy * b.NX
 		cx := 0
 		for cx < b.NX {

@@ -2,10 +2,11 @@ package raster
 
 // Tile-seam correctness: features placed exactly on band boundaries and
 // word boundaries, every tiled kernel, band counts from 1 through
-// full-grid (one band per row/column) and beyond. These tests live
-// inside the package so they can pin the serial/parallel split at exact
-// band geometries via the internal helpers; the external conformance
-// tests sweep the same kernels through the seeded diffcheck drivers.
+// full-grid (one band per row/column) and beyond. Band counts follow
+// GOMAXPROCS, so each test sweeps it. These tests live inside the
+// package so they can pin the band split at exact band geometries via
+// the internal helpers; the external conformance tests sweep the same
+// kernels through the seeded diffcheck drivers.
 
 import (
 	"math"
@@ -16,13 +17,36 @@ import (
 	"fivealarms/internal/geom"
 )
 
-// seamWorkerGrid deliberately includes 1 (serial), counts that divide
-// the test grids evenly, primes that do not, and counts exceeding the
-// row count (clamped to one band per row — the "1×1 tile" extreme).
-var seamWorkerGrid = [...]int{1, 2, 3, 4, 7, 33}
+// seamProcs are the GOMAXPROCS settings the seam tests sweep. They
+// deliberately include 1 (serial), counts that divide the test grids
+// evenly, primes that do not, and counts exceeding the thin grids' one
+// row or column (clamped to one band per row — the "1×1 tile" extreme).
+var seamProcs = [...]int{1, 2, 3, 4, 7, 33}
+
+// seamGrids are the kernel seam test's shapes. 1×1 takes the serial
+// path; the others hold at least parallelMinCells cells, so they band:
+// a square whose rows straddle words, and a one-row and a one-column
+// grid whose long axis carries every band.
+var seamGrids = [...][2]int{{1, 1}, {130, 130}, {16390, 1}, {1, 16390}}
 
 func seamGeometry(nx, ny int) Geometry {
 	return Geometry{MinX: -50, MinY: -25, CellSize: 10, NX: nx, NY: ny}
+}
+
+// requireBands fails t unless, at GOMAXPROCS p, a kernel on g splits
+// each axis into min(p, maxKernelBands, axis) bands. Kernels stay
+// serial below parallelMinCells, so a twin on a grid too small to band
+// would compare the serial path with itself.
+func requireBands(t *testing.T, g Geometry, p int) {
+	t.Helper()
+	for _, axis := range []struct {
+		name string
+		n    int
+	}{{"column", g.NX}, {"row", g.NY}} {
+		if got, want := kernelBands(g.Cells(), axis.n), min(p, maxKernelBands, axis.n); got != want {
+			t.Fatalf("%dx%d at GOMAXPROCS=%d: %d %s bands, want %d", g.NX, g.NY, p, got, axis.name, want)
+		}
+	}
 }
 
 func TestSetSpanMatchesPerCellSet(t *testing.T) {
@@ -138,8 +162,8 @@ func TestForEachSetRunMatchesPerCellScan(t *testing.T) {
 }
 
 // seamMasks builds mask scenarios whose set cells hug band boundaries
-// at every band count in seamWorkerGrid: single rows, single columns,
-// full grids, checkerboards, and diagonal stripes.
+// at every GOMAXPROCS in seamProcs: single rows, single columns, full
+// grids, checkerboards, and diagonal stripes.
 func seamMasks(g Geometry) map[string]*BitGrid {
 	masks := map[string]*BitGrid{}
 	empty := NewBitGrid(g)
@@ -149,19 +173,24 @@ func seamMasks(g Geometry) map[string]*BitGrid {
 		full.SetSpan(cy, 0, g.NX-1)
 	}
 	masks["full"] = full
-	// One set row exactly at each band boundary for every band count.
+	// One set row (column) exactly at each row (column) band boundary
+	// for every band count.
 	rows := NewBitGrid(g)
-	for _, w := range seamWorkerGrid {
-		bands := w
-		if bands > g.NY {
-			bands = g.NY
-		}
-		for b := 0; b < bands; b++ {
-			lo, _ := bandRange(b, g.NY, bands)
+	cols := NewBitGrid(g)
+	for _, p := range seamProcs {
+		for b := 0; b < min(p, g.NY); b++ {
+			lo, _ := bandRange(b, g.NY, min(p, g.NY))
 			rows.SetSpan(lo, 0, g.NX-1)
+		}
+		for b := 0; b < min(p, g.NX); b++ {
+			lo, _ := bandRange(b, g.NX, min(p, g.NX))
+			for cy := 0; cy < g.NY; cy++ {
+				cols.Set(lo, cy, true)
+			}
 		}
 	}
 	masks["band-boundary-rows"] = rows
+	masks["band-boundary-cols"] = cols
 	checker := NewBitGrid(g)
 	for cy := 0; cy < g.NY; cy++ {
 		for cx := (cy & 1); cx < g.NX; cx += 2 {
@@ -182,37 +211,31 @@ func seamMasks(g Geometry) map[string]*BitGrid {
 }
 
 func TestKernelSeams(t *testing.T) {
-	for _, dims := range [][2]int{{1, 1}, {70, 1}, {1, 40}, {70, 40}} {
+	kernels := [...]string{"distance transform", "dilate", "dilate8", "erode"}
+	for _, dims := range seamGrids {
 		g := seamGeometry(dims[0], dims[1])
 		for name, mask := range seamMasks(g) {
-			serialDT := DistanceTransformWorkers(mask, 1)
-			serialDil := DilateByDistanceWorkers(mask, 1.5*g.CellSize, 1)
-			serialD8 := Dilate8Workers(mask, 2, 1)
-			serialTr := TraceContoursWorkers(mask, 1)
-			serialEr := ErodeByDistance(mask, 1.5*g.CellSize)
-			for _, w := range seamWorkerGrid[1:] {
-				if dt := DistanceTransformWorkers(mask, w); dt.Fingerprint() != serialDT.Fingerprint() {
-					t.Errorf("%dx%d/%s: distance transform diverges at %d workers", g.NX, g.NY, name, w)
-				}
-				if d := DilateByDistanceWorkers(mask, 1.5*g.CellSize, w); d.Fingerprint() != serialDil.Fingerprint() {
-					t.Errorf("%dx%d/%s: dilate diverges at %d workers", g.NX, g.NY, name, w)
-				}
-				if d := Dilate8Workers(mask, 2, w); d.Fingerprint() != serialD8.Fingerprint() {
-					t.Errorf("%dx%d/%s: dilate8 diverges at %d workers", g.NX, g.NY, name, w)
-				}
-				tr := TraceContoursWorkers(mask, w)
-				if len(tr) != len(serialTr) {
-					t.Errorf("%dx%d/%s: contours diverge at %d workers: %d vs %d polys",
-						g.NX, g.NY, name, w, len(tr), len(serialTr))
-					continue
-				}
-				for i := range tr {
-					if !ringsEqual(tr[i].Exterior, serialTr[i].Exterior) {
-						t.Errorf("%dx%d/%s: contour %d exterior diverges at %d workers", g.NX, g.NY, name, i, w)
-					}
+			fingerprints := func() [len(kernels)]uint64 {
+				return [...]uint64{
+					DistanceTransform(mask).Fingerprint(),
+					DilateByDistance(mask, 1.5*g.CellSize).Fingerprint(),
+					Dilate8(mask, 2).Fingerprint(),
+					ErodeByDistance(mask, 1.5*g.CellSize).Fingerprint(),
 				}
 			}
-			// Erode is a fixed composition over the parallel dilate; pin its
+			var serial [len(kernels)]uint64
+			faults.WithGOMAXPROCS(1, func() { serial = fingerprints() })
+			for _, p := range seamProcs[1:] {
+				faults.WithGOMAXPROCS(p, func() {
+					requireBands(t, g, p)
+					for i, fp := range fingerprints() {
+						if fp != serial[i] {
+							t.Errorf("%dx%d/%s: %s diverges at GOMAXPROCS=%d", g.NX, g.NY, name, kernels[i], p)
+						}
+					}
+				})
+			}
+			// Erode is the complement of the dilated complement; pin the
 			// complement identity on the same scenarios.
 			backAndForth := mask.Clone()
 			backAndForth.Not()
@@ -220,84 +243,74 @@ func TestKernelSeams(t *testing.T) {
 			if backAndForth.Fingerprint() != mask.Fingerprint() {
 				t.Errorf("%dx%d/%s: double complement diverges", g.NX, g.NY, name)
 			}
-			_ = serialEr
 		}
 	}
-}
-
-func ringsEqual(a, b geom.Ring) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // TestFillSeams rasterizes polygons whose edges land exactly on band
-// boundary rows and on cell-center columns, at every worker count.
+// boundary rows and on cell-center columns, at every GOMAXPROCS.
 func TestFillSeams(t *testing.T) {
-	g := seamGeometry(70, 40)
+	g := seamGeometry(130, 130)
 	rect := func(x0, y0, x1, y1 float64) geom.Polygon {
 		return geom.Polygon{Exterior: geom.Ring{
 			geom.Pt(x0, y0), geom.Pt(x1, y0), geom.Pt(x1, y1), geom.Pt(x0, y1),
 		}}
 	}
-	// Band boundaries for w workers sit at rows b*NY/w; their projected
-	// y is MinY + row*CellSize. Build rectangles whose horizontal edges
-	// lie exactly on those lattice lines for every worker count, plus
-	// slivers thinner than a cell and a polygon crossing the whole grid.
+	// Band boundaries at GOMAXPROCS p sit at rows b*NY/p; their
+	// projected y is MinY + row*CellSize. Build rectangles whose
+	// horizontal edges lie exactly on those lattice lines for every p,
+	// plus slivers thinner than a cell and a polygon crossing the whole
+	// grid.
 	var polys []geom.Polygon
-	for _, w := range seamWorkerGrid {
-		for b := 1; b < w && b < g.NY; b++ {
-			lo, _ := bandRange(b, g.NY, w)
+	for _, p := range seamProcs {
+		for b := 1; b < p && b < g.NY; b++ {
+			lo, _ := bandRange(b, g.NY, p)
 			y := g.MinY + float64(lo)*g.CellSize
 			polys = append(polys, rect(g.MinX+5, y-15, g.MinX+655, y+15))
 			polys = append(polys, rect(g.MinX+100, y, g.MinX+200, y+2))
 		}
 	}
+	top := g.MinY + float64(g.NY)*g.CellSize
 	polys = append(polys,
-		rect(g.MinX-100, g.MinY-100, g.MinX+1e4, g.MinY+1e4),   // covers everything
-		rect(g.MinX+634.9, g.MinY+5, g.MinX+635.1, g.MinY+395), // one-column sliver on a word boundary
+		rect(g.MinX-100, g.MinY-100, g.MinX+1e4, g.MinY+1e4), // covers everything
+		rect(g.MinX+634.9, g.MinY+5, g.MinX+635.1, top-5),    // one-column sliver on a word boundary
 	)
-	scenarios := map[string][]geom.Polygon{
-		"individual": nil, // filled per polygon below
-		"all-fused":  polys,
+	fill := func(ps []geom.Polygon) uint64 {
+		mask := NewBitGrid(g)
+		FillPolygonsInto(mask, ps)
+		return mask.Fingerprint()
 	}
-	serialAll := NewBitGrid(g)
-	FillPolygonsInto(serialAll, polys, 1)
-	for name, ps := range scenarios {
-		if name == "individual" {
-			for pi, p := range polys {
-				serial := NewBitGrid(g)
-				FillPolygonsInto(serial, []geom.Polygon{p}, 1)
-				for _, w := range seamWorkerGrid[1:] {
-					par := NewBitGrid(g)
-					FillPolygonsInto(par, []geom.Polygon{p}, w)
-					if par.Fingerprint() != serial.Fingerprint() {
-						t.Errorf("polygon %d diverges at %d workers", pi, w)
-					}
+	// fills is the fused fill of every polygon, then each polygon alone.
+	fills := func() []uint64 {
+		out := []uint64{fill(polys)}
+		for i := range polys {
+			out = append(out, fill(polys[i:i+1]))
+		}
+		return out
+	}
+	var serial []uint64
+	faults.WithGOMAXPROCS(1, func() { serial = fills() })
+	for _, p := range seamProcs[1:] {
+		faults.WithGOMAXPROCS(p, func() {
+			requireBands(t, g, p)
+			for i, fp := range fills() {
+				if fp == serial[i] {
+					continue
+				}
+				if i == 0 {
+					t.Errorf("all-fused diverges at GOMAXPROCS=%d", p)
+				} else {
+					t.Errorf("polygon %d diverges at GOMAXPROCS=%d", i-1, p)
 				}
 			}
-			continue
-		}
-		for _, w := range seamWorkerGrid[1:] {
-			par := NewBitGrid(g)
-			FillPolygonsInto(par, ps, w)
-			if par.Fingerprint() != serialAll.Fingerprint() {
-				t.Errorf("%s diverges at %d workers", name, w)
-			}
-		}
+		})
 	}
 	// The fused sweep must equal the polygon-at-a-time union exactly.
 	oneByOne := NewBitGrid(g)
-	for _, p := range polys {
-		FillPolygonsInto(oneByOne, []geom.Polygon{p}, 1)
+	for i := range polys {
+		FillPolygonsInto(oneByOne, polys[i:i+1])
 	}
-	if oneByOne.Fingerprint() != serialAll.Fingerprint() {
+	if oneByOne.Fingerprint() != serial[0] {
 		t.Error("fused sweep diverges from polygon-at-a-time union")
 	}
 }
@@ -305,7 +318,7 @@ func TestFillSeams(t *testing.T) {
 func TestDistanceTransformIntoShapeMismatch(t *testing.T) {
 	mask := NewBitGrid(seamGeometry(8, 8))
 	out := NewFloatGrid(seamGeometry(8, 9))
-	if err := DistanceTransformInto(out, mask, 0); err != ErrShapeMismatch {
+	if err := DistanceTransformInto(out, mask); err != ErrShapeMismatch {
 		t.Fatalf("got %v, want ErrShapeMismatch", err)
 	}
 }
@@ -347,19 +360,24 @@ func TestAcquireReleaseGrids(t *testing.T) {
 func TestRasterKernelFingerprints(t *testing.T) {
 	g := Geometry{MinX: -2.3e6, MinY: -1.4e6, CellSize: 2700, NX: 430, NY: 270}
 	polys := syntheticPerimeters(g, 24, 99)
-	serial := NewBitGrid(g)
-	FillPolygonsInto(serial, polys, 1)
-	serialDT := DistanceTransformWorkers(serial, 1)
-	workers := []int{0, 2, 4, 8, runtime.GOMAXPROCS(0)}
-	for _, w := range workers {
-		par := NewBitGrid(g)
-		FillPolygonsInto(par, polys, w)
-		if par.Fingerprint() != serial.Fingerprint() {
-			t.Fatalf("fill fingerprint diverges at workers=%d", w)
-		}
-		if dt := DistanceTransformWorkers(serial, w); dt.Fingerprint() != serialDT.Fingerprint() {
-			t.Fatalf("distance fingerprint diverges at workers=%d", w)
-		}
+	fingerprints := func() (fill, dist uint64) {
+		mask := NewBitGrid(g)
+		FillPolygonsInto(mask, polys)
+		return mask.Fingerprint(), DistanceTransform(mask).Fingerprint()
+	}
+	var serialFill, serialDist uint64
+	faults.WithGOMAXPROCS(1, func() { serialFill, serialDist = fingerprints() })
+	for _, p := range []int{2, 4, 8} {
+		faults.WithGOMAXPROCS(p, func() {
+			requireBands(t, g, p)
+			fill, dist := fingerprints()
+			if fill != serialFill {
+				t.Errorf("fill fingerprint diverges at GOMAXPROCS=%d", p)
+			}
+			if dist != serialDist {
+				t.Errorf("distance fingerprint diverges at GOMAXPROCS=%d", p)
+			}
+		})
 	}
 }
 
@@ -376,13 +394,13 @@ func TestFusedSweepSteadyStateAllocs(t *testing.T) {
 	dist := AcquireFloatGrid(g)
 	sweep := func() {
 		mask.Clear()
-		FillPolygonsInto(mask, polys, 0)
-		if err := DistanceTransformInto(dist, mask, 0); err != nil {
+		FillPolygonsInto(mask, polys)
+		if err := DistanceTransformInto(dist, mask); err != nil {
 			t.Fatal(err)
 		}
 	}
-	// Warm the arena and the worker pool: the first sweeps grow the
-	// pooled buffers to this geometry's sizes.
+	// Warm the arena: the first sweeps grow the pooled buffers to this
+	// geometry's sizes.
 	sweep()
 	sweep()
 	runtime.GC()
@@ -430,11 +448,10 @@ func TestKernelsLeaveNoGoroutines(t *testing.T) {
 	check := faults.CheckGoroutines(t)
 	faults.WithGOMAXPROCS(4, func() {
 		mask := NewBitGrid(g)
-		FillPolygonsInto(mask, polys, 0)
+		FillPolygonsInto(mask, polys)
 		DistanceTransform(mask)
 		DilateByDistance(mask, 250)
 		Dilate8(mask, 2)
-		TraceContours(mask)
 	})
 	check()
 }

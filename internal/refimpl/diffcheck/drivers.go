@@ -1,8 +1,10 @@
 package diffcheck
 
 import (
+	"fmt"
 	"math"
 
+	"fivealarms/internal/faults"
 	"fivealarms/internal/geom"
 	"fivealarms/internal/grid"
 	"fivealarms/internal/proj"
@@ -335,63 +337,100 @@ func isFinitePt(p geom.Point) bool {
 	return !math.IsNaN(p.X) && !math.IsInf(p.X, 0) && !math.IsNaN(p.Y) && !math.IsInf(p.Y, 0)
 }
 
-// parallelWorkerGrid is the set of explicit worker counts CheckParallel
-// sweeps: prime and composite band counts around and beyond the grid
-// sizes the generators produce, so bands of every shape (empty tails,
-// single-row, whole-grid) get exercised.
-var parallelWorkerGrid = [...]int{2, 3, 5, 16}
+// parallelProcs are the GOMAXPROCS settings CheckParallel sweeps
+// against GOMAXPROCS=1: prime and composite band counts, so bands of
+// every shape (empty tails, single-row, whole-grid) get exercised.
+var parallelProcs = [...]int{2, 3, 5, 16}
+
+// parallelMinSide is the side CheckParallel scales every case up to.
+// Kernels run one band below 2^14 cells, so it must keep
+// parallelMinSide² at or above 2^14: a smaller case would run the
+// serial path at every GOMAXPROCS and compare it with itself.
+const parallelMinSide = 128
+
+// The dilation radii (in cells) and Dilate8 ring counts CheckParallel
+// runs on each mask.
+var (
+	parallelDilateCells  = [...]float64{1, math.Sqrt2, 2.5}
+	parallelDilate8Steps = [...]int{1, 3}
+)
+
+// kernelOutputs is every banded kernel's result on one scenario.
+type kernelOutputs struct {
+	fill    *raster.BitGrid
+	dist    *raster.FloatGrid
+	dilate  [len(parallelDilateCells)]*raster.BitGrid
+	dilate8 [len(parallelDilate8Steps)]*raster.BitGrid
+}
+
+// runKernels runs every banded kernel at GOMAXPROCS procs.
+func runKernels(procs int, fc FillCase, mask *raster.BitGrid) (o kernelOutputs) {
+	faults.WithGOMAXPROCS(procs, func() {
+		o.fill = raster.NewBitGrid(fc.Geom)
+		raster.FillPolygonsInto(o.fill, fc.M)
+		o.dist = raster.DistanceTransform(mask)
+		for i, cells := range parallelDilateCells {
+			o.dilate[i] = raster.DilateByDistance(mask, cells*mask.CellSize)
+		}
+		for i, steps := range parallelDilate8Steps {
+			o.dilate8[i] = raster.Dilate8(mask, steps)
+		}
+	})
+	return o
+}
 
 // CheckParallel runs one seeded parallel-schedule scenario: every tiled
-// raster kernel at several worker counts against its serial one-band
-// result. Masks and distances must be bit-identical and traced contours
-// deeply equal — the banded kernels recompute the exact serial
+// raster kernel at several GOMAXPROCS settings against its serial
+// one-band result at GOMAXPROCS=1. The seeded cases are scaled to at
+// least parallelMinSide cells per side so the kernels band: the fill
+// grid is refined over the same extent, and the mask is tiled so its
+// worst cases recur across every band seam. Masks and distances must be
+// bit-identical — the banded kernels recompute the exact serial
 // arithmetic per cell, so no boundary carve-out applies here.
 func CheckParallel(seed int64) error {
 	fc := GenFillCase(seed)
-	fillSerial := raster.NewBitGrid(fc.Geom)
-	raster.FillPolygonsInto(fillSerial, fc.M, 1)
-	for _, w := range parallelWorkerGrid {
-		par := raster.NewBitGrid(fc.Geom)
-		raster.FillPolygonsInto(par, fc.M, w)
-		if cx, cy, ok := firstMaskDiff(fillSerial, par); !ok {
-			return divergef("parallel-fill", seed, "%s: workers=%d cell (%d,%d): serial=%v parallel=%v on %v",
-				fc.Desc, w, cx, cy, fillSerial.Get(cx, cy), par.Get(cx, cy), fc.Geom)
+	k := (parallelMinSide + min(fc.Geom.NX, fc.Geom.NY) - 1) / min(fc.Geom.NX, fc.Geom.NY)
+	fc.Geom.CellSize /= float64(k)
+	fc.Geom.NX *= k
+	fc.Geom.NY *= k
+
+	tile, desc := GenMaskCase(seed)
+	tg := tile.Geometry
+	g := tg
+	g.NX *= (parallelMinSide + tg.NX - 1) / tg.NX
+	g.NY *= (parallelMinSide + tg.NY - 1) / tg.NY
+	mask := raster.NewBitGrid(g)
+	for cy := 0; cy < g.NY; cy++ {
+		for cx := 0; cx < g.NX; cx++ {
+			mask.Set(cx, cy, tile.Get(cx%tg.NX, cy%tg.NY))
 		}
 	}
+	desc = fmt.Sprintf("%s tiled %dx%d", desc, g.NX/tg.NX, g.NY/tg.NY)
 
-	mask, desc := GenMaskCase(seed)
-	g := mask.Geometry
-	distSerial := raster.DistanceTransformWorkers(mask, 1)
-	contourSerial := raster.TraceContoursWorkers(mask, 1)
-	dilateDists := []float64{g.CellSize, math.Sqrt2 * g.CellSize, g.CellSize * 2.5}
-	for _, w := range parallelWorkerGrid {
-		par := raster.DistanceTransformWorkers(mask, w)
-		for i := range par.Data {
-			if par.Data[i] != distSerial.Data[i] {
-				return divergef("parallel-distance", seed, "%s: workers=%d cell %d: serial=%v parallel=%v on %v",
-					desc, w, i, distSerial.Data[i], par.Data[i], g)
+	serial := runKernels(1, fc, mask)
+	for _, p := range parallelProcs {
+		par := runKernels(p, fc, mask)
+		if cx, cy, ok := firstMaskDiff(serial.fill, par.fill); !ok {
+			return divergef("parallel-fill", seed, "%s: GOMAXPROCS=%d cell (%d,%d): serial=%v parallel=%v on %v",
+				fc.Desc, p, cx, cy, serial.fill.Get(cx, cy), par.fill.Get(cx, cy), fc.Geom)
+		}
+		for i := range par.dist.Data {
+			if par.dist.Data[i] != serial.dist.Data[i] {
+				return divergef("parallel-distance", seed, "%s: GOMAXPROCS=%d cell %d: serial=%v parallel=%v on %v",
+					desc, p, i, serial.dist.Data[i], par.dist.Data[i], g)
 			}
 		}
-		for _, dist := range dilateDists {
-			ds := raster.DilateByDistanceWorkers(mask, dist, 1)
-			dp := raster.DilateByDistanceWorkers(mask, dist, w)
-			if cx, cy, ok := firstMaskDiff(ds, dp); !ok {
-				return divergef("parallel-dilate", seed, "%s: workers=%d dist %v cell (%d,%d): serial=%v parallel=%v",
-					desc, w, dist, cx, cy, ds.Get(cx, cy), dp.Get(cx, cy))
+		for i, cells := range parallelDilateCells {
+			if cx, cy, ok := firstMaskDiff(serial.dilate[i], par.dilate[i]); !ok {
+				return divergef("parallel-dilate", seed, "%s: GOMAXPROCS=%d dist %v cells, cell (%d,%d): serial=%v parallel=%v",
+					desc, p, cells, cx, cy, serial.dilate[i].Get(cx, cy), par.dilate[i].Get(cx, cy))
 			}
 		}
-		for _, steps := range []int{1, 3} {
-			ds := raster.Dilate8Workers(mask, steps, 1)
-			dp := raster.Dilate8Workers(mask, steps, w)
-			if cx, cy, ok := firstMaskDiff(ds, dp); !ok {
-				return divergef("parallel-dilate8", seed, "%s: workers=%d steps %d cell (%d,%d): serial=%v parallel=%v",
-					desc, w, steps, cx, cy, ds.Get(cx, cy), dp.Get(cx, cy))
+		for i, steps := range parallelDilate8Steps {
+			if cx, cy, ok := firstMaskDiff(serial.dilate8[i], par.dilate8[i]); !ok {
+				return divergef("parallel-dilate8", seed, "%s: GOMAXPROCS=%d steps %d cell (%d,%d): serial=%v parallel=%v",
+					desc, p, steps, cx, cy, serial.dilate8[i].Get(cx, cy), par.dilate8[i].Get(cx, cy))
 			}
-		}
-		cp := raster.TraceContoursWorkers(mask, w)
-		if !multiPolygonEqual(contourSerial, cp) {
-			return divergef("parallel-contour", seed, "%s: workers=%d: serial traced %d polys, parallel %d (rings differ) on %v",
-				desc, w, len(contourSerial), len(cp), g)
 		}
 	}
 	return nil
@@ -408,35 +447,6 @@ func firstMaskDiff(a, b *raster.BitGrid) (cx, cy int, ok bool) {
 		}
 	}
 	return 0, 0, true
-}
-
-func ringEqual(a, b geom.Ring) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func multiPolygonEqual(a, b geom.MultiPolygon) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if !ringEqual(a[i].Exterior, b[i].Exterior) || len(a[i].Holes) != len(b[i].Holes) {
-			return false
-		}
-		for j := range a[i].Holes {
-			if !ringEqual(a[i].Holes[j], b[i].Holes[j]) {
-				return false
-			}
-		}
-	}
-	return true
 }
 
 // CheckAll runs every driver on one seed — the hook the rewired fuzz

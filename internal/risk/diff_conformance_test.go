@@ -36,7 +36,7 @@ func table1Reference(a *Analyzer, s *wildfire.Season) int {
 func TestTable1CrossCheck(t *testing.T) {
 	// A slice of the history keeps the full scan (seasons × transceivers
 	// × fires) affordable; the sweep-level drivers cover breadth.
-	seasons := wildfire.SimulateHistory(testSim, 11, 6)[:5]
+	seasons := simulateHistory(t, testSim, 11, 6)[:5]
 	rows := testAnalyzer.HistoricalOverlay(seasons)
 	for i, s := range seasons {
 		want := table1Reference(testAnalyzer, s)
@@ -46,8 +46,8 @@ func TestTable1CrossCheck(t *testing.T) {
 		}
 	}
 	// The parallel schedule must reproduce the serial rows exactly.
-	serial := testAnalyzer.HistoricalOverlayWorkers(seasons, 1)
-	parallel := testAnalyzer.HistoricalOverlayWorkers(seasons, 4)
+	serial := overlayAt(1, seasons)
+	parallel := overlayAt(4, seasons)
 	for i := range serial {
 		if serial[i] != parallel[i] {
 			t.Errorf("row %d: serial %+v != parallel %+v", i, serial[i], parallel[i])
@@ -86,7 +86,7 @@ func TestTransceiversInFireCrossCheck(t *testing.T) {
 // mask must equal the bitwise OR of the independent fills cell for
 // cell, and its count can never exceed the sum of per-fire counts.
 func TestFireUnionMaskCrossCheck(t *testing.T) {
-	seasons := wildfire.SimulateHistory(testSim, 11, 4)[:6]
+	seasons := simulateHistory(t, testSim, 11, 4)[:6]
 	union := testAnalyzer.FireUnionMask(seasons)
 	g := testAnalyzer.World.Grid
 	ref := raster.NewBitGrid(g)

@@ -71,25 +71,14 @@ func (a *Analyzer) overlaySeason(s *wildfire.Season, sc *overlayScratch) YearOve
 }
 
 // HistoricalOverlay joins the transceiver set against each season's
-// perimeters (Table 1, Figure 4) across bounded workers. Seasons are
-// independent joins over read-only layers, so the parallel schedule is
-// bit-identical to the serial one; see HistoricalOverlayWorkers.
+// perimeters (Table 1, Figure 4) across min(GOMAXPROCS, len(seasons))
+// workers. Each worker joins whole seasons with its own visited/candidate
+// scratch, the same pattern wildfire.SimulateHistory uses for the season
+// simulations; with one worker the join runs inline. Seasons are
+// independent joins over read-only layers, so the result is
+// bit-identical at any GOMAXPROCS.
 func (a *Analyzer) HistoricalOverlay(seasons []*wildfire.Season) []YearOverlay {
-	return a.HistoricalOverlayWorkers(seasons, 0)
-}
-
-// HistoricalOverlayWorkers runs the historical overlay with an explicit
-// worker bound (0 selects GOMAXPROCS, 1 forces the serial schedule
-// that tests compare against). Each worker joins whole seasons with its
-// own visited/candidate scratch, the same pattern
-// wildfire.SimulateHistoryParallel uses for the season simulations.
-func (a *Analyzer) HistoricalOverlayWorkers(seasons []*wildfire.Season, workers int) []YearOverlay {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(seasons) {
-		workers = len(seasons)
-	}
+	workers := min(runtime.GOMAXPROCS(0), len(seasons))
 	out := make([]YearOverlay, len(seasons))
 	if workers <= 1 {
 		sc := newOverlayScratch(a.Data.Len())
@@ -144,8 +133,7 @@ func (a *Analyzer) TransceiversInFire(f *wildfire.Fire) []int {
 
 // SeasonPerimeters flattens every mapped fire's perimeter polygons
 // across the seasons into one slice, so the whole study period
-// rasterizes as a single fused sweep (and the sharded build fills its
-// row bands from one polygon list).
+// rasterizes as a single fused sweep.
 func SeasonPerimeters(seasons []*wildfire.Season) []geom.Polygon {
 	n := 0
 	for _, s := range seasons {
@@ -168,7 +156,7 @@ func SeasonPerimeters(seasons []*wildfire.Season) []geom.Polygon {
 // are allocated.
 func (a *Analyzer) FireUnionMask(seasons []*wildfire.Season) *raster.BitGrid {
 	union := raster.NewBitGrid(a.World.Grid)
-	raster.FillPolygonsInto(union, SeasonPerimeters(seasons), 0)
+	raster.FillPolygonsInto(union, SeasonPerimeters(seasons))
 	return union
 }
 
@@ -180,10 +168,10 @@ func (a *Analyzer) FireUnionMask(seasons []*wildfire.Season) *raster.BitGrid {
 // returning, so only the distance grid is allocated.
 func (a *Analyzer) FireDistance(seasons []*wildfire.Season) *raster.FloatGrid {
 	mask := raster.AcquireBitGrid(a.World.Grid)
-	raster.FillPolygonsInto(mask, SeasonPerimeters(seasons), 0)
+	raster.FillPolygonsInto(mask, SeasonPerimeters(seasons))
 	dist := raster.NewFloatGrid(a.World.Grid)
 	// The error is impossible: dist was just built on the mask's geometry.
-	_ = raster.DistanceTransformInto(dist, mask, 0) //fivealarms:allow(errflow) dist was just built on the mask's geometry, the only error the kernel can report
+	_ = raster.DistanceTransformInto(dist, mask) //fivealarms:allow(errflow) dist was just built on the mask's geometry, the only error the kernel can report
 	raster.ReleaseBitGrid(mask)
 	return dist
 }

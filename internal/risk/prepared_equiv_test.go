@@ -120,23 +120,16 @@ func TestPreparedJoinPointwiseIdentical(t *testing.T) {
 }
 
 // TestHistoricalOverlayMatchesNaive asserts the full Table 1 pipeline —
-// serial-prepared and parallel-prepared — reproduces the naive reference
-// exactly (not approximately: identical structs, floats included).
+// serial-prepared at GOMAXPROCS=1 and parallel-prepared above it —
+// reproduces the naive reference exactly (not approximately: identical
+// structs, floats included).
 func TestHistoricalOverlayMatchesNaive(t *testing.T) {
-	seasons := wildfire.SimulateHistory(testSim, 7, 10)
+	seasons := simulateHistory(t, testSim, 7, 10)
 	want := naiveOverlay(testAnalyzer, seasons)
-
-	serial := testAnalyzer.HistoricalOverlayWorkers(seasons, 1)
-	if !reflect.DeepEqual(serial, want) {
-		t.Fatalf("serial prepared overlay diverges from naive:\n got %+v\nwant %+v", serial, want)
-	}
-	parallel := testAnalyzer.HistoricalOverlay(seasons)
-	if !reflect.DeepEqual(parallel, want) {
-		t.Fatalf("parallel prepared overlay diverges from naive:\n got %+v\nwant %+v", parallel, want)
-	}
-	again := testAnalyzer.HistoricalOverlayWorkers(seasons, 3)
-	if !reflect.DeepEqual(again, want) {
-		t.Fatalf("3-worker overlay diverges from naive")
+	for _, procs := range []int{1, 3, 4} {
+		if got := overlayAt(procs, seasons); !reflect.DeepEqual(got, want) {
+			t.Fatalf("prepared overlay at GOMAXPROCS=%d diverges from naive:\n got %+v\nwant %+v", procs, got, want)
+		}
 	}
 }
 
@@ -230,24 +223,18 @@ func TestCaseStudyJoinPointwiseIdentical(t *testing.T) {
 }
 
 // BenchmarkHistoricalOverlay compares the naive serial join against the
-// prepared serial and prepared parallel engines over a 19-season history
-// (the Table 1 workload). `make bench-geom` records this in
-// BENCH_geom.json.
+// prepared engine over a 19-season history (the Table 1 workload). The
+// prepared join fans out over GOMAXPROCS, so `make bench-geom` records
+// it at -cpu 1,2 in BENCH_geom.json.
 func BenchmarkHistoricalOverlay(b *testing.B) {
-	seasons := wildfire.SimulateHistory(testSim, 7, 20)
+	seasons := simulateHistory(b, testSim, 7, 20)
 	b.Run("naive-serial", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			_ = naiveOverlay(testAnalyzer, seasons)
 		}
 	})
-	b.Run("prepared-serial", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			_ = testAnalyzer.HistoricalOverlayWorkers(seasons, 1)
-		}
-	})
-	b.Run("prepared-parallel", func(b *testing.B) {
+	b.Run("prepared", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			_ = testAnalyzer.HistoricalOverlay(seasons)

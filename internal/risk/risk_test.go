@@ -1,11 +1,13 @@
 package risk
 
 import (
+	"context"
 	"testing"
 
 	"fivealarms/internal/cellnet"
 	"fivealarms/internal/census"
 	"fivealarms/internal/conus"
+	"fivealarms/internal/faults"
 	"fivealarms/internal/geodata"
 	"fivealarms/internal/geom"
 	"fivealarms/internal/powergrid"
@@ -23,6 +25,24 @@ var (
 	testAnalyzer = New(testWorld, testWHP, testData, testCounties)
 	testSim      = wildfire.NewSimulator(testWorld, testWHP)
 )
+
+// simulateHistory is wildfire.SimulateHistory under a context that
+// never cancels.
+func simulateHistory(tb testing.TB, sim *wildfire.Simulator, seed uint64, mappedPerSeason int) []*wildfire.Season {
+	tb.Helper()
+	seasons, err := wildfire.SimulateHistory(context.Background(), sim, seed, mappedPerSeason)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return seasons
+}
+
+// overlayAt runs the test analyzer's historical overlay at GOMAXPROCS
+// procs.
+func overlayAt(procs int, seasons []*wildfire.Season) (rows []YearOverlay) {
+	faults.WithGOMAXPROCS(procs, func() { rows = testAnalyzer.HistoricalOverlay(seasons) })
+	return rows
+}
 
 func TestClassCacheMatchesDirectSampling(t *testing.T) {
 	for i := 0; i < testData.Len(); i += 997 {
@@ -217,7 +237,7 @@ func TestRadioTypeRisk(t *testing.T) {
 }
 
 func TestHistoricalOverlayTable1(t *testing.T) {
-	seasons := wildfire.SimulateHistory(testSim, 7, 10)
+	seasons := simulateHistory(t, testSim, 7, 10)
 	rows := testAnalyzer.HistoricalOverlay(seasons)
 	if len(rows) != 19 {
 		t.Fatalf("rows = %d", len(rows))

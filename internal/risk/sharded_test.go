@@ -34,7 +34,7 @@ func newShardMergeFixture(t *testing.T, cuts []int) *shardMergeFixture {
 	sim := wildfire.NewSimulator(w, m)
 	f := &shardMergeFixture{
 		mono:    New(w, m, d, c),
-		history: wildfire.SimulateHistory(sim, 5, 3),
+		history: simulateHistory(t, sim, 5, 3),
 		s2019:   wildfire.Simulate2019(sim, 5, 3),
 	}
 	lo := 0
@@ -59,7 +59,7 @@ func TestMergeShardOverlaysMatchesMonolithic(t *testing.T) {
 	if err != nil {
 		t.Fatalf("MergeShardOverlays: %v", err)
 	}
-	if want := f.mono.HistoricalOverlayWorkers(f.history, 1); !reflect.DeepEqual(t1, want) {
+	if want := f.mono.HistoricalOverlay(f.history); !reflect.DeepEqual(t1, want) {
 		t.Errorf("merged Table 1 differs from monolithic:\n got %+v\nwant %+v", t1, want)
 	}
 	if want := f.mono.Validate(f.s2019); !reflect.DeepEqual(v, want) {
@@ -84,7 +84,7 @@ func TestMergeSingleShardIsIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatalf("MergeShardOverlays: %v", err)
 	}
-	if want := f.mono.HistoricalOverlayWorkers(f.history, 1); !reflect.DeepEqual(t1, want) {
+	if want := f.mono.HistoricalOverlay(f.history); !reflect.DeepEqual(t1, want) {
 		t.Errorf("single-shard Table 1 differs from monolithic")
 	}
 	if !reflect.DeepEqual(v, f.mono.Validate(f.s2019)) {

@@ -30,41 +30,20 @@ func historyConfigs(seed uint64, mappedPerSeason int) []SeasonConfig {
 
 // SimulateHistory runs the 2000-2018 seasons with fire counts and burned
 // acres calibrated to the paper's Table 1 marginals. mappedPerSeason
-// controls simulation cost (0 selects the default).
-func SimulateHistory(sim *Simulator, seed uint64, mappedPerSeason int) []*Season {
+// controls simulation cost (0 selects the default). Seasons fan out over
+// min(GOMAXPROCS, 19) goroutines. Every season draws from its own rng
+// stream keyed by year and the simulator is read-only after
+// construction, so the output is bit-identical at any GOMAXPROCS — only
+// wall-clock time changes.
+//
+// Cancellation is honored between seasons: a cancelled ctx stops
+// workers from claiming further seasons, the seasons already in flight
+// run to completion (a season is the cancellation granularity), and the
+// call returns a nil slice with an error wrapping ctx.Err() and the
+// progress made — partial histories never escape.
+func SimulateHistory(ctx context.Context, sim *Simulator, seed uint64, mappedPerSeason int) ([]*Season, error) {
 	cfgs := historyConfigs(seed, mappedPerSeason)
-	out := make([]*Season, 0, len(cfgs))
-	for _, cfg := range cfgs {
-		out = append(out, sim.Season(cfg))
-	}
-	return out
-}
-
-// SimulateHistoryParallel simulates the same 2000-2018 seasons across
-// bounded workers (0 selects GOMAXPROCS). Every season draws from its
-// own rng stream keyed by year and the simulator is read-only after
-// construction, so the output is bit-identical to SimulateHistory
-// regardless of scheduling — only wall-clock time changes.
-func SimulateHistoryParallel(sim *Simulator, seed uint64, mappedPerSeason, workers int) []*Season {
-	// context.Background never cancels, so the error is unreachable.
-	out, _ := SimulateHistoryContext(context.Background(), sim, seed, mappedPerSeason, workers) //fivealarms:allow(errflow) context.Background never cancels, so the error is unreachable
-	return out
-}
-
-// SimulateHistoryContext is SimulateHistoryParallel under a context,
-// honoring cancellation between seasons: a cancelled ctx stops workers
-// from claiming further seasons, the seasons already in flight run to
-// completion (a season is the cancellation granularity), and the call
-// returns a nil slice with an error wrapping ctx.Err() and the progress
-// made — partial histories never escape.
-func SimulateHistoryContext(ctx context.Context, sim *Simulator, seed uint64, mappedPerSeason, workers int) ([]*Season, error) {
-	cfgs := historyConfigs(seed, mappedPerSeason)
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(cfgs) {
-		workers = len(cfgs)
-	}
+	workers := min(runtime.GOMAXPROCS(0), len(cfgs))
 	out := make([]*Season, len(cfgs))
 	var next atomic.Int64
 	var wg sync.WaitGroup

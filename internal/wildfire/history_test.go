@@ -3,17 +3,35 @@ package wildfire
 import (
 	"context"
 	"errors"
+	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
+
+	"fivealarms/internal/faults"
 )
+
+// historyAt simulates the 2000-2018 seasons at GOMAXPROCS procs.
+func historyAt(t *testing.T, procs int, seed uint64, mappedPerSeason int) []*Season {
+	t.Helper()
+	var seasons []*Season
+	var err error
+	faults.WithGOMAXPROCS(procs, func() {
+		seasons, err = SimulateHistory(context.Background(), testSim, seed, mappedPerSeason)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return seasons
+}
 
 // The parallel history must be bit-identical to the serial one: every
 // season draws from its own rng stream, so scheduling cannot leak into
 // the results.
 func TestSimulateHistoryParallelMatchesSerial(t *testing.T) {
-	serial := SimulateHistory(testSim, 7, 4)
-	parallel := SimulateHistoryParallel(testSim, 7, 4, 4)
+	serial := historyAt(t, 1, 7, 4)
+	parallel := historyAt(t, 4, 7, 4)
 	if len(serial) != len(parallel) {
 		t.Fatalf("season counts differ: %d vs %d", len(serial), len(parallel))
 	}
@@ -31,21 +49,25 @@ func TestSimulateHistoryParallelMatchesSerial(t *testing.T) {
 				fa.Name != fb.Name || fa.StartDay != fb.StartDay {
 				t.Fatalf("season %d fire %d differs: %+v vs %+v", i, j, fa, fb)
 			}
+			// Table 1 joins against the perimeters.
+			if !reflect.DeepEqual(fa.Perimeter, fb.Perimeter) {
+				t.Fatalf("season %d fire %d perimeter differs", i, j)
+			}
 		}
 	}
 }
 
-// Worker counts beyond the season count and the GOMAXPROCS default both
-// produce the same ordered output.
+// GOMAXPROCS beyond the 19 seasons clamps the fan-out to one goroutine
+// per season and produces the same ordered output as the default.
 func TestSimulateHistoryParallelWorkerBounds(t *testing.T) {
-	a := SimulateHistoryParallel(testSim, 3, 2, 100)
-	b := SimulateHistoryParallel(testSim, 3, 2, 0)
+	a := historyAt(t, 100, 3, 2)
+	b := historyAt(t, runtime.GOMAXPROCS(0), 3, 2)
 	if len(a) != len(b) {
 		t.Fatalf("lengths differ: %d vs %d", len(a), len(b))
 	}
 	for i := range a {
 		if a[i].Year != b[i].Year || a[i].MappedAcres() != b[i].MappedAcres() {
-			t.Fatalf("season %d differs across worker counts", i)
+			t.Fatalf("season %d differs across GOMAXPROCS settings", i)
 		}
 	}
 }
@@ -55,7 +77,7 @@ func TestSimulateHistoryParallelWorkerBounds(t *testing.T) {
 func TestSimulateHistoryContextCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	seasons, err := SimulateHistoryContext(ctx, testSim, 7, 2, 4)
+	seasons, err := SimulateHistory(ctx, testSim, 7, 2)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled in chain", err)
 	}
@@ -89,10 +111,14 @@ func (c *errAfterCalls) Err() error {
 
 // Cancellation between seasons: the first season completes, the second
 // is never claimed, and the partial count is reported — never a partial
-// slice.
+// slice. GOMAXPROCS=1 runs the one worker the poll budget assumes.
 func TestSimulateHistoryContextCancelBetweenSeasons(t *testing.T) {
 	ctx := &errAfterCalls{Context: context.Background(), remaining: 1}
-	seasons, err := SimulateHistoryContext(ctx, testSim, 7, 2, 1)
+	var seasons []*Season
+	var err error
+	faults.WithGOMAXPROCS(1, func() {
+		seasons, err = SimulateHistory(ctx, testSim, 7, 2)
+	})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v", err)
 	}
@@ -101,23 +127,5 @@ func TestSimulateHistoryContextCancelBetweenSeasons(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "1 of 19") {
 		t.Errorf("error lacks season-boundary progress: %v", err)
-	}
-}
-
-// With an inert context the ctx-aware path is bit-identical to the
-// infallible wrapper.
-func TestSimulateHistoryContextMatchesParallel(t *testing.T) {
-	a := SimulateHistoryParallel(testSim, 11, 2, 4)
-	b, err := SimulateHistoryContext(context.Background(), testSim, 11, 2, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(a) != len(b) {
-		t.Fatalf("lengths differ: %d vs %d", len(a), len(b))
-	}
-	for i := range a {
-		if a[i].Year != b[i].Year || a[i].MappedAcres() != b[i].MappedAcres() {
-			t.Fatalf("season %d differs", i)
-		}
 	}
 }

@@ -2,6 +2,7 @@ package wildfire
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"math"
 	"strings"
@@ -172,7 +173,10 @@ func TestForcedIgnitions(t *testing.T) {
 }
 
 func TestSimulateHistoryCalibration(t *testing.T) {
-	seasons := SimulateHistory(testSim, 7, 6)
+	seasons, err := SimulateHistory(context.Background(), testSim, 7, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(seasons) != 19 {
 		t.Fatalf("seasons = %d, want 19", len(seasons))
 	}

@@ -66,7 +66,7 @@ func (s *Study) runBands() (*bandResults, error) {
 	res := &bandResults{rows: make([]int, n)}
 	var idx [][]int // per-band indices into Data.T; nil for one band
 
-	g := pipeline.New(0)
+	g := pipeline.New()
 	if buildFaultHook != nil {
 		g.SetInjectionHook(buildFaultHook)
 	}
