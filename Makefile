@@ -117,7 +117,8 @@ diffcheck:
 	$(GO) test -count=1 ./internal/refimpl/... \
 		-run 'Sweep|Golden|Fixture|EqualUlp|Divergence'
 	$(GO) test -count=1 ./internal/geom ./internal/raster ./internal/rtree \
-		./internal/grid ./internal/proj -run 'Conformance|Golden'
+		./internal/grid ./internal/proj ./internal/census ./internal/conus \
+		./internal/rng -run 'Conformance|Golden'
 	$(GO) test -count=1 ./internal/risk -run 'CrossCheck'
 	$(GO) test -count=1 . -run 'SeedDeterminism|Metamorphic|ShardedDiffcheck'
 
@@ -132,6 +133,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzParseWKTPolygon -fuzztime=10s ./internal/geom
 	$(GO) test -fuzz=FuzzParseWKTMultiPolygon -fuzztime=10s ./internal/geom
 	$(GO) test -fuzz=FuzzContainmentDiff -fuzztime=10s ./internal/geom
+	$(GO) test -fuzz=FuzzWeightedVoronoiDiff -fuzztime=10s ./internal/geom
 	$(GO) test -fuzz=FuzzRasterDiff -fuzztime=10s ./internal/raster
 	$(GO) test -fuzz=FuzzRTreeDiff -fuzztime=10s ./internal/rtree
 	$(GO) test -fuzz=FuzzGridIndexDiff -fuzztime=10s ./internal/grid

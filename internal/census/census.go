@@ -79,7 +79,22 @@ type Counties struct {
 	// byState holds indices into All per state index.
 	byState [][]int
 	world   *conus.World
+
+	// The CountyAt index over countyTile×countyTile-cell tiles of the
+	// world grid. Tile t = (cy/countyTile)*tilesX + cx/countyTile owns
+	// entries tileEnt[t]:tileEnt[t+1], one per state present among its
+	// StateZone cells. Entry e holds that state's StateZone value
+	// entZone[e] and lists, in byState order, the counties that can win
+	// some point of the tile: cands[entCand[e]:entCand[e+1]].
+	tilesX  int
+	tileEnt []int32
+	entZone []uint8
+	entCand []int32
+	cands   []int32
 }
+
+// countyTile is the edge, in cells, of the tiles of the CountyAt index.
+const countyTile = 16
 
 // Synthesize builds the county layer for the world. Deterministic in
 // (world configuration, seed).
@@ -158,7 +173,60 @@ func Synthesize(w *conus.World, seed uint64) *Counties {
 		}
 		c.byState[si] = countyIdx
 	}
+	c.buildIndex()
 	return c
+}
+
+// buildIndex prunes each state's counties against every tile it is
+// present in. The tile rectangle is inflated by 1 m, which absorbs the
+// rounding by which CellOf may place a point just outside its cell.
+func (c *Counties) buildIndex() {
+	w := c.world
+	g := w.Grid
+	seeds := make([][]geom.Point, len(c.byState))
+	weights := make([][]float64, len(c.byState))
+	for si, idx := range c.byState {
+		for _, ci := range idx {
+			seeds[si] = append(seeds[si], c.All[ci].Seed)
+			weights[si] = append(weights[si], c.All[ci].weight)
+		}
+	}
+	c.tilesX = (g.NX + countyTile - 1) / countyTile
+	tilesY := (g.NY + countyTile - 1) / countyTile
+	c.tileEnt = make([]int32, 1, c.tilesX*tilesY+1)
+	c.entCand = []int32{0}
+	present := make([]bool, len(c.byState))
+	var keep []int
+	for ty := 0; ty < tilesY; ty++ {
+		for tx := 0; tx < c.tilesX; tx++ {
+			x0, y0 := tx*countyTile, ty*countyTile
+			x1, y1 := min(x0+countyTile, g.NX), min(y0+countyTile, g.NY)
+			clear(present)
+			for cy := y0; cy < y1; cy++ {
+				for _, v := range w.StateZone.Data[cy*g.NX+x0 : cy*g.NX+x1] {
+					if v > 0 {
+						present[v-1] = true
+					}
+				}
+			}
+			tile := geom.BBox{
+				MinX: g.MinX + float64(x0)*g.CellSize, MinY: g.MinY + float64(y0)*g.CellSize,
+				MaxX: g.MinX + float64(x1)*g.CellSize, MaxY: g.MinY + float64(y1)*g.CellSize,
+			}.Buffer(1)
+			for si, ok := range present {
+				if !ok {
+					continue
+				}
+				keep = geom.WeightedVoronoiCandidates(keep[:0], tile, seeds[si], weights[si])
+				for _, k := range keep {
+					c.cands = append(c.cands, int32(c.byState[si][k]))
+				}
+				c.entZone = append(c.entZone, uint8(si+1))
+				c.entCand = append(c.entCand, int32(len(c.cands)))
+			}
+			c.tileEnt = append(c.tileEnt, int32(len(c.entZone)))
+		}
+	}
 }
 
 // zipfAllocate splits total across n ranks with weights 1/(rank^1.05),
@@ -226,19 +294,30 @@ func countyOrdinal(i int) string {
 
 // CountyAt returns the index into All of the county containing the
 // projected point (nearest county seed within the point's state), or -1
-// outside the CONUS.
+// outside the CONUS. It scans the candidates that the index keeps for
+// the point's tile and state, which hold the winner of a scan over every
+// county of the state.
 func (c *Counties) CountyAt(p geom.Point) int {
-	si := c.world.StateAt(p)
-	if si < 0 {
+	g := c.world.Grid
+	cx, cy, ok := g.CellOf(p)
+	if !ok {
 		return -1
+	}
+	zone := c.world.StateZone.Data[cy*g.NX+cx]
+	if zone == 0 {
+		return -1
+	}
+	e := c.tileEnt[(cy/countyTile)*c.tilesX+cx/countyTile]
+	for c.entZone[e] != zone {
+		e++
 	}
 	best := -1
 	bestD := math.Inf(1)
-	for _, ci := range c.byState[si] {
+	for _, ci := range c.cands[c.entCand[e]:c.entCand[e+1]] {
 		d := c.All[ci].Seed.DistanceTo(p) / c.All[ci].weight
 		if d < bestD {
 			bestD = d
-			best = ci
+			best = int(ci)
 		}
 	}
 	return best

@@ -1,11 +1,14 @@
 package census
 
 import (
+	"math"
 	"testing"
 
+	"fivealarms/internal/cellnet"
 	"fivealarms/internal/conus"
 	"fivealarms/internal/geodata"
 	"fivealarms/internal/geom"
+	"fivealarms/internal/rng"
 )
 
 var (
@@ -161,10 +164,113 @@ func TestCountyOrdinalNames(t *testing.T) {
 	}
 }
 
+// countyAtScan is CountyAt before the tile index: the point's state
+// from StateAt, then a scan of every county of that state.
+func countyAtScan(c *Counties, p geom.Point) int {
+	si := c.world.StateAt(p)
+	if si < 0 {
+		return -1
+	}
+	best := -1
+	bestD := math.Inf(1)
+	for _, ci := range c.byState[si] {
+		d := c.All[ci].Seed.DistanceTo(p) / c.All[ci].weight
+		if d < bestD {
+			bestD = d
+			best = ci
+		}
+	}
+	return best
+}
+
+// countyProbes returns n points over w's grid: a quarter uniform over
+// the grid and a cell beyond it, a quarter on cell edges and corners, a
+// quarter one ulp below a cell corner, and a quarter inside cells that
+// border another state.
+func countyProbes(w *conus.World, seed uint64, n int) []geom.Point {
+	g := w.Grid
+	src := rng.New(seed)
+	var border [][2]int
+	for cy := 0; cy < g.NY; cy++ {
+		for cx := 0; cx < g.NX; cx++ {
+			v := w.StateZone.At(cx, cy)
+			if v == 0 {
+				continue
+			}
+			for _, d := range [4][2]int{{1, 0}, {-1, 0}, {0, 1}, {0, -1}} {
+				nx, ny := cx+d[0], cy+d[1]
+				if nx >= 0 && ny >= 0 && nx < g.NX && ny < g.NY && w.StateZone.At(nx, ny) != v {
+					border = append(border, [2]int{cx, cy})
+					break
+				}
+			}
+		}
+	}
+	edge := func(k int, lo float64) float64 { return lo + float64(k)*g.CellSize }
+	pts := make([]geom.Point, n)
+	for i := range pts {
+		switch i % 4 {
+		case 0:
+			pts[i] = geom.Point{
+				X: src.Range(g.MinX-g.CellSize, g.MinX+float64(g.NX+1)*g.CellSize),
+				Y: src.Range(g.MinY-g.CellSize, g.MinY+float64(g.NY+1)*g.CellSize),
+			}
+		case 1:
+			kx, ky := src.Intn(g.NX+1), src.Intn(g.NY+1)
+			pts[i] = geom.Point{X: edge(kx, g.MinX), Y: edge(ky, g.MinY)}
+			switch src.Intn(3) {
+			case 0:
+				pts[i].X += src.Float64() * g.CellSize
+			case 1:
+				pts[i].Y += src.Float64() * g.CellSize
+			}
+		case 2:
+			kx, ky := 1+src.Intn(g.NX), 1+src.Intn(g.NY)
+			pts[i] = geom.Point{
+				X: math.Nextafter(edge(kx, g.MinX), math.Inf(-1)),
+				Y: math.Nextafter(edge(ky, g.MinY), math.Inf(-1)),
+			}
+		case 3:
+			c := border[src.Intn(len(border))]
+			pts[i] = geom.Point{
+				X: edge(c[0], g.MinX) + src.Float64()*g.CellSize,
+				Y: edge(c[1], g.MinY) + src.Float64()*g.CellSize,
+			}
+		}
+	}
+	return pts
+}
+
+// TestCountyAtConformance pins the tile-indexed CountyAt to the scan
+// over every county of the point's state.
+func TestCountyAtConformance(t *testing.T) {
+	for _, tc := range []struct {
+		cell float64
+		seed uint64
+	}{{2700, 7}, {10000, 1}, {20000, 99}, {40000, 7}} {
+		w := conus.Build(conus.Config{Seed: tc.seed, CellSizeM: tc.cell})
+		c := Synthesize(w, tc.seed)
+		for i, p := range countyProbes(w, tc.seed, 100_000) {
+			if got, want := c.CountyAt(p), countyAtScan(c, p); got != want {
+				t.Fatalf("%g m, seed %d, probe %d at %v: CountyAt %d, scan %d", tc.cell, tc.seed, i, p, got, want)
+			}
+		}
+	}
+}
+
+var countySink int
+
+// BenchmarkCountyAt looks up the county of every transceiver position
+// of a 2.7 km fleet, the join risk.New runs once per study.
 func BenchmarkCountyAt(b *testing.B) {
-	p := testWorld.ToXY(geom.Point{X: -100, Y: 40})
+	w := conus.Build(conus.Config{Seed: 7, CellSizeM: 2700})
+	c := Synthesize(w, 7)
+	d := cellnet.Generate(w, cellnet.GenConfig{Seed: 7, Total: 500_000})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = testCounties.CountyAt(p)
+		for j := range d.T {
+			countySink = c.CountyAt(d.T[j].XY)
+		}
 	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(d.T)), "ns/lookup")
 }

@@ -126,29 +126,45 @@ func Build(cfg Config) *World {
 	return w
 }
 
+// zoneTile is the edge, in cells, of the square tiles over which
+// buildStateZones prunes the state seeds.
+const zoneTile = 16
+
 // buildStateZones assigns each inside cell to the state minimizing
 // dist/weight (multiplicatively weighted Voronoi), which yields zone areas
-// roughly proportional to real state areas.
+// roughly proportional to real state areas. Each tile scans only the
+// states that can win one of its cell centres, in state order, so every
+// cell gets the state a scan of all of them would give.
 func (w *World) buildStateZones() {
-	w.StateZone = raster.NewClassGrid(w.Grid)
-	for cy := 0; cy < w.Grid.NY; cy++ {
-		for cx := 0; cx < w.Grid.NX; cx++ {
-			if !w.Inside.Get(cx, cy) {
-				continue
-			}
-			p := w.Grid.Center(cx, cy)
-			best := -1
-			bestD := math.Inf(1)
-			for i, c := range w.statesXY {
-				dx := p.X - c.X
-				dy := p.Y - c.Y
-				d := math.Sqrt(dx*dx+dy*dy) / w.stateWt[i]
-				if d < bestD {
-					bestD = d
-					best = i
+	g := w.Grid
+	w.StateZone = raster.NewClassGrid(g)
+	var cand []int
+	for ty := 0; ty < g.NY; ty += zoneTile {
+		for tx := 0; tx < g.NX; tx += zoneTile {
+			x1, y1 := min(tx+zoneTile, g.NX), min(ty+zoneTile, g.NY)
+			centres := geom.NewBBox(g.Center(tx, ty), g.Center(x1-1, y1-1)).Buffer(1)
+			cand = geom.WeightedVoronoiCandidates(cand[:0], centres, w.statesXY, w.stateWt)
+			for cy := ty; cy < y1; cy++ {
+				for cx := tx; cx < x1; cx++ {
+					if !w.Inside.Get(cx, cy) {
+						continue
+					}
+					p := g.Center(cx, cy)
+					best := -1
+					bestD := math.Inf(1)
+					for _, i := range cand {
+						c := w.statesXY[i]
+						dx := p.X - c.X
+						dy := p.Y - c.Y
+						d := math.Sqrt(dx*dx+dy*dy) / w.stateWt[i]
+						if d < bestD {
+							bestD = d
+							best = i
+						}
+					}
+					w.StateZone.Set(cx, cy, uint8(best+1))
 				}
 			}
-			w.StateZone.Set(cx, cy, uint8(best+1))
 		}
 	}
 }

@@ -204,6 +204,60 @@ func TestOutlineValid(t *testing.T) {
 	}
 }
 
+// stateZoneScan is the state assignment buildStateZones made before it
+// pruned by tile: every inside cell scans all the states.
+func stateZoneScan(w *World) []uint8 {
+	zones := make([]uint8, w.Grid.Cells())
+	for cy := 0; cy < w.Grid.NY; cy++ {
+		for cx := 0; cx < w.Grid.NX; cx++ {
+			if !w.Inside.Get(cx, cy) {
+				continue
+			}
+			p := w.Grid.Center(cx, cy)
+			best := -1
+			bestD := math.Inf(1)
+			for i, c := range w.statesXY {
+				dx := p.X - c.X
+				dy := p.Y - c.Y
+				d := math.Sqrt(dx*dx+dy*dy) / w.stateWt[i]
+				if d < bestD {
+					bestD = d
+					best = i
+				}
+			}
+			zones[cy*w.Grid.NX+cx] = uint8(best + 1)
+		}
+	}
+	return zones
+}
+
+// TestStateZoneConformance pins the tile-pruned state zones to the scan
+// over every state, cell for cell.
+func TestStateZoneConformance(t *testing.T) {
+	for _, cell := range []float64{2700, 10000, 20000, 40000} {
+		for _, seed := range []uint64{1, 7, 99} {
+			w := Build(Config{Seed: seed, CellSizeM: cell})
+			want := stateZoneScan(w)
+			for i, got := range w.StateZone.Data {
+				if got != want[i] {
+					t.Fatalf("%g m, seed %d: cell (%d,%d) in state zone %d, scan says %d",
+						cell, seed, i%w.Grid.NX, i/w.Grid.NX, got, want[i])
+				}
+			}
+		}
+	}
+}
+
+var worldSink *World
+
+// BenchmarkWorldBuild builds the world at the paper's 2.7 km raster,
+// the build task every other task of a study waits for.
+func BenchmarkWorldBuild(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		worldSink = Build(Config{Seed: 7, CellSizeM: 2700})
+	}
+}
+
 func BenchmarkBuild40km(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		_ = Build(Config{Seed: 1, CellSizeM: 40000})

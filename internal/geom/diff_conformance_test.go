@@ -47,3 +47,27 @@ func FuzzContainmentDiff(f *testing.F) {
 		}
 	})
 }
+
+// TestWeightedVoronoiConformance sweeps the weighted-Voronoi candidate
+// pruner against full first-minimum scans over seeded adversarial
+// scenarios: duplicate seeds, exact ties on an integer lattice, weights
+// over six decades, seeds on box edges and corners, and probes at box
+// corners, on box edges and one ulp inside.
+func TestWeightedVoronoiConformance(t *testing.T) {
+	if err := diffcheck.Sweep(300, diffcheck.CheckWeightedVoronoi); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// FuzzWeightedVoronoiDiff drives the pruner's twins from fuzz-chosen
+// seeds.
+func FuzzWeightedVoronoiDiff(f *testing.F) {
+	for seed := int64(0); seed < 16; seed++ {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, seed int64) {
+		if err := diffcheck.CheckWeightedVoronoi(seed); err != nil {
+			t.Fatal(err)
+		}
+	})
+}

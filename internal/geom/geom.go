@@ -178,6 +178,42 @@ func (b BBox) Intersection(o BBox) BBox {
 	return r
 }
 
+// DistanceTo returns the planar distance from p to the nearest point of
+// b: exactly 0 when p lies inside or on the boundary, +Inf for an empty
+// box.
+func (b BBox) DistanceTo(p Point) float64 {
+	if b.IsEmpty() {
+		return math.Inf(1)
+	}
+	dx := 0.0
+	if p.X < b.MinX {
+		dx = b.MinX - p.X
+	} else if p.X > b.MaxX {
+		dx = p.X - b.MaxX
+	}
+	dy := 0.0
+	if p.Y < b.MinY {
+		dy = b.MinY - p.Y
+	} else if p.Y > b.MaxY {
+		dy = p.Y - b.MaxY
+	}
+	if dx == 0 && dy == 0 { //fivealarms:allow(floateq) inside-box fast path; dx/dy are exactly zero by construction above
+		return 0
+	}
+	return math.Hypot(dx, dy)
+}
+
+// MaxDistanceTo returns the planar distance from p to the farthest point
+// of b, which is always one of its corners; +Inf for an empty box.
+func (b BBox) MaxDistanceTo(p Point) float64 {
+	if b.IsEmpty() {
+		return math.Inf(1)
+	}
+	dx := math.Max(math.Abs(p.X-b.MinX), math.Abs(p.X-b.MaxX))
+	dy := math.Max(math.Abs(p.Y-b.MinY), math.Abs(p.Y-b.MaxY))
+	return math.Hypot(dx, dy)
+}
+
 // String implements fmt.Stringer.
 func (b BBox) String() string {
 	return fmt.Sprintf("[%.6f,%.6f %.6f,%.6f]", b.MinX, b.MinY, b.MaxX, b.MaxY)

@@ -2,6 +2,7 @@ package geom
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -105,6 +106,49 @@ func TestBBoxBuffer(t *testing.T) {
 	}
 	if !NewBBox(Pt(0, 0), Pt(1, 1)).Buffer(-2).IsEmpty() {
 		t.Error("over-shrunk box should be empty")
+	}
+}
+
+func TestBBoxDistances(t *testing.T) {
+	b := NewBBox(Pt(0, 0), Pt(4, 2))
+	for _, tc := range []struct {
+		p        Point
+		min, max float64
+	}{
+		{Pt(1, 1), 0, math.Hypot(3, 1)},  // inside
+		{Pt(4, 2), 0, math.Hypot(4, 2)},  // on a corner
+		{Pt(7, 6), 5, math.Hypot(7, 6)},  // beyond a corner
+		{Pt(2, -3), 3, math.Hypot(2, 5)}, // beside an edge
+	} {
+		if got := b.DistanceTo(tc.p); got != tc.min {
+			t.Errorf("DistanceTo(%v) = %v, want %v", tc.p, got, tc.min)
+		}
+		if got := b.MaxDistanceTo(tc.p); got != tc.max {
+			t.Errorf("MaxDistanceTo(%v) = %v, want %v", tc.p, got, tc.max)
+		}
+	}
+	if !math.IsInf(EmptyBBox().DistanceTo(Pt(0, 0)), 1) || !math.IsInf(EmptyBBox().MaxDistanceTo(Pt(0, 0)), 1) {
+		t.Error("an empty box must be infinitely far")
+	}
+}
+
+func TestWeightedVoronoiCandidates(t *testing.T) {
+	seeds := []Point{Pt(0, 0), Pt(100, 0), Pt(2, 0), Pt(100, 0), Pt(1000, 0), Pt(3, 0)}
+	weights := []float64{1, 1, 1, 100, -1, 1}
+	box := NewBBox(Pt(-1, -1), Pt(1, 1))
+	// Seed 3's weight brings its worst case down to hypot(101, 1)/100,
+	// about 1.01, which sets the bound. Seeds 0 and 2 have best cases of
+	// 0 and 1, within it; seeds 1 and 5, at 99 and 2, are dropped. The
+	// non-positive weight is always kept.
+	got := WeightedVoronoiCandidates([]int{7}, box, seeds, weights)
+	if want := []int{7, 0, 2, 3, 4}; !slices.Equal(got, want) {
+		t.Errorf("candidates = %v, want %v", got, want)
+	}
+	if got := WeightedVoronoiCandidates(nil, EmptyBBox(), seeds, weights); len(got) != len(seeds) {
+		t.Errorf("an empty box kept %v, want every seed", got)
+	}
+	if got := WeightedVoronoiCandidates(nil, box, nil, nil); len(got) != 0 {
+		t.Errorf("no seeds kept %v", got)
 	}
 }
 

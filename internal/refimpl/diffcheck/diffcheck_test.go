@@ -51,6 +51,12 @@ func TestSweepAlbers(t *testing.T) {
 	}
 }
 
+func TestSweepWeightedVoronoi(t *testing.T) {
+	if err := Sweep(400, CheckWeightedVoronoi); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestGoldenFixtures(t *testing.T) {
 	names := FixtureNames()
 	if len(names) < 3 {

@@ -449,11 +449,65 @@ func firstMaskDiff(a, b *raster.BitGrid) (cx, cy int, ok bool) {
 	return 0, 0, true
 }
 
+// CheckWeightedVoronoi runs one seeded weighted-Voronoi pruning
+// scenario. For every box, the candidates geom.WeightedVoronoiCandidates
+// keeps must be in input order, and at every probe of the box the
+// first-minimum scan over them must pick the seed that the scan over all
+// seeds picks: under refimpl.WeightedNearest's sqrt(dx² + dy²) distance,
+// which the state zones use, and under math.Hypot, which the county
+// lookup uses.
+func CheckWeightedVoronoi(seed int64) error {
+	c := GenWeightedVoronoiCase(seed)
+	for b, box := range c.Boxes {
+		cand := geom.WeightedVoronoiCandidates(nil, box, c.Seeds, c.Weights)
+		seeds := make([]geom.Point, len(cand))
+		weights := make([]float64, len(cand))
+		for k, i := range cand {
+			if k > 0 && i <= cand[k-1] {
+				return divergef("voronoi-order", seed, "%s: box %v: candidates %v out of input order", c.Desc, box, cand)
+			}
+			seeds[k], weights[k] = c.Seeds[i], c.Weights[i]
+		}
+		for _, p := range c.Probes[b] {
+			for _, nearest := range []struct {
+				name string
+				scan func(geom.Point, []geom.Point, []float64) int
+			}{{"sqrt", refimpl.WeightedNearest}, {"hypot", hypotNearest}} {
+				want := nearest.scan(p, c.Seeds, c.Weights)
+				got := -1
+				if k := nearest.scan(p, seeds, weights); k >= 0 {
+					got = cand[k]
+				}
+				if got != want {
+					return divergef("voronoi-prune", seed, "%s: box %v probe %v (%s distance): %d of %d seeds kept, pruned scan picks %d, full scan %d",
+						c.Desc, box, p, nearest.name, len(cand), len(c.Seeds), got, want)
+				}
+			}
+		}
+	}
+	return nil
+}
+
+// hypotNearest is refimpl.WeightedNearest with the distance measured by
+// math.Hypot (geom.Point.DistanceTo).
+func hypotNearest(p geom.Point, seeds []geom.Point, weights []float64) int {
+	best := -1
+	bestD := math.Inf(1)
+	for i, s := range seeds {
+		if d := p.DistanceTo(s) / weights[i]; d < bestD {
+			best = i
+			bestD = d
+		}
+	}
+	return best
+}
+
 // CheckAll runs every driver on one seed — the hook the rewired fuzz
 // targets and the study-level conformance test call.
 func CheckAll(seed int64) error {
 	for _, check := range []func(int64) error{
 		CheckContainment, CheckFill, CheckDistance, CheckBoxes, CheckPointIndex, CheckAlbers, CheckParallel,
+		CheckWeightedVoronoi,
 	} {
 		if err := check(seed); err != nil {
 			return err

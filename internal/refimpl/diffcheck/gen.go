@@ -459,3 +459,119 @@ func GenAlbersCase(seed int64) AlbersCase {
 		geom.Point{X: c.Lon0 + 179, Y: 89}, geom.Point{X: c.Lon0 - 179, Y: -89})
 	return c
 }
+
+// WeightedVoronoiCase is one weighted-Voronoi pruning scenario: seeds
+// and weights (duplicate seeds, equal weights, weights over six
+// decades, seeds on box edges and corners), the boxes to prune
+// against, and probe points of each box: its corners, points on its
+// edges, points one ulp inside its corners, and interior points.
+type WeightedVoronoiCase struct {
+	Desc    string
+	Seeds   []geom.Point
+	Weights []float64
+	Boxes   []geom.BBox
+	Probes  [][]geom.Point // Probes[b] lie in Boxes[b]
+}
+
+// GenWeightedVoronoiCase derives one pruning scenario from the seed.
+// Half the cases sit at the projected-metre magnitudes of the CONUS
+// Albers frame, where the coordinates carry the fewest fraction bits.
+func GenWeightedVoronoiCase(seed int64) WeightedVoronoiCase {
+	rng := rand.New(rand.NewSource(seed ^ 0x7e1d0a5e))
+	var origin geom.Point
+	if rng.Intn(2) == 0 {
+		origin = geom.Point{X: -2.4e6 + rng.Float64()*4.8e6, Y: 2.5e5 + rng.Float64()*3e6}
+	}
+	scale := []float64{1, 1000, 5e5}[rng.Intn(3)]
+	lattice := seed%5 == 2
+	coord := func() float64 {
+		if lattice {
+			return float64(rng.Intn(41) - 10)
+		}
+		return (1.5*rng.Float64() - 0.25) * scale
+	}
+	at := func(x, y float64) geom.Point { return geom.Point{X: origin.X + x, Y: origin.Y + y} }
+
+	var c WeightedVoronoiCase
+	for b := 0; b < 6; b++ {
+		x0, y0, x1, y1 := coord(), coord(), coord(), coord()
+		switch rng.Intn(6) {
+		case 0:
+			x1 = x0 // zero width
+		case 1:
+			x1, y1 = x0, y0 // a single point
+		}
+		c.Boxes = append(c.Boxes, geom.NewBBox(at(x0, y0), at(x1, y1)))
+	}
+	n := 1 + rng.Intn(60)
+	switch seed % 5 {
+	case 0:
+		c.Desc = "random seeds"
+		for i := 0; i < n; i++ {
+			c.Seeds = append(c.Seeds, at(coord(), coord()))
+			c.Weights = append(c.Weights, 1+rng.Float64())
+		}
+	case 1:
+		c.Desc = "duplicate seeds"
+		pool := []geom.Point{at(coord(), coord()), at(coord(), coord()), at(coord(), coord())}
+		for i := 0; i < n; i++ {
+			c.Seeds = append(c.Seeds, pool[rng.Intn(len(pool))])
+			c.Weights = append(c.Weights, []float64{1, 2, 1 + rng.Float64()}[rng.Intn(3)])
+		}
+	case 2:
+		c.Desc = "equal weights on an integer lattice"
+		for i := 0; i < n; i++ {
+			c.Seeds = append(c.Seeds, at(coord(), coord()))
+			c.Weights = append(c.Weights, 3)
+		}
+	case 3:
+		c.Desc = "weights over six decades"
+		for i := 0; i < n; i++ {
+			c.Seeds = append(c.Seeds, at(coord(), coord()))
+			c.Weights = append(c.Weights, math.Pow(10, 6*rng.Float64()))
+		}
+	default:
+		c.Desc = "seeds on box edges and corners"
+		for i := 0; i < n; i++ {
+			b := c.Boxes[rng.Intn(len(c.Boxes))]
+			s := geom.Point{X: b.MinX, Y: b.MaxY}
+			switch rng.Intn(3) {
+			case 0:
+				s.X = b.MinX + rng.Float64()*(b.MaxX-b.MinX)
+			case 1:
+				s.Y = b.MinY + rng.Float64()*(b.MaxY-b.MinY)
+			}
+			c.Seeds = append(c.Seeds, s)
+			c.Weights = append(c.Weights, 1+rng.Float64())
+		}
+	}
+	for _, b := range c.Boxes {
+		c.Probes = append(c.Probes, boxProbes(rng, b))
+	}
+	return c
+}
+
+// boxProbes returns points of b: its corners and edge midpoints, random
+// points on its edges, its corners moved one ulp inward on both axes,
+// and random interior points.
+func boxProbes(rng *rand.Rand, b geom.BBox) []geom.Point {
+	lerp := func(lo, hi float64) float64 { return math.Min(hi, lo+rng.Float64()*(hi-lo)) }
+	midX, midY := b.MinX+(b.MaxX-b.MinX)/2, b.MinY+(b.MaxY-b.MinY)/2
+	inX := [2]float64{math.Nextafter(b.MinX, b.MaxX), math.Nextafter(b.MaxX, b.MinX)}
+	inY := [2]float64{math.Nextafter(b.MinY, b.MaxY), math.Nextafter(b.MaxY, b.MinY)}
+	pts := []geom.Point{
+		{X: b.MinX, Y: b.MinY}, {X: b.MaxX, Y: b.MinY}, {X: b.MinX, Y: b.MaxY}, {X: b.MaxX, Y: b.MaxY},
+		{X: midX, Y: b.MinY}, {X: midX, Y: b.MaxY}, {X: b.MinX, Y: midY}, {X: b.MaxX, Y: midY},
+		{X: lerp(b.MinX, b.MaxX), Y: b.MinY}, {X: lerp(b.MinX, b.MaxX), Y: b.MaxY},
+		{X: b.MinX, Y: lerp(b.MinY, b.MaxY)}, {X: b.MaxX, Y: lerp(b.MinY, b.MaxY)},
+	}
+	for _, x := range inX {
+		for _, y := range inY {
+			pts = append(pts, geom.Point{X: x, Y: y})
+		}
+	}
+	for i := 0; i < 8; i++ {
+		pts = append(pts, geom.Point{X: lerp(b.MinX, b.MaxX), Y: lerp(b.MinY, b.MaxY)})
+	}
+	return pts
+}

@@ -1,6 +1,10 @@
 package refimpl
 
-import "fivealarms/internal/geom"
+import (
+	"math"
+
+	"fivealarms/internal/geom"
+)
 
 // RangeQuery is the brute-force twin of grid.Index.Query: the indices of
 // every point inside box (inclusive boundaries), in input order.
@@ -32,4 +36,23 @@ func RadiusQuery(pts []geom.Point, center geom.Point, r float64) []int {
 		}
 	}
 	return out
+}
+
+// WeightedNearest is the brute-force twin of the pruning in
+// geom.WeightedVoronoiCandidates: the index of the seed nearest to p
+// under the multiplicatively weighted distance |p - seeds[i]| /
+// weights[i], with |p - s| = sqrt(dx² + dy²), over a full scan in which
+// the first minimum wins. -1 when no seed is at a distance below +Inf.
+func WeightedNearest(p geom.Point, seeds []geom.Point, weights []float64) int {
+	best := -1
+	bestD := math.Inf(1)
+	for i, s := range seeds {
+		dx := p.X - s.X
+		dy := p.Y - s.Y
+		if d := math.Sqrt(dx*dx+dy*dy) / weights[i]; d < bestD {
+			best = i
+			bestD = d
+		}
+	}
+	return best
 }

@@ -6,8 +6,9 @@
 // rasterization (the twin of raster.FillMultiPolygonInto), a direct
 // Snyder-formula Albers projection (the twin of proj.Albers), brute-force
 // Euclidean distance transforms and buffers (the twin of
-// raster.DistanceTransform / DilateByDistance), and exhaustive point
-// range/radius scans (the twin of grid.Index).
+// raster.DistanceTransform / DilateByDistance), exhaustive point
+// range/radius scans (the twin of grid.Index), and a full weighted-
+// nearest-seed scan (the twin of geom.WeightedVoronoiCandidates).
 //
 // Nothing here is fast and nothing here is clever — that is the point.
 // Each function is written to be obviously correct from its definition,

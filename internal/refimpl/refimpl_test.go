@@ -151,6 +151,23 @@ func TestPointQueries(t *testing.T) {
 	}
 }
 
+func TestWeightedNearestHandCases(t *testing.T) {
+	seeds := []geom.Point{{X: 0, Y: 0}, {X: 10, Y: 0}, {X: 10, Y: 0}}
+	weights := []float64{1, 4, 4}
+	// At x=2 seed 0 is 2 away; seed 1 is 8/4 = 2 away: the tie keeps the
+	// first. Just right of it the heavy seed wins, and its duplicate never
+	// does.
+	if got := WeightedNearest(geom.Pt(2, 0), seeds, weights); got != 0 {
+		t.Errorf("tie at x=2 picked %d, want 0", got)
+	}
+	if got := WeightedNearest(geom.Pt(3, 0), seeds, weights); got != 1 {
+		t.Errorf("x=3 picked %d, want 1", got)
+	}
+	if got := WeightedNearest(geom.Pt(1, 0), nil, nil); got != -1 {
+		t.Errorf("no seeds picked %d, want -1", got)
+	}
+}
+
 func TestAlbersSelfConsistency(t *testing.T) {
 	a := Albers{Phi1: 29.5, Phi2: 45.5, Phi0: 23, Lon0: -96}
 	// The origin maps to (0, 0) by construction.

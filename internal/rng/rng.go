@@ -220,8 +220,74 @@ func (z *Zipfian) Sample(s *Source) int {
 	return lo
 }
 
+// CategoricalTable samples indices in proportion to a fixed weight
+// vector. Each draw binary-searches a running sum instead of rescanning
+// the weights, and returns the same index as Source.Categorical over
+// those weights from the same Source state.
+type CategoricalTable struct {
+	// cum[i] is the sum of the positive weights in [0, i], for every i
+	// before the first NaN weight.
+	cum   []float64
+	total float64 // the sum of every positive weight
+	last  int     // the index returned when no running sum exceeds a draw
+}
+
+// NewCategorical precomputes a table over weights, which should be
+// non-negative. As in Categorical, zero and negative weights add
+// nothing to the running sum.
+func NewCategorical(weights []float64) *CategoricalTable {
+	// Categorical's scan adds a NaN weight into its running sum, after
+	// which no draw stops before the last index: the table ends there.
+	n := len(weights)
+	for i, w := range weights {
+		if math.IsNaN(w) {
+			n = i
+			break
+		}
+	}
+	t := &CategoricalTable{cum: make([]float64, n), last: len(weights) - 1}
+	// The additions run in Categorical's order under its w > 0 test, so
+	// total equals its total bit for bit.
+	for i, w := range weights {
+		if w > 0 {
+			t.total += w
+		}
+		if i < n {
+			t.cum[i] = t.total
+		}
+	}
+	return t
+}
+
+// Sample draws an index, consuming exactly the randomness Categorical
+// would: none when the total weight is not positive (it returns 0),
+// one Float64 otherwise.
+func (t *CategoricalTable) Sample(s *Source) int {
+	if !(t.total > 0) {
+		return 0
+	}
+	u := s.Float64() * t.total
+	// The first running sum above u is where Categorical's scan stops:
+	// the sums never decrease, and a skipped weight repeats the sum
+	// before it, so its index is never the first one above u.
+	lo, hi := 0, len(t.cum)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if t.cum[mid] > u {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	if lo == len(t.cum) {
+		return t.last
+	}
+	return lo
+}
+
 // Categorical samples an index from the given non-negative weights. Zero
-// total weight returns 0.
+// total weight returns 0. For repeated draws over the same weights use
+// NewCategorical.
 func (s *Source) Categorical(weights []float64) int {
 	var total float64
 	for _, w := range weights {

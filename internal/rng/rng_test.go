@@ -234,6 +234,77 @@ func TestCategorical(t *testing.T) {
 	}
 }
 
+// categoricalCase is one adversarial weight vector for the table
+// conformance test.
+type categoricalCase struct {
+	name  string
+	w     []float64
+	draws int
+}
+
+func categoricalCases() []categoricalCase {
+	nan, inf := math.NaN(), math.Inf(1)
+	sub := math.SmallestNonzeroFloat64
+	dominant := make([]float64, 1_000_001)
+	for i := range dominant {
+		dominant[i] = 1e-12
+	}
+	dominant[500_000] = 1
+	cases := []categoricalCase{
+		{"empty", nil, 16},
+		{"all zero", []float64{0, 0, 0, 0}, 16},
+		{"negatives and zeros", []float64{-1, 0, -3, 0}, 16},
+		{"all NaN", []float64{nan, nan}, 16},
+		{"one positive", []float64{0, -2, 5, nan, 0}, 1000},
+		{"NaN after positives", []float64{1, 2, nan, 3, 0}, 10000},
+		{"mixed signs and NaN", []float64{nan, -1, 2, 0, nan, 3, -inf, 0.5, 0}, 10000},
+		{"leading and trailing zeros", []float64{0, 0, 1, 1, 0, 0}, 10000},
+		{"subnormals", []float64{sub, 0, 3 * sub, 1e-310, sub, 0}, 10000},
+		{"subnormals beside a normal", []float64{sub, 1e-300, sub, 2e-308}, 10000},
+		{"total overflows", []float64{math.MaxFloat64, 0, math.MaxFloat64, 1, math.MaxFloat64 / 2}, 10000},
+		{"infinite weight", []float64{1, 0, inf, 2}, 1000},
+		{"one dominant among 1e6 tiny", dominant, 64},
+	}
+	// Seeded random vectors: runs of zeros, negatives and NaNs between
+	// positive weights spanning twelve decades.
+	src := New(53)
+	for k := 0; k < 20; k++ {
+		w := make([]float64, 1+src.Intn(300))
+		for i := range w {
+			switch src.Intn(8) {
+			case 0:
+				w[i] = 0
+			case 1:
+				w[i] = -src.Float64()
+			case 2:
+				w[i] = nan
+			default:
+				w[i] = math.Pow(10, src.Range(-6, 6))
+			}
+		}
+		cases = append(cases, categoricalCase{"random", w, 2000})
+	}
+	return cases
+}
+
+// TestCategoricalTableConformance pins CategoricalTable to
+// Source.Categorical: from the same Source state, every draw returns
+// the same index and leaves the Source in the same state.
+func TestCategoricalTableConformance(t *testing.T) {
+	for ci, c := range categoricalCases() {
+		table := NewCategorical(c.w)
+		a := NewStream(uint64(ci), 61)
+		for d := 0; d < c.draws; d++ {
+			b := *a
+			want := a.Categorical(c.w)
+			if got := table.Sample(&b); got != want || b != *a {
+				t.Fatalf("case %d (%s), draw %d: table %d, Categorical %d (sources equal: %v)",
+					ci, c.name, d, got, want, b == *a)
+			}
+		}
+	}
+}
+
 func TestPerm(t *testing.T) {
 	s := New(41)
 	p := s.Perm(20)

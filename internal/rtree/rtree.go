@@ -203,12 +203,12 @@ func (t *Tree) Nearest(p geom.Point) (int, float64) {
 
 func (t *Tree) nearest(ni int, p geom.Point, bestID *int, bestD *float64) {
 	nd := &t.nodes[ni]
-	if boxDist(nd.box, p) >= *bestD {
+	if nd.box.DistanceTo(p) >= *bestD {
 		return
 	}
 	if !nd.isParent {
 		for _, it := range t.leaves[nd.first : nd.first+nd.count] {
-			if d := boxDist(it.Box, p); d < *bestD {
+			if d := it.Box.DistanceTo(p); d < *bestD {
 				*bestD = d
 				*bestID = it.ID
 			}
@@ -230,7 +230,7 @@ func (t *Tree) nearest(ni int, p geom.Point, bestID *int, bestD *float64) {
 	var order [64]cd
 	cnt := 0
 	for c := nd.first; c < nd.first+nd.count; c++ {
-		order[cnt] = cd{c, boxDist(t.nodes[c].box, p)}
+		order[cnt] = cd{c, t.nodes[c].box.DistanceTo(p)}
 		cnt++
 	}
 	children := order[:cnt]
@@ -238,28 +238,6 @@ func (t *Tree) nearest(ni int, p geom.Point, bestID *int, bestD *float64) {
 	for _, c := range children {
 		t.nearest(c.idx, p, bestID, bestD)
 	}
-}
-
-func boxDist(b geom.BBox, p geom.Point) float64 {
-	if b.IsEmpty() {
-		return inf()
-	}
-	dx := 0.0
-	if p.X < b.MinX {
-		dx = b.MinX - p.X
-	} else if p.X > b.MaxX {
-		dx = p.X - b.MaxX
-	}
-	dy := 0.0
-	if p.Y < b.MinY {
-		dy = b.MinY - p.Y
-	} else if p.Y > b.MaxY {
-		dy = p.Y - b.MaxY
-	}
-	if dx == 0 && dy == 0 { //fivealarms:allow(floateq) inside-box fast path; dx/dy are exactly zero by construction above
-		return 0
-	}
-	return geom.Point{X: dx, Y: dy}.Norm()
 }
 
 func inf() float64 { return math.Inf(1) }

@@ -127,7 +127,7 @@ func TestNearestMatchesBruteForce(t *testing.T) {
 		_, gotD := tr.Nearest(p)
 		bestD := 1e300
 		for _, it := range items {
-			if d := boxDist(it.Box, p); d < bestD {
+			if d := it.Box.DistanceTo(p); d < bestD {
 				bestD = d
 			}
 		}

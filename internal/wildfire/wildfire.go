@@ -171,15 +171,17 @@ func (c SeasonConfig) withDefaults() SeasonConfig {
 type Simulator struct {
 	World  *conus.World
 	Hazard *whp.Map
-	// ignitionPool caches candidate ignition cells weighted by hazard.
-	pool   []geom.Point
-	poolWt []float64
+	// pool holds the candidate ignition cells, and ignition draws a pool
+	// index in proportion to each cell's hazard-and-human weight.
+	pool     []geom.Point
+	ignition *rng.CategoricalTable
 }
 
 // NewSimulator prepares a simulator. The hazard map supplies the fuel
 // model; its raster resolution does not constrain fire resolution.
 func NewSimulator(w *conus.World, hazard *whp.Map) *Simulator {
 	s := &Simulator{World: w, Hazard: hazard}
+	var weights []float64
 	g := w.Grid
 	for cy := 0; cy < g.NY; cy++ {
 		for cx := 0; cx < g.NX; cx++ {
@@ -201,9 +203,10 @@ func NewSimulator(w *conus.World, hazard *whp.Map) *Simulator {
 			// and along transportation corridors (Saddle Ridge ignited
 			// under a transmission tower beside a freeway).
 			human := 0.25 + math.Min(3*w.UrbanAt(p), 1.0) + math.Exp(-w.RoadDistAt(p)/15000)
-			s.poolWt = append(s.poolWt, h*h*human)
+			weights = append(weights, h*h*human)
 		}
 	}
+	s.ignition = rng.NewCategorical(weights)
 	return s
 }
 
@@ -250,7 +253,7 @@ func (s *Simulator) Season(cfg SeasonConfig) *Season {
 		if len(s.pool) == 0 {
 			break
 		}
-		ign := s.pool[src.Categorical(s.poolWt)]
+		ign := s.pool[s.ignition.Sample(src)]
 		// Jitter inside the coarse cell.
 		cell := s.World.Grid.CellSize
 		ign = geom.Point{

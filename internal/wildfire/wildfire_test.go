@@ -350,6 +350,20 @@ func BenchmarkGrowFire10k(b *testing.B) {
 	}
 }
 
+var ignitionSink geom.Point
+
+// BenchmarkIgnitionDraw draws ignition cells from the hazard-weighted
+// pool of a 2.7 km world, the draw every mapped fire of a season makes.
+func BenchmarkIgnitionDraw(b *testing.B) {
+	w := conus.Build(conus.Config{Seed: 7, CellSizeM: 2700})
+	sim := NewSimulator(w, whp.Build(w, w.Grid, whp.Config{}))
+	src := newTestSource(7)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ignitionSink = sim.pool[sim.ignition.Sample(src)]
+	}
+}
+
 func BenchmarkSeason(b *testing.B) {
 	cfg := SeasonConfig{Seed: 5, Year: 2010, TotalFires: 50000, TotalAcres: 4e6, MappedFires: 20}
 	for i := 0; i < b.N; i++ {
