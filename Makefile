@@ -118,7 +118,7 @@ diffcheck:
 		-run 'Sweep|Golden|Fixture|EqualUlp|Divergence'
 	$(GO) test -count=1 ./internal/geom ./internal/raster ./internal/rtree \
 		./internal/grid ./internal/proj ./internal/census ./internal/conus \
-		./internal/rng -run 'Conformance|Golden'
+		./internal/rng ./internal/wildfire -run 'Conformance|Golden'
 	$(GO) test -count=1 ./internal/risk -run 'CrossCheck'
 	$(GO) test -count=1 . -run 'SeedDeterminism|Metamorphic|ShardedDiffcheck'
 
@@ -135,6 +135,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzContainmentDiff -fuzztime=10s ./internal/geom
 	$(GO) test -fuzz=FuzzWeightedVoronoiDiff -fuzztime=10s ./internal/geom
 	$(GO) test -fuzz=FuzzRasterDiff -fuzztime=10s ./internal/raster
+	$(GO) test -fuzz=FuzzContourDiff -fuzztime=10s ./internal/raster
 	$(GO) test -fuzz=FuzzRTreeDiff -fuzztime=10s ./internal/rtree
 	$(GO) test -fuzz=FuzzGridIndexDiff -fuzztime=10s ./internal/grid
 	$(GO) test -fuzz=FuzzAlbersDiff -fuzztime=10s ./internal/proj

@@ -40,6 +40,15 @@ func TestParallelKernelConformance(t *testing.T) {
 	}
 }
 
+// TestContourConformance sweeps the byte-per-vertex contour tracer
+// against the edge-map refimpl twin: identical rings, vertex order, ring
+// order and hole assignment.
+func TestContourConformance(t *testing.T) {
+	if err := diffcheck.Sweep(300, diffcheck.CheckContours); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestRasterGoldens rasterizes the hand-authored fixtures and runs the
 // fill and distance twins over the result.
 func TestRasterGoldens(t *testing.T) {
@@ -156,6 +165,18 @@ func FuzzRasterDiff(f *testing.F) {
 			t.Fatal(err)
 		}
 		if err := diffcheck.CheckParallel(seed); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// FuzzContourDiff drives the contour twin from fuzz-chosen seeds.
+func FuzzContourDiff(f *testing.F) {
+	for seed := int64(0); seed < 12; seed++ {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, seed int64) {
+		if err := diffcheck.CheckContours(seed); err != nil {
 			t.Fatal(err)
 		}
 	})

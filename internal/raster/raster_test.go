@@ -567,13 +567,3 @@ func BenchmarkFillPolygon(b *testing.B) {
 		_ = FillPolygon(g, poly)
 	}
 }
-
-func BenchmarkTraceContours(b *testing.B) {
-	g := testGeom(256, 256, 100)
-	poly := geom.NewPolygon(geom.RegularRing(geom.Pt(12800, 12800), 10000, 64))
-	mask := FillPolygon(g, poly)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = TraceContours(mask)
-	}
-}

@@ -57,6 +57,12 @@ func TestSweepWeightedVoronoi(t *testing.T) {
 	}
 }
 
+func TestSweepContours(t *testing.T) {
+	if err := Sweep(600, CheckContours); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestGoldenFixtures(t *testing.T) {
 	names := FixtureNames()
 	if len(names) < 3 {

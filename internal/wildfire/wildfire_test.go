@@ -11,6 +11,7 @@ import (
 	"fivealarms/internal/conus"
 	"fivealarms/internal/geodata"
 	"fivealarms/internal/geom"
+	"fivealarms/internal/raster"
 	"fivealarms/internal/whp"
 )
 
@@ -364,9 +365,27 @@ func BenchmarkIgnitionDraw(b *testing.B) {
 	}
 }
 
+// benchSeason is the season BenchmarkSeason simulates.
+var benchSeason = SeasonConfig{Seed: 5, Year: 2010, TotalFires: 50000, TotalAcres: 4e6, MappedFires: 20}
+
 func BenchmarkSeason(b *testing.B) {
-	cfg := SeasonConfig{Seed: 5, Year: 2010, TotalFires: 50000, TotalAcres: 4e6, MappedFires: 20}
 	for i := 0; i < b.N; i++ {
-		_ = testSim.Season(cfg)
+		_ = testSim.Season(benchSeason)
+	}
+}
+
+// BenchmarkTraceContours traces the burned masks of BenchmarkSeason's
+// fires on the 20 km test world, captured once in setup: the masks
+// raster.TraceContours sees in a study. One op traces one fire's mask,
+// cycling through the season.
+func BenchmarkTraceContours(b *testing.B) {
+	var masks []*raster.BitGrid
+	sim := *testSim
+	sim.onBurn = func(_ *Fire, burned *raster.BitGrid) { masks = append(masks, burned) }
+	sim.Season(benchSeason)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		raster.TraceContours(masks[i%len(masks)])
 	}
 }
