@@ -2,6 +2,7 @@ package refimpl
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"fivealarms/internal/geom"
@@ -107,6 +108,48 @@ func TestFillMultiPolygonHandCase(t *testing.T) {
 	FillMultiPolygonInto(mask, m)
 	if got := mask.Count(); got != 9 {
 		t.Errorf("refill changed count to %d", got)
+	}
+}
+
+func TestTraceContoursHandCase(t *testing.T) {
+	g := raster.Geometry{MinX: 0, MinY: 0, CellSize: 1, NX: 8, NY: 7}
+	if mp := TraceContours(raster.NewBitGrid(g)); mp != nil {
+		t.Fatalf("empty mask traced to %v", mp)
+	}
+	// A 5x5 annulus around an island cell, plus a cell touching the
+	// annulus only at a corner. The hole's centroid is the island's
+	// centre, so only an in-hole probe gives the hole to the annulus.
+	mask := raster.NewBitGrid(g)
+	for cy := 1; cy <= 5; cy++ {
+		for cx := 1; cx <= 5; cx++ {
+			if cx == 1 || cx == 5 || cy == 1 || cy == 5 {
+				mask.Set(cx, cy, true)
+			}
+		}
+	}
+	mask.Set(3, 3, true)
+	mask.Set(6, 6, true)
+	mp := TraceContours(mask)
+	if len(mp) != 3 {
+		t.Fatalf("traced %d polygons, want annulus, island, corner cell", len(mp))
+	}
+	wantExt := geom.Ring{geom.Pt(1, 1), geom.Pt(6, 1), geom.Pt(6, 6), geom.Pt(1, 6)}
+	wantHole := geom.Ring{geom.Pt(2, 2), geom.Pt(2, 5), geom.Pt(5, 5), geom.Pt(5, 2)}
+	if !reflect.DeepEqual(mp[0].Exterior, wantExt) || len(mp[0].Holes) != 1 || !reflect.DeepEqual(mp[0].Holes[0], wantHole) {
+		t.Errorf("annulus = %v, want exterior %v with hole %v", mp[0], wantExt, wantHole)
+	}
+	for i, want := range []float64{1, 1} {
+		if p := mp[i+1]; len(p.Holes) != 0 || p.Area() != want {
+			t.Errorf("polygon %d = %v, want a hole-free unit cell", i+1, p)
+		}
+	}
+	refill := FillMultiPolygon(g, mp)
+	for cy := 0; cy < g.NY; cy++ {
+		for cx := 0; cx < g.NX; cx++ {
+			if refill.Get(cx, cy) != mask.Get(cx, cy) {
+				t.Fatalf("cell (%d,%d): refilled %v, mask %v", cx, cy, refill.Get(cx, cy), mask.Get(cx, cy))
+			}
+		}
 	}
 }
 
