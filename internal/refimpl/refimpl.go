@@ -7,8 +7,9 @@
 // Snyder-formula Albers projection (the twin of proj.Albers), brute-force
 // Euclidean distance transforms and buffers (the twin of
 // raster.DistanceTransform / DilateByDistance), exhaustive point
-// range/radius scans (the twin of grid.Index), and a full weighted-
-// nearest-seed scan (the twin of geom.WeightedVoronoiCandidates).
+// range/radius scans (the twin of grid.Index), a full weighted-
+// nearest-seed scan (the twin of geom.WeightedVoronoiCandidates), and an
+// edge-map contour tracer (the twin of raster.TraceContours).
 //
 // Nothing here is fast and nothing here is clever — that is the point.
 // Each function is written to be obviously correct from its definition,
