@@ -8,7 +8,6 @@ package cellnet
 
 import (
 	"fmt"
-	"sort"
 
 	"fivealarms/internal/conus"
 	"fivealarms/internal/geodata"
@@ -120,15 +119,6 @@ func (d *Dataset) CountByState() []int {
 	return out
 }
 
-// CountByRadio returns per-technology counts.
-func (d *Dataset) CountByRadio() map[Radio]int {
-	out := map[Radio]int{}
-	for i := range d.T {
-		out[d.T[i].Radio]++
-	}
-	return out
-}
-
 // Resolver maps MCC/MNC pairs to provider names in O(1), replacing the
 // linear table scan for the hot overlay loops.
 type Resolver struct {
@@ -161,28 +151,4 @@ func (r *Resolver) ProviderGroup(t *Transceiver) string {
 		return p
 	}
 	return geodata.ProviderOthersAg
-}
-
-// CountByProviderGroup returns transceiver counts per Table 2 provider
-// group.
-func (d *Dataset) CountByProviderGroup(r *Resolver) map[string]int {
-	out := map[string]int{}
-	for i := range d.T {
-		out[r.ProviderGroup(&d.T[i])]++
-	}
-	return out
-}
-
-// DistinctProviders returns the sorted distinct resolved provider names.
-func (d *Dataset) DistinctProviders(r *Resolver) []string {
-	seen := map[string]bool{}
-	for i := range d.T {
-		seen[r.Provider(&d.T[i])] = true
-	}
-	out := make([]string, 0, len(seen))
-	for p := range seen {
-		out = append(out, p)
-	}
-	sort.Strings(out)
-	return out
 }

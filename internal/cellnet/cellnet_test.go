@@ -94,7 +94,10 @@ func TestPositionsInsideConus(t *testing.T) {
 }
 
 func TestRadioMixMatchesTable3Shape(t *testing.T) {
-	byRadio := testData.CountByRadio()
+	byRadio := map[Radio]int{}
+	for i := range testData.T {
+		byRadio[testData.T[i].Radio]++
+	}
 	lte, umts, cdma, gsm := byRadio[LTE], byRadio[UMTS], byRadio[CDMA], byRadio[GSM]
 	if !(lte > umts && umts > cdma && cdma > gsm) {
 		t.Errorf("radio ordering violated: LTE=%d UMTS=%d CDMA=%d GSM=%d", lte, umts, cdma, gsm)
@@ -109,7 +112,10 @@ func TestRadioMixMatchesTable3Shape(t *testing.T) {
 
 func TestProviderSharesMatchTable2Scale(t *testing.T) {
 	r := NewResolver()
-	byGroup := testData.CountByProviderGroup(r)
+	byGroup := map[string]int{}
+	for i := range testData.T {
+		byGroup[r.ProviderGroup(&testData.T[i])]++
+	}
 	att := float64(byGroup[geodata.ProviderATT]) / float64(testData.Len())
 	if math.Abs(att-0.349) > 0.03 {
 		t.Errorf("AT&T share = %v, want ~0.349", att)
@@ -127,9 +133,12 @@ func TestProviderSharesMatchTable2Scale(t *testing.T) {
 
 func TestManyDistinctRegionalProviders(t *testing.T) {
 	r := NewResolver()
-	providers := testData.DistinctProviders(r)
+	providers := map[string]bool{}
+	for i := range testData.T {
+		providers[r.Provider(&testData.T[i])] = true
+	}
 	regional := 0
-	for _, p := range providers {
+	for p := range providers {
 		if !geodata.IsMajorProvider(p) {
 			regional++
 		}

@@ -331,26 +331,6 @@ func countyWeight(pop int) float64 {
 	return math.Pow(float64(pop), 0.3)
 }
 
-// OfState returns the county indices of a state.
-func (c *Counties) OfState(stateIdx int) []int {
-	if stateIdx < 0 || stateIdx >= len(c.byState) {
-		return nil
-	}
-	return c.byState[stateIdx]
-}
-
-// VeryDense returns the indices of counties in the > 1.5M band (the
-// paper's 23 most populous counties).
-func (c *Counties) VeryDense() []int {
-	var out []int
-	for i, county := range c.All {
-		if county.Density() == PopVeryDense {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
 // TotalPopulation sums all county populations.
 func (c *Counties) TotalPopulation() int {
 	t := 0

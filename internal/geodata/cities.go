@@ -175,14 +175,3 @@ var BigCounties = []BigCounty{
 	{"Hillsborough", "FL", -82.4572, 27.9506, 1440000},
 	{"New York", "NY", -73.9712, 40.7831, 1630000},
 }
-
-// CitiesInState returns the gazetteer cities within the given state.
-func CitiesInState(ab string) []City {
-	var out []City
-	for _, c := range Cities {
-		if c.State == ab {
-			out = append(out, c)
-		}
-	}
-	return out
-}

@@ -92,11 +92,14 @@ func TestCitiesValid(t *testing.T) {
 			t.Errorf("city %s has no population", c.Name)
 		}
 	}
-	if got := CitiesInState("CA"); len(got) < 5 {
-		t.Errorf("California should have several gazetteer cities, got %d", len(got))
+	inCA := 0
+	for _, c := range Cities {
+		if c.State == "CA" {
+			inCA++
+		}
 	}
-	if got := CitiesInState("ZZ"); got != nil {
-		t.Error("unknown state should return nil")
+	if inCA < 5 {
+		t.Errorf("California should have several gazetteer cities, got %d", inCA)
 	}
 }
 
@@ -180,13 +183,6 @@ func TestSharesSumToOne(t *testing.T) {
 	}
 	if tot < 0.99 || tot > 1.01 {
 		t.Errorf("NationalShare sums to %v", tot)
-	}
-	tot = 0
-	for _, v := range RadioShare {
-		tot += v
-	}
-	if tot < 0.99 || tot > 1.01 {
-		t.Errorf("RadioShare sums to %v", tot)
 	}
 }
 

@@ -180,12 +180,3 @@ var NationalShare = map[string]float64{
 	ProviderVerizon:  0.144,
 	ProviderOthersAg: 0.048,
 }
-
-// RadioShare is the transceiver-technology mix of the study snapshot,
-// derived from Table 3 of the paper (LTE dominant, then UMTS, CDMA, GSM).
-var RadioShare = map[string]float64{
-	"LTE":  0.530,
-	"UMTS": 0.305,
-	"CDMA": 0.095,
-	"GSM":  0.070,
-}

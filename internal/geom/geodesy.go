@@ -101,28 +101,5 @@ func GeographicRingArea(r Ring) float64 {
 	return area
 }
 
-// GeographicPolygonArea returns the spherical area in square meters of a
-// polygon with geographic coordinates, subtracting hole areas.
-func GeographicPolygonArea(p Polygon) float64 {
-	a := GeographicRingArea(p.Exterior)
-	for _, h := range p.Holes {
-		a -= GeographicRingArea(h)
-	}
-	if a < 0 {
-		return 0
-	}
-	return a
-}
-
-// GeographicMultiPolygonArea returns the summed spherical area in square
-// meters of all member polygons.
-func GeographicMultiPolygonArea(m MultiPolygon) float64 {
-	var a float64
-	for _, p := range m {
-		a += GeographicPolygonArea(p)
-	}
-	return a
-}
-
 // Acres converts an area in square meters to acres.
 func Acres(squareMeters float64) float64 { return squareMeters / SquareMetersPerAcre }

@@ -126,14 +126,6 @@ func (b BBox) Intersects(o BBox) bool {
 	return b.MinX <= o.MaxX && o.MinX <= b.MaxX && b.MinY <= o.MaxY && o.MinY <= b.MaxY
 }
 
-// ContainsBBox reports whether o lies entirely inside b.
-func (b BBox) ContainsBBox(o BBox) bool {
-	if b.IsEmpty() || o.IsEmpty() {
-		return false
-	}
-	return o.MinX >= b.MinX && o.MaxX <= b.MaxX && o.MinY >= b.MinY && o.MaxY <= b.MaxY
-}
-
 // ExtendPoint returns the smallest box containing both b and p.
 func (b BBox) ExtendPoint(p Point) BBox {
 	return BBox{

@@ -63,18 +63,6 @@ func (p Polygon) ContainsPoint(pt Point) bool {
 	return true
 }
 
-// Clone returns a deep copy of the polygon.
-func (p Polygon) Clone() Polygon {
-	out := Polygon{Exterior: p.Exterior.Clone()}
-	if len(p.Holes) > 0 {
-		out.Holes = make([]Ring, len(p.Holes))
-		for i, h := range p.Holes {
-			out.Holes[i] = h.Clone()
-		}
-	}
-	return out
-}
-
 // MultiPolygon is a collection of polygons treated as one geometry, the
 // shape wildfire perimeters commonly take (a fire can burn in several
 // disjoint patches).
@@ -124,13 +112,4 @@ func (m MultiPolygon) Centroid() Point {
 		return Point{}
 	}
 	return c.Scale(1 / total)
-}
-
-// Clone returns a deep copy of the multipolygon.
-func (m MultiPolygon) Clone() MultiPolygon {
-	out := make(MultiPolygon, len(m))
-	for i, p := range m {
-		out[i] = p.Clone()
-	}
-	return out
 }

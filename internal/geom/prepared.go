@@ -215,12 +215,6 @@ func (p *PreparedRing) bandOf(y float64) int32 {
 	return b
 }
 
-// BBox returns the ring's bounding box.
-func (p *PreparedRing) BBox() BBox { return p.bbox }
-
-// NumEdges returns the number of indexed (non-horizontal) edges.
-func (p *PreparedRing) NumEdges() int { return len(p.edges) }
-
 // Contains reports whether pt lies strictly inside the ring, with the
 // same even-odd semantics as Ring.ContainsPoint.
 func (p *PreparedRing) Contains(pt Point) bool {
@@ -247,26 +241,6 @@ func (p *PreparedRing) Contains(pt Point) bool {
 		}
 	}
 	return inside
-}
-
-// ContainsPoints answers containment for every point in pts, writing
-// into out (reused when its capacity suffices, so steady-state batch
-// queries allocate nothing) and returning it.
-func (p *PreparedRing) ContainsPoints(pts []Point, out []bool) []bool {
-	out = boolScratch(out, len(pts))
-	for i, pt := range pts {
-		out[i] = p.Contains(pt)
-	}
-	return out
-}
-
-// boolScratch returns a length-n bool slice, reusing buf's backing array
-// when possible.
-func boolScratch(buf []bool, n int) []bool {
-	if cap(buf) >= n {
-		return buf[:n]
-	}
-	return make([]bool, n)
 }
 
 // interiorBox searches for an axis-aligned box that lies entirely inside
@@ -382,9 +356,6 @@ func preparePolygonInto(p *PreparedPolygon, pg Polygon, pool []prepEdge) []prepE
 	return pool
 }
 
-// BBox returns the exterior bounding box.
-func (p *PreparedPolygon) BBox() BBox { return p.exterior.bbox }
-
 // Contains reports whether pt lies inside the polygon (inside the
 // exterior, outside every hole), matching Polygon.ContainsPoint.
 func (p *PreparedPolygon) Contains(pt Point) bool {
@@ -400,16 +371,6 @@ func (p *PreparedPolygon) Contains(pt Point) bool {
 		}
 	}
 	return true
-}
-
-// ContainsPoints is the batch form of Contains; out is reused when its
-// capacity suffices.
-func (p *PreparedPolygon) ContainsPoints(pts []Point, out []bool) []bool {
-	out = boolScratch(out, len(pts))
-	for i, pt := range pts {
-		out[i] = p.Contains(pt)
-	}
-	return out
 }
 
 // PreparedMultiPolygon is a MultiPolygon preprocessed for fast
@@ -454,14 +415,4 @@ func (p *PreparedMultiPolygon) Contains(pt Point) bool {
 		}
 	}
 	return false
-}
-
-// ContainsPoints is the batch form of Contains; out is reused when its
-// capacity suffices, so steady-state batch queries allocate nothing.
-func (p *PreparedMultiPolygon) ContainsPoints(pts []Point, out []bool) []bool {
-	out = boolScratch(out, len(pts))
-	for i, pt := range pts {
-		out[i] = p.Contains(pt)
-	}
-	return out
 }

@@ -6,8 +6,7 @@ import (
 )
 
 // BenchmarkPreparedContains compares the naive ray-cast against the
-// prepared (banded) point-in-polygon on a 200-vertex ring, scalar and
-// batch. The committed BENCH_geom.json baseline is produced by
+// prepared (banded) point-in-polygon on a 200-vertex ring. The committed BENCH_geom.json baseline is produced by
 // `make bench-geom`.
 func BenchmarkPreparedContains(b *testing.B) {
 	rng := rand.New(rand.NewSource(11))
@@ -38,14 +37,6 @@ func BenchmarkPreparedContains(b *testing.B) {
 			}
 		}
 		_ = hits
-	})
-	b.Run("batch", func(b *testing.B) {
-		b.ReportAllocs()
-		var scratch []bool
-		for i := 0; i < b.N; i++ {
-			scratch = prep.ContainsPoints(pts, scratch)
-		}
-		_ = scratch
 	})
 	b.Run("prepare-cost", func(b *testing.B) {
 		b.ReportAllocs()

@@ -121,39 +121,6 @@ func TestPreparedMultiPolygonMatchesNaive(t *testing.T) {
 	}
 }
 
-// TestContainsPointsBatch asserts the batch API matches the scalar one
-// and reuses the caller's scratch without reallocating.
-func TestContainsPointsBatch(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	ring := randomRing(rng, Pt(5, 5), 30, false)
-	prep := PrepareRing(ring)
-	pts := make([]Point, 500)
-	for i := range pts {
-		pts[i] = Point{rng.Float64() * 20, rng.Float64() * 20}
-	}
-	scratch := make([]bool, 0, len(pts))
-	out := prep.ContainsPoints(pts, scratch)
-	if len(out) != len(pts) {
-		t.Fatalf("batch length %d, want %d", len(out), len(pts))
-	}
-	if &out[0] != &scratch[:1][0] {
-		t.Error("batch did not reuse the caller's scratch")
-	}
-	for i, p := range pts {
-		if out[i] != ring.ContainsPoint(p) {
-			t.Fatalf("batch[%d] = %v disagrees with naive at %v", i, out[i], p)
-		}
-	}
-	// MultiPolygon batch over the same contract.
-	mprep := PrepareMultiPolygon(MultiPolygon{NewPolygon(ring)})
-	mout := mprep.ContainsPoints(pts, out)
-	for i := range pts {
-		if mout[i] != out[i] {
-			t.Fatalf("multipolygon batch diverges at %d", i)
-		}
-	}
-}
-
 // TestPreparedRectilinearExact pins the bit-identical guarantee the
 // overlay engine relies on: on rectilinear (fire-tracer style) rings the
 // multiply-form crossing test is exact, so prepared and naive agree even

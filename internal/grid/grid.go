@@ -113,9 +113,6 @@ func (idx *Index) Len() int { return len(idx.pts) }
 // Bounds returns the bounding box of the indexed points.
 func (idx *Index) Bounds() geom.BBox { return idx.boundBox }
 
-// Point returns the i'th indexed point.
-func (idx *Index) Point(i int) geom.Point { return idx.pts[i] }
-
 // Query appends to dst the indices of all points inside box (inclusive
 // boundaries) and returns the extended slice.
 func (idx *Index) Query(box geom.BBox, dst []int) []int {

@@ -122,9 +122,6 @@ func TestVisitEarlyStop(t *testing.T) {
 func TestPointAccessors(t *testing.T) {
 	pts := []geom.Point{{X: 1, Y: 2}, {X: 3, Y: 4}}
 	idx := New(pts, 0)
-	if idx.Point(1) != pts[1] {
-		t.Error("Point accessor")
-	}
 	if idx.Bounds() != geom.PointsBBox(pts) {
 		t.Error("Bounds")
 	}

@@ -128,10 +128,3 @@ func (k *Keyed[K, T]) Get(key K, build func() T) T {
 func (k *Keyed[K, T]) GetErr(key K, build func() (T, error)) (T, error) {
 	return k.cell(key).GetErr(build)
 }
-
-// Len reports how many keys have been touched (for tests and stats).
-func (k *Keyed[K, T]) Len() int {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	return len(k.m)
-}

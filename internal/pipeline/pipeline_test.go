@@ -250,9 +250,6 @@ func TestKeyedGetErrRetriesPerKey(t *testing.T) {
 	if err != nil || v != 5 {
 		t.Fatalf("retry: %d, %v", v, err)
 	}
-	if k.Len() != 1 {
-		t.Errorf("Len = %d", k.Len())
-	}
 }
 
 func TestKeyedPerKeySingleflight(t *testing.T) {
@@ -276,8 +273,5 @@ func TestKeyedPerKeySingleflight(t *testing.T) {
 	wg.Wait()
 	if builds != 3 {
 		t.Errorf("builders ran %d times for 3 keys", builds)
-	}
-	if k.Len() != 3 {
-		t.Errorf("Len = %d", k.Len())
 	}
 }

@@ -12,15 +12,10 @@
 package proj
 
 import (
-	"errors"
 	"math"
 
 	"fivealarms/internal/geom"
 )
-
-// ErrOutOfDomain is returned by projections when the input is outside the
-// projection's valid domain (e.g. latitude beyond the Mercator cutoff).
-var ErrOutOfDomain = errors.New("proj: coordinate outside projection domain")
 
 // Projection converts between geographic coordinates (lon/lat degrees) and
 // planar projected coordinates (meters).

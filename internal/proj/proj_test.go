@@ -100,6 +100,27 @@ func TestAlbersDistancesReasonable(t *testing.T) {
 	}
 }
 
+func TestAlbersInverseBeyondPoles(t *testing.T) {
+	// A planar point nearer the cone's apex than the north pole's arc,
+	// or farther out than the south pole's, lies off the projected
+	// sphere: Inverse clamps it to the nearer pole instead of NaN.
+	a := ConusAlbers()
+	for _, tc := range []struct {
+		name string
+		xy   geom.Point
+		lat  float64
+	}{
+		{"apex", geom.Point{X: 0, Y: a.rho0}, 90},
+		{"beyond north pole", geom.Point{X: 1000, Y: a.rho0 - 1000}, 90},
+		{"beyond south pole", geom.Point{X: 0, Y: a.rho0 - 1e8}, -90},
+	} {
+		ll := a.Inverse(tc.xy)
+		if math.IsNaN(ll.X) || math.Abs(ll.Y-tc.lat) > 1e-9 {
+			t.Errorf("%s: Inverse(%v) = %v, want latitude %v", tc.name, tc.xy, ll, tc.lat)
+		}
+	}
+}
+
 func TestWebMercatorRoundTrip(t *testing.T) {
 	m := WebMercator{}
 	for _, p := range conusPoints {

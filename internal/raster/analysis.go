@@ -1,7 +1,5 @@
 package raster
 
-import "fmt"
-
 // Labels is the result of connected-component labeling: component IDs
 // start at 1 (0 = background), stored per cell.
 type Labels struct {
@@ -103,93 +101,4 @@ func (l *Labels) Largest() (int, int) {
 		}
 	}
 	return best, bestN
-}
-
-// ComponentMask returns the mask of one component.
-func (l *Labels) ComponentMask(id int) *BitGrid {
-	m := NewBitGrid(l.Geometry)
-	for i, v := range l.Data {
-		if int(v) == id {
-			m.setIdx(i)
-		}
-	}
-	return m
-}
-
-// Downsample returns a class grid at factor-times-coarser resolution,
-// assigning each coarse cell the majority class of its fine cells (ties
-// break toward the higher class value, biasing conservative for hazard
-// classes). factor must be >= 1.
-func (c *ClassGrid) Downsample(factor int) *ClassGrid {
-	if factor <= 1 {
-		return c.Clone()
-	}
-	g := Geometry{
-		MinX: c.MinX, MinY: c.MinY,
-		CellSize: c.CellSize * float64(factor),
-		NX:       (c.NX + factor - 1) / factor,
-		NY:       (c.NY + factor - 1) / factor,
-	}
-	out := NewClassGrid(g)
-	var counts [256]int
-	for cy := 0; cy < g.NY; cy++ {
-		for cx := 0; cx < g.NX; cx++ {
-			for i := range counts {
-				counts[i] = 0
-			}
-			for fy := cy * factor; fy < (cy+1)*factor && fy < c.NY; fy++ {
-				for fx := cx * factor; fx < (cx+1)*factor && fx < c.NX; fx++ {
-					counts[c.Data[fy*c.NX+fx]]++
-				}
-			}
-			best := 0
-			for v := 1; v < 256; v++ {
-				if counts[v] >= counts[best] {
-					best = v
-				}
-			}
-			out.Set(cx, cy, uint8(best))
-		}
-	}
-	return out
-}
-
-// ZonalStats summarizes a float field per zone of a class grid.
-type ZonalStats struct {
-	Count    int
-	Sum      float64
-	Min, Max float64
-	Mean     float64
-}
-
-// ZonalStatistics computes per-class statistics of field over zones. The
-// grids must share geometry.
-func ZonalStatistics(zones *ClassGrid, field *FloatGrid) (map[uint8]ZonalStats, error) {
-	if !zones.Same(field.Geometry) {
-		return nil, fmt.Errorf("raster: zonal statistics: %w", ErrShapeMismatch)
-	}
-	out := map[uint8]ZonalStats{}
-	for i, z := range zones.Data {
-		v := field.Data[i]
-		s, ok := out[z]
-		if !ok {
-			s = ZonalStats{Min: v, Max: v}
-		}
-		s.Count++
-		s.Sum += v
-		if v < s.Min {
-			s.Min = v
-		}
-		if v > s.Max {
-			s.Max = v
-		}
-		out[z] = s
-	}
-	for z, s := range out {
-		if s.Count > 0 {
-			s.Mean = s.Sum / float64(s.Count)
-		}
-		out[z] = s
-	}
-	return out, nil
 }

@@ -83,23 +83,3 @@ func (c *ClassGrid) ASCII(glyphs map[uint8]rune, maxWidth int) string {
 	}
 	return b.String()
 }
-
-// BitASCII renders a bit grid as text ('#' set, '.' clear), north at top.
-func (b *BitGrid) BitASCII(maxWidth int) string {
-	stride := 1
-	if maxWidth > 0 && b.NX > maxWidth {
-		stride = (b.NX + maxWidth - 1) / maxWidth
-	}
-	var sb strings.Builder
-	for cy := b.NY - 1; cy >= 0; cy -= stride {
-		for cx := 0; cx < b.NX; cx += stride {
-			if b.Get(cx, cy) {
-				sb.WriteByte('#')
-			} else {
-				sb.WriteByte('.')
-			}
-		}
-		sb.WriteByte('\n')
-	}
-	return sb.String()
-}

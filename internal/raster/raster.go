@@ -254,8 +254,6 @@ func (b *BitGrid) Set(cx, cy int, v bool) {
 
 func (b *BitGrid) setIdx(i int) { b.bits[i>>6] |= 1 << (uint(i) & 63) }
 
-func (b *BitGrid) getIdx(i int) bool { return b.bits[i>>6]&(1<<(uint(i)&63)) != 0 }
-
 // Count returns the number of set cells (hardware popcount per word).
 func (b *BitGrid) Count() int {
 	n := 0

@@ -526,11 +526,6 @@ func TestASCII(t *testing.T) {
 	if got != want {
 		t.Errorf("ASCII = %q, want %q", got, want)
 	}
-	b := NewBitGrid(testGeom(2, 2, 1))
-	b.Set(1, 0, true) // SE corner
-	if got := b.BitASCII(0); got != "..\n.#\n" {
-		t.Errorf("BitASCII = %q", got)
-	}
 }
 
 func BenchmarkDistanceTransform256(b *testing.B) {

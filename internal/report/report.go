@@ -139,39 +139,6 @@ func (t *Table) WriteJSON(w io.Writer) error {
 	return nil
 }
 
-// WriteMarkdown emits the table as a GitHub-flavored markdown table with
-// the title as a heading, the format EXPERIMENTS.md embeds.
-func (t *Table) WriteMarkdown(w io.Writer) error {
-	var b strings.Builder
-	if t.Title != "" {
-		fmt.Fprintf(&b, "### %s\n\n", t.Title)
-	}
-	row := func(cells []string) {
-		b.WriteString("|")
-		for _, c := range cells {
-			b.WriteString(" ")
-			b.WriteString(strings.ReplaceAll(c, "|", "\\|"))
-			b.WriteString(" |")
-		}
-		b.WriteByte('\n')
-	}
-	if len(t.Header) > 0 {
-		row(t.Header)
-		sep := make([]string, len(t.Header))
-		for i := range sep {
-			sep[i] = "---"
-		}
-		row(sep)
-	}
-	for _, r := range t.Rows {
-		row(r)
-	}
-	if _, err := io.WriteString(w, b.String()); err != nil {
-		return fmt.Errorf("report: writing markdown: %w", err)
-	}
-	return nil
-}
-
 // Itoa formats an int with thousands separators (matching the paper's
 // number style).
 func Itoa(n int) string {

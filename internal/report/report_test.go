@@ -51,28 +51,6 @@ func TestTableCSVAndJSON(t *testing.T) {
 	}
 }
 
-func TestWriteMarkdown(t *testing.T) {
-	tb := &Table{Title: "Demo", Header: []string{"a", "b|c"}}
-	tb.AddRow("x", "1")
-	var buf bytes.Buffer
-	if err := tb.WriteMarkdown(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got := buf.String()
-	if !strings.HasPrefix(got, "### Demo\n\n") {
-		t.Errorf("heading missing: %q", got)
-	}
-	if !strings.Contains(got, "| a | b\\|c |") {
-		t.Errorf("pipe escaping missing: %q", got)
-	}
-	if !strings.Contains(got, "| --- | --- |") {
-		t.Errorf("separator missing: %q", got)
-	}
-	if !strings.Contains(got, "| x | 1 |") {
-		t.Errorf("row missing: %q", got)
-	}
-}
-
 func TestItoa(t *testing.T) {
 	tests := []struct {
 		n    int

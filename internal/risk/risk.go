@@ -67,10 +67,6 @@ func New(w *conus.World, m *whp.Map, d *cellnet.Dataset, c *census.Counties) *An
 // Class returns the cached WHP class of transceiver i.
 func (a *Analyzer) Class(i int) whp.Class { return a.classOf[i] }
 
-// CountyOf returns the cached county index of transceiver i (-1 when
-// off-CONUS).
-func (a *Analyzer) CountyOf(i int) int { return int(a.countyOf[i]) }
-
 // AtRiskCount returns the number of transceivers in the moderate, high or
 // very-high classes — the paper's headline "430,844 transceivers at risk"
 // metric (scaled to the synthetic snapshot size).
