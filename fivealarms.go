@@ -58,7 +58,6 @@ import (
 	"fivealarms/internal/risk"
 	"fivealarms/internal/whp"
 	"fivealarms/internal/wildfire"
-	"fivealarms/internal/wui"
 )
 
 // Config sizes and seeds a study. The zero value is a usable
@@ -417,7 +416,7 @@ func (s *Study) Escape(thresholdAcres float64) []risk.StateEscape {
 // WUI measures the concentration of at-risk infrastructure in the
 // Wildland-Urban Interface (§3.7's key finding).
 func (s *Study) WUI() *risk.WUIResult {
-	return s.Analyzer.WUIAnalysis(wui.Config{})
+	return s.Analyzer.WUIAnalysis()
 }
 
 // Harden computes a §3.10 mitigation-prioritization plan: the budget

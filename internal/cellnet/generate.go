@@ -16,10 +16,11 @@ type GenConfig struct {
 	// Total is the national transceiver count. Defaults to 250_000; the
 	// full-scale reproduction uses geodata.PaperTransceivers (5.36M).
 	Total int
-	// SiteMeanTransceivers is the mean number of co-located transceivers
-	// per cell site. Defaults to 4.
-	SiteMeanTransceivers float64
 }
+
+// siteMeanTransceivers is the mean number of co-located transceivers per
+// cell site.
+const siteMeanTransceivers = 4
 
 func (c GenConfig) withDefaults() GenConfig {
 	if c.Seed == 0 {
@@ -27,9 +28,6 @@ func (c GenConfig) withDefaults() GenConfig {
 	}
 	if c.Total <= 0 {
 		c.Total = 250000
-	}
-	if c.SiteMeanTransceivers <= 0 {
-		c.SiteMeanTransceivers = 4
 	}
 	return c
 }
@@ -137,7 +135,7 @@ func Generate(w *conus.World, cfg GenConfig) *Dataset {
 		placed := 0
 		for placed < n {
 			// One site with Poisson-distributed tenancy.
-			k := src.Poisson(cfg.SiteMeanTransceivers-1) + 1
+			k := src.Poisson(siteMeanTransceivers-1) + 1
 			if placed+k > n {
 				k = n - placed
 			}

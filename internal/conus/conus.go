@@ -29,10 +29,11 @@ type Config struct {
 	// Defaults to 5000 m. The USFS WHP ships at 270 m; smaller cells cost
 	// proportionally more memory and time.
 	CellSizeM float64
-	// RoadNeighbors is how many nearest cities each city connects to in
-	// the synthetic highway graph. Defaults to 3.
-	RoadNeighbors int
 }
+
+// roadNeighbors is how many nearest cities each city connects to in the
+// synthetic highway graph.
+const roadNeighbors = 3
 
 func (c Config) withDefaults() Config {
 	if c.Seed == 0 {
@@ -40,9 +41,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.CellSizeM <= 0 {
 		c.CellSizeM = 5000
-	}
-	if c.RoadNeighbors <= 0 {
-		c.RoadNeighbors = 3
 	}
 	return c
 }
@@ -215,14 +213,14 @@ func (w *World) buildUrbanField() {
 	}
 }
 
-// buildRoads connects each city to its RoadNeighbors nearest cities and
+// buildRoads connects each city to its roadNeighbors nearest cities and
 // rasterizes the segments.
 func (w *World) buildRoads() {
 	w.Roads = raster.NewBitGrid(w.Grid)
 	w.cellSegs = map[int32][]int32{}
 	type edge struct{ a, b int }
 	seen := map[edge]bool{}
-	k := w.Cfg.RoadNeighbors
+	k := roadNeighbors
 	for i := range w.Cities {
 		// Find k nearest.
 		type nd struct {

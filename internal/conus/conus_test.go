@@ -13,7 +13,7 @@ var testWorld = Build(Config{Seed: 7, CellSizeM: 20000})
 
 func TestBuildDefaults(t *testing.T) {
 	cfg := Config{}.withDefaults()
-	if cfg.Seed != 1 || cfg.CellSizeM != 5000 || cfg.RoadNeighbors != 3 {
+	if cfg.Seed != 1 || cfg.CellSizeM != 5000 {
 		t.Errorf("defaults = %+v", cfg)
 	}
 }

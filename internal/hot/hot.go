@@ -127,12 +127,6 @@ func (m *Model) SampleRegion(src *rng.Source) int {
 	return lo
 }
 
-// SampleSize draws one event size (region by ignition probability, size
-// by its allocation). It implements the wildfire.SizeSampler contract.
-func (m *Model) SampleSize(src *rng.Source) float64 {
-	return m.Size(m.SampleRegion(src))
-}
-
 // EscapeProbability returns the probability an ignition produces a fire
 // larger than threshold — the §3.11 "escape probability" as a function of
 // containment capability.

@@ -123,7 +123,7 @@ func TestSamplePowerLawTail(t *testing.T) {
 	src := rng.New(9)
 	sizes := make([]float64, 20000)
 	for i := range sizes {
-		sizes[i] = m.SampleSize(src)
+		sizes[i] = m.Size(m.SampleRegion(src))
 	}
 	alpha := TailExponent(sizes, 500)
 	if alpha <= 0 {
@@ -203,11 +203,11 @@ func TestTailExponentDegenerate(t *testing.T) {
 	}
 }
 
-func BenchmarkSampleSize(b *testing.B) {
+func BenchmarkSampleRegion(b *testing.B) {
 	m, _ := Fit(gaussianWeights(64), 1000, 1, 100)
 	src := rng.New(1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = m.SampleSize(src)
+		_ = m.SampleRegion(src)
 	}
 }

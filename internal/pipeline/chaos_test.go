@@ -77,13 +77,17 @@ func TestChaosErrorEveryTask(t *testing.T) {
 // fault sets regardless of scheduling, and injection off means zero
 // events.
 func TestChaosSeededRatesDeterministic(t *testing.T) {
+	names := chaosGraph(1, nil, new(atomic.Int32)).TaskNames()
 	fired := func(seed uint64) map[faults.Event]bool {
 		in := faults.New(seed)
 		in.ErrorRate(0.5)
-		var completed atomic.Int32
-		g := chaosGraph(4, in.Hook(), &completed)
-		g.JoinErrors()
-		_ = g.Run()
+		// Consult the plan for every task directly: a graph run stops
+		// at its first failure, so which tasks it reaches depends on
+		// the schedule.
+		hook := in.Hook()
+		for _, name := range names {
+			_ = hook(name)
+		}
 		set := map[faults.Event]bool{}
 		for _, e := range in.Events() {
 			set[e] = true

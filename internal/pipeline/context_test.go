@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -117,18 +118,29 @@ func TestPanicContainment(t *testing.T) {
 	}
 }
 
+// inFlightTogether returns a function that blocks each of n tasks until
+// all n have started, so a graph with at least n workers holds them in
+// flight at once whatever the schedule.
+func inFlightTogether(n int) func() {
+	var started sync.WaitGroup
+	started.Add(n)
+	return func() { started.Done(); started.Wait() }
+}
+
+// TestJoinErrorsAggregatesInDeclarationOrder fails two independent
+// tasks while both are in flight: the run joins both errors in
+// declaration order, not completion order, and skips the dependent of
+// the failed task.
 func TestJoinErrorsAggregatesInDeclarationOrder(t *testing.T) {
 	errA := errors.New("layer A broken")
 	errC := errors.New("layer C broken")
-	for _, workers := range schedules {
-		var dRan, okRan atomic.Bool
+	for _, workers := range []int{4, 2} {
+		var dRan atomic.Bool
+		together := inFlightTogether(2)
 		g := newGraph(workers)
-		g.JoinErrors()
-		g.Add("a", func() error { return errA })
-		g.Add("b", func() error { return nil })
-		g.Add("c", func() error { time.Sleep(2 * time.Millisecond); return errC })
+		g.Add("a", func() error { together(); time.Sleep(2 * time.Millisecond); return errA })
+		g.Add("c", func() error { together(); return errC })
 		g.Add("d", func() error { dRan.Store(true); return nil }, "a")
-		g.Add("ok", func() error { okRan.Store(true); return nil }, "b")
 		err := g.Run()
 		if !errors.Is(err, errA) || !errors.Is(err, errC) {
 			t.Fatalf("workers=%d: aggregate %v missing a failure", workers, err)
@@ -136,11 +148,7 @@ func TestJoinErrorsAggregatesInDeclarationOrder(t *testing.T) {
 		if dRan.Load() {
 			t.Errorf("workers=%d: dependent of failed task ran", workers)
 		}
-		if !okRan.Load() {
-			t.Errorf("workers=%d: independent task skipped after unrelated failure", workers)
-		}
-		// Aggregation order is declaration order, not completion order:
-		// "a" must be reported before the slower-declared "c".
+		// "a" failed last but was declared first.
 		msg := err.Error()
 		if ia, ic := strings.Index(msg, "layer A"), strings.Index(msg, "layer C"); ia < 0 || ic < 0 || ia > ic {
 			t.Errorf("workers=%d: aggregate order wrong: %q", workers, msg)
@@ -148,12 +156,14 @@ func TestJoinErrorsAggregatesInDeclarationOrder(t *testing.T) {
 	}
 }
 
+// TestJoinErrorsCollectsPanics panics one task while another in flight
+// fails: the joined error carries both failure modes.
 func TestJoinErrorsCollectsPanics(t *testing.T) {
 	boom := errors.New("plain failure")
+	together := inFlightTogether(2)
 	g := newGraph(4)
-	g.JoinErrors()
-	g.Add("fails", func() error { return boom })
-	g.Add("panics", func() error { panic(42) })
+	g.Add("fails", func() error { together(); return boom })
+	g.Add("panics", func() error { together(); panic(42) })
 	err := g.Run()
 	var pe *PanicError
 	if !errors.Is(err, boom) || !errors.As(err, &pe) {
@@ -165,8 +175,7 @@ func TestJoinErrorsCollectsPanics(t *testing.T) {
 }
 
 func TestFirstErrorModeStillWins(t *testing.T) {
-	// Without JoinErrors the legacy contract holds: one error comes back
-	// and not-yet-started tasks are abandoned.
+	// One error comes back and not-yet-started tasks are abandoned.
 	boom := errors.New("boom")
 	g := newGraph(1)
 	g.Add("fail", func() error { return boom })

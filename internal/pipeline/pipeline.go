@@ -21,11 +21,10 @@
 //     context stops new tasks from being scheduled, in-flight tasks are
 //     drained, and the returned error wraps ctx.Err() together with how
 //     far the run got.
-//   - By default the first task error wins and stops scheduling. With
-//     JoinErrors, every independent failure is collected and returned as
-//     one errors.Join aggregate in declaration order, so operators see
-//     each broken layer rather than the race winner. Tasks downstream of
-//     a failed dependency are skipped either way.
+//   - The first task error stops scheduling. Tasks already in flight
+//     finish, and when several of them fail the run returns one
+//     errors.Join of their errors in declaration order, whatever order
+//     they failed in. Tasks downstream of a failed dependency never run.
 package pipeline
 
 import (
@@ -68,7 +67,6 @@ type Graph struct {
 	workers int
 	tasks   []*task
 	byName  map[string]*task
-	joinAll bool
 	inject  func(task string) error
 }
 
@@ -104,12 +102,6 @@ func (g *Graph) TaskNames() []string {
 	}
 	return out
 }
-
-// JoinErrors switches the graph from first-error-wins to aggregation:
-// every independent task failure is collected and the run returns one
-// errors.Join of all of them, ordered by task declaration. Scheduling
-// continues past failures for tasks whose dependencies all succeeded.
-func (g *Graph) JoinErrors() { g.joinAll = true }
 
 // SetInjectionHook installs a chaos hook that runs immediately before
 // every task function, receiving the task name. A hook may sleep (delay
@@ -179,10 +171,10 @@ func finish(errs []taskError, ctxErr error, done, n int) error {
 }
 
 // Run executes the graph with bounded workers and no cancellation. Each
-// task starts once all of its dependencies have succeeded. By default
-// the first task error stops scheduling and is returned after every
-// in-flight task has finished, so partially built state is never
-// abandoned mid-write; see JoinErrors for the aggregate mode.
+// task starts once all of its dependencies have succeeded. The first
+// task error stops scheduling and is returned after every in-flight
+// task has finished, so partially built state is never abandoned
+// mid-write.
 func (g *Graph) Run() error { return g.RunContext(context.Background()) }
 
 // RunContext is Run under a context. Cancellation (or a deadline) stops
@@ -218,14 +210,12 @@ func (g *Graph) RunContext(ctx context.Context) error {
 		cancelled bool
 	)
 	// stopped reports (with mu held) whether workers must stop picking up
-	// new tasks: the context fired, or a failure occurred in
-	// first-error-wins mode. In JoinErrors mode failures do not stop
-	// scheduling — unreachable dependents simply never become ready.
-	// The direct ctx.Err() check makes cancellation synchronous with the
-	// caller's cancel(): no task is picked up after cancel returns, even
-	// if the watcher goroutine has not been scheduled yet.
+	// new tasks: the context fired, or a task failed. The direct
+	// ctx.Err() check makes cancellation synchronous with the caller's
+	// cancel(): no task is picked up after cancel returns, even if the
+	// watcher goroutine has not been scheduled yet.
 	stopped := func() bool {
-		if cancelled || (len(errs) > 0 && !g.joinAll) {
+		if cancelled || len(errs) > 0 {
 			return true
 		}
 		if ctx.Err() != nil {

@@ -75,20 +75,18 @@ type Network struct {
 // NetConfig parameterizes network construction.
 type NetConfig struct {
 	Seed uint64
-	// SitesPerSubstation sets substation density. Defaults to 15
-	// (a distribution substation feeds on the order of a dozen sites).
-	SitesPerSubstation int
 	// MeanBatteryHours is the mean site battery endurance. Defaults to 6
 	// (most sites keep only a few hours of backup, §3.2).
 	MeanBatteryHours float64
 }
 
+// sitesPerSubstation sets substation density: a distribution substation
+// feeds on the order of a dozen sites.
+const sitesPerSubstation = 15
+
 func (c NetConfig) withDefaults() NetConfig {
 	if c.Seed == 0 {
 		c.Seed = 1
-	}
-	if c.SitesPerSubstation <= 0 {
-		c.SitesPerSubstation = 15
 	}
 	if c.MeanBatteryHours <= 0 {
 		c.MeanBatteryHours = 6
@@ -141,7 +139,7 @@ func BuildNetwork(d *cellnet.Dataset, hazard *whp.Map, region geom.BBox, cfg Net
 	}
 
 	// Substations: grid-sample the region so density tracks site density.
-	nSub := len(n.Sites)/cfg.SitesPerSubstation + 1
+	nSub := len(n.Sites)/sitesPerSubstation + 1
 	n.Substations = kMeansish(n.Sites, nSub, src)
 	n.SubstationHazard = make([]float64, len(n.Substations))
 	for i, s := range n.Substations {

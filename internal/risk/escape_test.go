@@ -1,11 +1,6 @@
 package risk
 
-import (
-	"testing"
-
-	"fivealarms/internal/hot"
-	"fivealarms/internal/wildfire"
-)
+import "testing"
 
 func TestEscapeProbabilities(t *testing.T) {
 	rows := testAnalyzer.EscapeProbabilities(0)
@@ -44,35 +39,5 @@ func TestEscapeThresholdMonotone(t *testing.T) {
 		if r.Escape > lm[r.Abbrev]+1e-12 {
 			t.Fatalf("%s: escape grew with threshold", r.Abbrev)
 		}
-	}
-}
-
-func TestHOTSizeSamplerIntegration(t *testing.T) {
-	// Plug a HOT model into the season simulator in place of the
-	// truncated Pareto: the season must still calibrate to its acre
-	// target and produce mapped perimeters.
-	g := testWHP.Hazard.Geometry
-	var w []float64
-	for cy := 0; cy < g.NY; cy += 2 {
-		for cx := 0; cx < g.NX; cx += 2 {
-			if h := testWHP.Hazard.At(cx, cy); h > 0 {
-				w = append(w, h*h)
-			}
-		}
-	}
-	m, err := hot.Fit(w, float64(len(w)), 1, 2000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := testSim.Season(wildfire.SeasonConfig{
-		Seed: 5, Year: 2013, TotalFires: 47579, TotalAcres: 4.3e6,
-		MappedFires: 20, SizeSampler: m,
-	})
-	if len(s.Mapped) < 15 {
-		t.Fatalf("mapped fires = %d", len(s.Mapped))
-	}
-	ratio := s.MappedAcres() / (4.3e6 * 0.85)
-	if ratio < 0.4 || ratio > 1.8 {
-		t.Errorf("HOT-sized season calibration off: ratio %v", ratio)
 	}
 }

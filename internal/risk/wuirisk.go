@@ -52,8 +52,8 @@ func (r *WUIResult) Concentration() float64 {
 
 // WUIAnalysis builds the WUI layer and measures the concentration of
 // at-risk infrastructure inside it.
-func (a *Analyzer) WUIAnalysis(cfg wui.Config) *WUIResult {
-	m := wui.Build(a.World, a.Counties, a.WHP, cfg)
+func (a *Analyzer) WUIAnalysis() *WUIResult {
+	m := wui.Build(a.World, a.Counties, a.WHP)
 	res := &WUIResult{
 		AllTotal:      a.Data.Len(),
 		WUIPopulation: m.Population(),

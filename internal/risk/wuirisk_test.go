@@ -1,13 +1,9 @@
 package risk
 
-import (
-	"testing"
-
-	"fivealarms/internal/wui"
-)
+import "testing"
 
 func TestWUIAnalysis(t *testing.T) {
-	res := testAnalyzer.WUIAnalysis(wui.Config{})
+	res := testAnalyzer.WUIAnalysis()
 	if res.AtRiskTotal == 0 || res.AllTotal == 0 {
 		t.Fatal("empty analysis")
 	}
@@ -32,7 +28,7 @@ func TestWUIAnalysis(t *testing.T) {
 }
 
 func TestWUISharesOrdering(t *testing.T) {
-	res := testAnalyzer.WUIAnalysis(wui.Config{})
+	res := testAnalyzer.WUIAnalysis()
 	if res.AtRiskWUIShare() < 0 || res.AtRiskWUIShare() > 1 {
 		t.Error("share out of range")
 	}
@@ -43,6 +39,6 @@ func TestWUISharesOrdering(t *testing.T) {
 
 func BenchmarkWUIAnalysis(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		_ = testAnalyzer.WUIAnalysis(wui.Config{})
+		_ = testAnalyzer.WUIAnalysis()
 	}
 }

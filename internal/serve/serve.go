@@ -42,15 +42,20 @@ import (
 // a response is written.
 const StatusClientClosedRequest = 499
 
-// Default resilience parameters (all overridable via Options).
+// Default resilience parameters, each overridable via Options.
 const (
 	defaultReadDeadline   = 2 * time.Second
 	defaultBuildDeadline  = 30 * time.Second
 	defaultMaxInFlight    = 64
-	defaultBuildWeight    = 8
 	defaultBreakerTrips   = 3
 	defaultBreakerBackoff = time.Second
-	defaultBreakerMax     = time.Minute
+)
+
+// Fixed resilience parameters: the admission weight of expensive
+// requests, and the cap on the build breaker's open-circuit backoff.
+const (
+	buildWeight       = 8
+	breakerMaxBackoff = time.Minute
 )
 
 // Options configures a Server.
@@ -73,24 +78,21 @@ type Options struct {
 	BuildDeadline time.Duration
 
 	// MaxInFlight is the admission controller's weight capacity
-	// (default 64): cheap reads cost 1, expensive requests cost
-	// BuildWeight (default 8), so cold builds cannot monopolize the
-	// server and a burst of reads cannot starve builds.
+	// (default 64): cheap reads cost 1, expensive requests cost 8, so
+	// cold builds cannot monopolize the server and a burst of reads
+	// cannot starve builds.
 	MaxInFlight int
 	// MaxQueue bounds the admission FIFO wait queue (default
 	// 2×MaxInFlight). Arrivals beyond it are shed with 429.
 	MaxQueue int
-	// BuildWeight is the admission weight of expensive requests.
-	BuildWeight int
 
 	// BreakerThreshold is the consecutive build failures per (seed,
 	// config) key that open the build circuit (default 3).
 	BreakerThreshold int
-	// BreakerBackoff is the base open-circuit backoff; successive opens
-	// double it up to BreakerMaxBackoff (defaults 1s and 1m), jittered
+	// BreakerBackoff is the base open-circuit backoff (default 1s);
+	// successive opens double it up to one minute, jittered
 	// deterministically from the config seed.
-	BreakerBackoff    time.Duration
-	BreakerMaxBackoff time.Duration
+	BreakerBackoff time.Duration
 }
 
 // withDefaults fills unset options.
@@ -110,17 +112,11 @@ func (o Options) withDefaults() Options {
 	if o.MaxQueue <= 0 {
 		o.MaxQueue = 2 * o.MaxInFlight
 	}
-	if o.BuildWeight <= 0 {
-		o.BuildWeight = defaultBuildWeight
-	}
 	if o.BreakerThreshold <= 0 {
 		o.BreakerThreshold = defaultBreakerTrips
 	}
 	if o.BreakerBackoff <= 0 {
 		o.BreakerBackoff = defaultBreakerBackoff
-	}
-	if o.BreakerMaxBackoff <= 0 {
-		o.BreakerMaxBackoff = defaultBreakerMax
 	}
 	return o
 }
@@ -162,7 +158,7 @@ func New(baseCtx context.Context, opts Options) (*Server, error) {
 	metrics := NewMetrics(epHealthz, epMetrics, epRiskPoint, epRiskBBox,
 		epTables, epOverlay, epValidate, epExtend)
 	bk := newBuildBreaker(opts.BreakerThreshold, opts.BreakerBackoff,
-		opts.BreakerMaxBackoff, opts.Config.Seed)
+		breakerMaxBackoff, opts.Config.Seed)
 	bk.onOpen = metrics.CountBreakerOpen
 	bk.onProbe = metrics.CountBreakerProbe
 	bk.onClose = metrics.CountBreakerClose
@@ -179,7 +175,7 @@ func New(baseCtx context.Context, opts Options) (*Server, error) {
 	}
 	exempt := routeClass{name: "exempt", deadline: 5 * time.Second}
 	read := routeClass{name: "read", deadline: opts.ReadDeadline, weight: 1, fastDegrade: true}
-	build := routeClass{name: "build", deadline: opts.BuildDeadline, weight: opts.BuildWeight}
+	build := routeClass{name: "build", deadline: opts.BuildDeadline, weight: buildWeight}
 	s.route("GET /v1/healthz", epHealthz, exempt, s.handleHealthz)
 	s.route("GET /v1/metrics", epMetrics, exempt, s.handleMetrics)
 	s.route("GET /v1/risk/point", epRiskPoint, read, s.handleRiskPoint)
@@ -200,10 +196,6 @@ func (s *Server) Warm(ctx context.Context) error {
 	_, err := s.cache.Get(ctx, s.opts.Config)
 	return err
 }
-
-// Metrics exposes the per-endpoint counters (for load generators and
-// tests).
-func (s *Server) Metrics() *Metrics { return s.metrics }
 
 // SetInjectionHook installs a chaos hook that runs immediately before
 // each handler body (task "serve/handler/<endpoint>") and each study

@@ -122,26 +122,18 @@ type SeasonConfig struct {
 	// MappedFires is the number of large fires to simulate perimeters
 	// for. Defaults to 60.
 	MappedFires int
-	// MappedShare is the fraction of TotalAcres attributed to the mapped
-	// large-fire tail. Defaults to 0.85 (heavy-tailed size
-	// distributions put most burned area in the few largest fires).
-	MappedShare float64
 	// Alpha is the power-law tail exponent. Defaults to 1.15.
 	Alpha float64
 	// ForcedIgnitions pins fires at specific geographic (lon/lat)
 	// locations with fixed acre targets — used to reproduce the named
 	// 2019 validation fires.
 	ForcedIgnitions []ForcedIgnition
-	// SizeSampler optionally replaces the built-in truncated-Pareto size
-	// model (e.g. with a hot.Model). Sampled sizes are still rescaled so
-	// the season total matches MappedShare x TotalAcres.
-	SizeSampler SizeSampler
 }
 
-// SizeSampler draws fire sizes in acres; hot.Model satisfies it.
-type SizeSampler interface {
-	SampleSize(src *rng.Source) float64
-}
+// mappedShare is the fraction of a season's TotalAcres attributed to
+// the mapped large-fire tail: heavy-tailed size distributions put most
+// burned area in the few largest fires.
+const mappedShare = 0.85
 
 // ForcedIgnition pins one fire of a season.
 type ForcedIgnition struct {
@@ -162,9 +154,6 @@ func (c SeasonConfig) withDefaults() SeasonConfig {
 	}
 	if c.MappedFires <= 0 {
 		c.MappedFires = 60
-	}
-	if c.MappedShare <= 0 || c.MappedShare > 1 {
-		c.MappedShare = 0.85
 	}
 	if c.Alpha <= 0 {
 		c.Alpha = 1.15
@@ -231,14 +220,10 @@ func (s *Simulator) Season(cfg SeasonConfig) *Season {
 	sizes := make([]float64, n)
 	var sum float64
 	for i := range sizes {
-		if cfg.SizeSampler != nil {
-			sizes[i] = cfg.SizeSampler.SampleSize(src)
-		} else {
-			sizes[i] = src.TruncatedPareto(300, 400000, cfg.Alpha)
-		}
+		sizes[i] = src.TruncatedPareto(300, 400000, cfg.Alpha)
 		sum += sizes[i]
 	}
-	target := cfg.TotalAcres * cfg.MappedShare
+	target := cfg.TotalAcres * mappedShare
 	if sum > 0 {
 		k := target / sum
 		for i := range sizes {

@@ -48,62 +48,48 @@ func (c Class) String() string {
 // IsWUI reports whether the class is interface or intermix.
 func (c Class) IsWUI() bool { return c == Interface || c == Intermix }
 
-// Config tunes the mapping. Zero values select defaults mirroring the
-// Radeloff thresholds' roles.
-type Config struct {
-	// MinDensityPerKM2 is the minimum population density of a WUI cell
-	// (Radeloff: 6.17 housing units/km2 ~ 15 people/km2). Default 15.
-	MinDensityPerKM2 float64
-	// VegHazard is the hazard level treated as wildland vegetation.
-	// Default 0.10.
-	VegHazard float64
-	// MinPatchKM2 is the minimum area of a wildland patch that creates
-	// interface WUI around it (Radeloff: 5 km2). Default 5.
-	MinPatchKM2 float64
-	// InterfaceDistM is the buffer distance around large patches
-	// (Radeloff: 2.4 km). Default 2400, floored at one cell so coarse
-	// rasters still produce interface cells.
-	InterfaceDistM float64
-}
+// The mapping's thresholds, in the roles of the Radeloff methodology's.
+const (
+	// minDensityPerKM2 is the minimum population density of a WUI cell
+	// (Radeloff: 6.17 housing units/km2 ~ 15 people/km2).
+	minDensityPerKM2 = 15
+	// vegHazard is the hazard level treated as wildland vegetation.
+	vegHazard = 0.10
+	// minPatchKM2 is the minimum area of a wildland patch that creates
+	// interface WUI around it (Radeloff: 5 km2).
+	minPatchKM2 = 5
+	// interfaceDistM is the buffer distance around large patches
+	// (Radeloff: 2.4 km).
+	interfaceDistM = 2400
+)
 
-func (c Config) withDefaults(cell float64) Config {
-	if c.MinDensityPerKM2 == 0 {
-		c.MinDensityPerKM2 = 15
+// interfaceDist returns the interface buffer on a raster of the given
+// cell size: interfaceDistM, floored at one cell so coarse rasters
+// still produce interface cells.
+func interfaceDist(cell float64) float64 {
+	if cell > interfaceDistM {
+		return cell
 	}
-	if c.VegHazard == 0 {
-		c.VegHazard = 0.10
-	}
-	if c.MinPatchKM2 == 0 {
-		c.MinPatchKM2 = 5
-	}
-	if c.InterfaceDistM == 0 {
-		c.InterfaceDistM = 2400
-	}
-	if c.InterfaceDistM < cell {
-		c.InterfaceDistM = cell
-	}
-	return c
+	return interfaceDistM
 }
 
 // Map is the realized WUI layer.
 type Map struct {
-	Cfg     Config
 	Classes *raster.ClassGrid
 	// Pop is the population surface used for density.
 	Pop *raster.FloatGrid
 }
 
 // Build computes the WUI over the world grid.
-func Build(w *conus.World, counties *census.Counties, hazard *whp.Map, cfg Config) *Map {
+func Build(w *conus.World, counties *census.Counties, hazard *whp.Map) *Map {
 	g := w.Grid
-	cfg = cfg.withDefaults(g.CellSize)
 	pop := coverage.BuildPopulation(w, counties)
 
 	// Wildland vegetation mask and its large patches.
 	veg := raster.NewBitGrid(g)
 	for cy := 0; cy < g.NY; cy++ {
 		for cx := 0; cx < g.NX; cx++ {
-			if hazard.Hazard.At(cx, cy) >= cfg.VegHazard {
+			if hazard.Hazard.At(cx, cy) >= vegHazard {
 				veg.Set(cx, cy, true)
 			}
 		}
@@ -112,19 +98,19 @@ func Build(w *conus.World, counties *census.Counties, hazard *whp.Map, cfg Confi
 	cellKM2 := g.CellArea() / 1e6
 	bigPatch := raster.NewBitGrid(g)
 	for i, id := range labels.Data {
-		if id > 0 && float64(labels.Sizes[id])*cellKM2 >= cfg.MinPatchKM2 {
+		if id > 0 && float64(labels.Sizes[id])*cellKM2 >= minPatchKM2 {
 			cy := i / g.NX
 			cx := i % g.NX
 			bigPatch.Set(cx, cy, true)
 		}
 	}
-	nearBig := raster.DilateByDistance(bigPatch, cfg.InterfaceDistM)
+	nearBig := raster.DilateByDistance(bigPatch, interfaceDist(g.CellSize))
 
 	classes := raster.NewClassGrid(g)
 	for cy := 0; cy < g.NY; cy++ {
 		for cx := 0; cx < g.NX; cx++ {
 			density := pop.At(cx, cy) / cellKM2
-			if density < cfg.MinDensityPerKM2 {
+			if density < minDensityPerKM2 {
 				continue
 			}
 			switch {
@@ -135,7 +121,7 @@ func Build(w *conus.World, counties *census.Counties, hazard *whp.Map, cfg Confi
 			}
 		}
 	}
-	return &Map{Cfg: cfg, Classes: classes, Pop: pop}
+	return &Map{Classes: classes, Pop: pop}
 }
 
 // ClassAt samples the WUI class at a projected point (NonWUI off-grid).
@@ -145,16 +131,6 @@ func (m *Map) ClassAt(p geom.Point) Class {
 		return NonWUI
 	}
 	return Class(v)
-}
-
-// CellCounts returns the number of cells per class.
-func (m *Map) CellCounts() map[Class]int {
-	h := m.Classes.Histogram()
-	return map[Class]int{
-		NonWUI:    h[uint8(NonWUI)],
-		Interface: h[uint8(Interface)],
-		Intermix:  h[uint8(Intermix)],
-	}
 }
 
 // Population returns the population living in WUI cells.

@@ -13,7 +13,7 @@ var (
 	testWorld    = conus.Build(conus.Config{Seed: 7, CellSizeM: 20000})
 	testWHP      = whp.Build(testWorld, testWorld.Grid, whp.Config{})
 	testCounties = census.Synthesize(testWorld, 7)
-	testWUI      = Build(testWorld, testCounties, testWHP, Config{})
+	testWUI      = Build(testWorld, testCounties, testWHP)
 )
 
 func TestClassStrings(t *testing.T) {
@@ -29,18 +29,17 @@ func TestClassStrings(t *testing.T) {
 }
 
 func TestDefaults(t *testing.T) {
-	cfg := Config{}.withDefaults(20000)
-	if cfg.MinDensityPerKM2 != 15 || cfg.VegHazard != 0.10 || cfg.MinPatchKM2 != 5 {
-		t.Errorf("defaults = %+v", cfg)
+	if got := interfaceDist(100); got != interfaceDistM {
+		t.Errorf("interface dist on a 100 m raster = %v, want %v", got, float64(interfaceDistM))
 	}
 	// Interface buffer floors at one cell.
-	if cfg.InterfaceDistM != 20000 {
-		t.Errorf("interface dist = %v, want floored to cell size", cfg.InterfaceDistM)
+	if got := interfaceDist(20000); got != 20000 {
+		t.Errorf("interface dist = %v, want floored to cell size", got)
 	}
 }
 
 func TestWUIExists(t *testing.T) {
-	counts := testWUI.CellCounts()
+	counts := testWUI.Classes.Histogram()
 	if counts[Intermix] == 0 {
 		t.Error("no intermix WUI cells")
 	}
