@@ -7,9 +7,12 @@ import "fivealarms/internal/risk"
 type ExtendOptions struct {
 	// CellSizeM selects the analysis raster. 0 keeps the study's shared
 	// national raster (the coarse path). A positive value finer than the
-	// national raster rebuilds the WHP at that resolution over the
-	// California validation window (the fine path) — the paper's own
-	// setup, since an 804 m buffer cannot grow on a 10 km raster.
+	// national raster classifies against a WHP grid of that resolution
+	// over the California validation window (the fine path) — the
+	// paper's own setup, since an 804 m buffer cannot grow on a 10 km
+	// raster. The fine path evaluates the WHP only at the window cells
+	// its counts read, so its cost follows the window's transceivers,
+	// not the window's cell count.
 	CellSizeM float64
 	// DistM is the very-high dilation distance in meters. 0 selects the
 	// paper's half mile (804.67 m) on the fine path; on the coarse path
@@ -45,9 +48,10 @@ type ExtendReport struct {
 // runs the coarse path on the shared national raster — cheap, but the
 // effective buffer is bounded below by one raster cell. A positive
 // opts.CellSizeM finer than the national raster runs the fine path: the
-// WHP is rebuilt at that resolution over the California window, which
-// can express the paper's true half-mile buffer (the paper's 46% -> 62%
-// accuracy experiment). Both paths memoize per parameter set, so
+// window transceivers are classified against a WHP grid of that
+// resolution over the California window, evaluated only at the cells
+// their classes depend on, which can express the paper's true half-mile
+// buffer (the paper's 46% -> 62% accuracy experiment). Both paths memoize per parameter set, so
 // repeated calls are cache hits.
 func (s *Study) ExtendWith(opts ExtendOptions) *ExtendReport {
 	coarseCell := s.World.Grid.CellSize

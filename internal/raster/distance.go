@@ -227,6 +227,81 @@ func DilateByDistance(mask *BitGrid, dist float64) *BitGrid {
 	return out
 }
 
+// Disk is the neighbourhood DilateByDistance searches around one cell:
+// Reaches tells whether the dilation sets the cell by reading the mask
+// only inside the disk. The disk is stored as half-widths per row, cut
+// where the grid ends.
+type Disk struct {
+	// half[|dy|] is the half-width of row offset dy; rows beyond
+	// len(half)-1 are outside the disk.
+	half []int
+	// all marks an infinite dist: the dilation then sets every cell, even
+	// of an empty mask, since +Inf <= +Inf.
+	all bool
+}
+
+// DilationDisk returns the disk of DilateByDistance(mask, dist) on grids
+// of geometry g. The dilation sets a cell when, for the exact integer
+// squared cell distance d2 to some set cell, math.Sqrt(d2)*g.CellSize <=
+// dist: the distance transform's row pass computes that expression and
+// the threshold keeps cells <= dist. The disk tests the same expression,
+// so it rounds the same way on the boundary; d2 <= (dist/CellSize)^2
+// would not. dist <= 0 keeps the cell alone, as DilateByDistance returns
+// a clone, and a NaN dist gives an empty disk.
+func DilationDisk(g Geometry, dist float64) Disk {
+	if dist <= 0 {
+		return Disk{half: []int{0}}
+	}
+	if math.IsInf(dist, 1) {
+		return Disk{all: true}
+	}
+	within := func(dx, dy int) bool {
+		return math.Sqrt(float64(dx*dx+dy*dy))*g.CellSize <= dist
+	}
+	// Offsets of NX columns or NY rows never land on the grid. Start the
+	// row-0 half-width above the true one (q rounds by under a cell) and
+	// narrow it row by row: the disk only shrinks away from its center.
+	w := g.NX - 1
+	if q := dist / g.CellSize; q < float64(w-2) {
+		w = int(q) + 2
+	}
+	var half []int
+	for dy := 0; dy < g.NY && within(0, dy); dy++ {
+		for !within(w, dy) {
+			w--
+		}
+		half = append(half, w)
+	}
+	return Disk{half: half}
+}
+
+// Reaches reports whether DilateByDistance(mask, dist) sets cell (cx, cy)
+// of the grid, for the dist the disk was made with. It reads mask only
+// inside the disk centered on (cx, cy), a word-level span test per row,
+// so mask need only be right there.
+func (d Disk) Reaches(mask *BitGrid, cx, cy int) bool {
+	if d.all {
+		return true
+	}
+	for dy, w := range d.half {
+		if mask.AnyInSpan(cy+dy, cx-w, cx+w) || dy > 0 && mask.AnyInSpan(cy-dy, cx-w, cx+w) {
+			return true
+		}
+	}
+	return false
+}
+
+// Cover sets in b every cell that Reaches reads for cell (cx, cy): the
+// disk centered there, clipped to the grid. An infinite dist reads none.
+func (d Disk) Cover(b *BitGrid, cx, cy int) {
+	for dy, w := range d.half {
+		b.SetSpan(cy+dy, cx-w, cx+w)
+		if dy > 0 {
+			b.SetSpan(cy-dy, cx-w, cx+w)
+		}
+	}
+}
+
 // ErodeByDistance returns the mask shrunk inward by dist meters: a cell
 // stays set only when every cell within dist is set (computed as the
 // complement's dilation, all word-level).

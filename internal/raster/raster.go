@@ -272,28 +272,60 @@ func (b *BitGrid) Clear() {
 // masks — 64 cells per store instead of one. The span is clamped to the
 // grid; an inverted or fully off-grid span is a no-op.
 func (b *BitGrid) SetSpan(cy, cx0, cx1 int) {
+	if i0, i1, ok := b.span(cy, cx0, cx1); ok {
+		setWordSpan(b.bits, i0, i1)
+	}
+}
+
+// AnyInSpan reports whether any of cells cx0..cx1 (inclusive) of row cy
+// is set, testing 64 cells per word and stopping at the first set one.
+// The span is clamped to the grid like SetSpan's; an inverted or fully
+// off-grid span holds no set cell.
+func (b *BitGrid) AnyInSpan(cy, cx0, cx1 int) bool {
+	i0, i1, ok := b.span(cy, cx0, cx1)
+	if !ok {
+		return false
+	}
+	w0, w1 := i0>>6, i1>>6
+	lowMask, highMask := spanMasks(i0, i1)
+	if w0 == w1 {
+		return b.bits[w0]&lowMask&highMask != 0
+	}
+	if b.bits[w0]&lowMask != 0 {
+		return true
+	}
+	for w := w0 + 1; w < w1; w++ {
+		if b.bits[w] != 0 {
+			return true
+		}
+	}
+	return b.bits[w1]&highMask != 0
+}
+
+// span clamps cells cx0..cx1 of row cy to the grid and returns their
+// first and last bit index; ok is false when no cell is left.
+func (b *BitGrid) span(cy, cx0, cx1 int) (i0, i1 int, ok bool) {
 	if cy < 0 || cy >= b.NY {
-		return
+		return 0, 0, false
 	}
-	if cx0 < 0 {
-		cx0 = 0
-	}
-	if cx1 >= b.NX {
-		cx1 = b.NX - 1
-	}
+	cx0 = max(cx0, 0)
+	cx1 = min(cx1, b.NX-1)
 	if cx0 > cx1 {
-		return
+		return 0, 0, false
 	}
-	i0 := cy*b.NX + cx0
-	i1 := cy*b.NX + cx1
-	setWordSpan(b.bits, i0, i1)
+	return cy*b.NX + cx0, cy*b.NX + cx1, true
+}
+
+// spanMasks returns the masks of bits i0.. in the word holding i0 and of
+// bits ..i1 in the word holding i1.
+func spanMasks(i0, i1 int) (lowMask, highMask uint64) {
+	return ^uint64(0) << (uint(i0) & 63), ^uint64(0) >> (63 - (uint(i1) & 63))
 }
 
 // setWordSpan sets bits i0..i1 (inclusive) of a packed word slice.
 func setWordSpan(words []uint64, i0, i1 int) {
 	w0, w1 := i0>>6, i1>>6
-	lowMask := ^uint64(0) << (uint(i0) & 63)
-	highMask := ^uint64(0) >> (63 - (uint(i1) & 63))
+	lowMask, highMask := spanMasks(i0, i1)
 	if w0 == w1 {
 		words[w0] |= lowMask & highMask
 		return

@@ -9,6 +9,7 @@ package raster
 // kernels through the seeded diffcheck drivers.
 
 import (
+	"fmt"
 	"math"
 	"runtime"
 	"testing"
@@ -68,6 +69,93 @@ func TestSetSpanMatchesPerCellSet(t *testing.T) {
 		}
 		if a.Fingerprint() != b.Fingerprint() {
 			t.Errorf("SetSpan(%d, %d, %d) != per-cell Set", c.cy, c.cx0, c.cx1)
+		}
+	}
+}
+
+func TestAnyInSpanMatchesPerCellGet(t *testing.T) {
+	// One set cell at each word boundary of a 70-wide grid (cell 63 ends
+	// word 0, (64, 0) starts word 1, (57, 1) and (58, 1) are cells 127
+	// and 128), plus an empty and a full grid; every span of every row,
+	// clamped and inverted ones included.
+	g := seamGeometry(70, 5)
+	masks := []*BitGrid{NewBitGrid(g), NewBitGrid(g)}
+	for cy := 0; cy < g.NY; cy++ {
+		masks[1].SetSpan(cy, 0, g.NX-1)
+	}
+	for _, at := range [][2]int{{63, 0}, {64, 0}, {57, 1}, {58, 1}, {0, 1}, {69, 4}} {
+		m := NewBitGrid(g)
+		m.Set(at[0], at[1], true)
+		masks = append(masks, m)
+	}
+	for i, m := range masks {
+		for cy := -1; cy <= g.NY; cy++ {
+			for cx0 := -2; cx0 <= g.NX+1; cx0++ {
+				for cx1 := cx0 - 2; cx1 <= g.NX+1; cx1++ {
+					want := false
+					for cx := cx0; cx <= cx1; cx++ {
+						want = want || m.Get(cx, cy)
+					}
+					if got := m.AnyInSpan(cy, cx0, cx1); got != want {
+						t.Fatalf("mask %d: AnyInSpan(%d, %d, %d) = %v, per-cell Get %v", i, cy, cx0, cx1, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestDilationDiskMatchesDilate pins DilationDisk to the kernel it stands
+// for. The dilation of a single set cell is the disk Cover stamps around
+// it, and Reaches agrees with the dilation cell by cell, for single cells
+// in the middle, at corners (clipped disks) and on word boundaries, and
+// for every seam mask. Cell sizes are and are not exact in binary;
+// distances sit on each ring math.Sqrt(d2)*cell, one ulp either side of
+// it, and at the degenerate values.
+func TestDilationDiskMatchesDilate(t *testing.T) {
+	dists := func(cell float64) []float64 {
+		out := []float64{0, -cell, 0.6 * cell, math.NaN(), math.Inf(1), 1e300}
+		for d2 := 0; d2 <= 64; d2++ {
+			b := math.Sqrt(float64(d2)) * cell
+			out = append(out, math.Nextafter(b, math.Inf(-1)), b, math.Nextafter(b, math.Inf(1)))
+		}
+		return out
+	}
+	check := func(name string, mask *BitGrid, dist float64) {
+		t.Helper()
+		want := DilateByDistance(mask, dist)
+		disk := DilationDisk(mask.Geometry, dist)
+		for cy := 0; cy < mask.NY; cy++ {
+			for cx := 0; cx < mask.NX; cx++ {
+				if got := disk.Reaches(mask, cx, cy); got != want.Get(cx, cy) {
+					t.Fatalf("%s, cell %v, dist %v: Reaches(%d, %d) = %v, DilateByDistance %v",
+						name, mask.CellSize, dist, cx, cy, got, want.Get(cx, cy))
+				}
+			}
+		}
+	}
+	for _, cell := range []float64{1, 700, 1000, 3000, 0.3} {
+		g := Geometry{CellSize: cell, NX: 70, NY: 9}
+		for _, at := range [][2]int{{35, 4}, {0, 0}, {69, 8}, {63, 0}, {64, 0}, {57, 1}} {
+			mask := NewBitGrid(g)
+			mask.Set(at[0], at[1], true)
+			for _, dist := range dists(cell) {
+				check(fmt.Sprintf("single cell %v", at), mask, dist)
+				if math.IsInf(dist, 1) {
+					continue // Reaches reads nothing: the dilation sets every cell
+				}
+				covered := NewBitGrid(g)
+				DilationDisk(g, dist).Cover(covered, at[0], at[1])
+				if covered.Fingerprint() != DilateByDistance(mask, dist).Fingerprint() {
+					t.Fatalf("single cell %v, cell %v, dist %v: Cover differs from DilateByDistance", at, cell, dist)
+				}
+			}
+		}
+	}
+	g := seamGeometry(130, 130)
+	for name, mask := range seamMasks(g) {
+		for _, dist := range []float64{0, 1.5 * g.CellSize, math.Sqrt(2) * g.CellSize, 7 * g.CellSize, math.Inf(1), math.NaN()} {
+			check(name, mask, dist)
 		}
 	}
 }
@@ -207,6 +295,12 @@ func seamMasks(g Geometry) map[string]*BitGrid {
 	corner.Set(0, 0, true)
 	corner.Set(g.NX-1, g.NY-1, true)
 	masks["corners"] = corner
+	// One set cell, the first of a word, mid-grid: the dilation of a
+	// single cell is the shape DilationDisk describes.
+	single := NewBitGrid(g)
+	mid := g.Cells() / 2 &^ 63
+	single.Set(mid%g.NX, mid/g.NX, true)
+	masks["single"] = single
 	return masks
 }
 

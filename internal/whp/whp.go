@@ -16,8 +16,9 @@
 //     half-mile extension.
 //
 // A Map can be built on any raster geometry (the shared world grid for
-// national overlays, or a fine window for the buffer-extension
-// experiment).
+// national overlays, or a fine window for the metro maps). A Model
+// classifies single points, for analyses that read a few cells of a fine
+// window, such as the buffer-extension experiment.
 package whp
 
 import (
@@ -114,25 +115,37 @@ func (c Config) withDefaults(cell float64) Config {
 	return c
 }
 
+// Model is the hazard model itself: a calibrated Config over the world
+// fields, evaluated point by point and independent of any raster.
+type Model struct {
+	Cfg   Config
+	world *conus.World
+}
+
+// NewModel returns the model that Build rasterizes on a grid of
+// cellSize-meter cells (the cell size sets the default road-corridor
+// half-width). Use it to classify only the points an analysis reads.
+func NewModel(w *conus.World, cellSize float64, cfg Config) *Model {
+	return &Model{Cfg: cfg.withDefaults(cellSize), world: w}
+}
+
 // Map is a realized WHP raster plus the continuous hazard field it was
 // classified from (kept for the fire simulator's fuel model).
 type Map struct {
-	Cfg     Config
+	Model
 	Classes *raster.ClassGrid
 	Hazard  *raster.FloatGrid
-	world   *conus.World
 }
 
-// Build computes the WHP over the given geometry (often w.Grid). Rows are
-// evaluated in parallel; the result is deterministic because every cell
-// is a pure function of the world fields.
+// Build computes the WHP over the given geometry (often w.Grid): the
+// Model evaluated at every cell center. Rows are evaluated in parallel;
+// the result is deterministic because every cell is a pure function of
+// the world fields.
 func Build(w *conus.World, g raster.Geometry, cfg Config) *Map {
-	cfg = cfg.withDefaults(g.CellSize)
 	m := &Map{
-		Cfg:     cfg,
+		Model:   *NewModel(w, g.CellSize, cfg),
 		Classes: raster.NewClassGrid(g),
 		Hazard:  raster.NewFloatGrid(g),
-		world:   w,
 	}
 	workers := runtime.GOMAXPROCS(0)
 	if workers > g.NY {
@@ -149,7 +162,7 @@ func Build(w *conus.World, g raster.Geometry, cfg Config) *Map {
 			for cy := start; cy < g.NY; cy += workers {
 				for cx := 0; cx < g.NX; cx++ {
 					p := g.Center(cx, cy)
-					h, cls := m.evaluate(p)
+					h, cls := m.Evaluate(p)
 					m.Hazard.Set(cx, cy, h)
 					m.Classes.Set(cx, cy, uint8(cls))
 				}
@@ -160,9 +173,10 @@ func Build(w *conus.World, g raster.Geometry, cfg Config) *Map {
 	return m
 }
 
-// evaluate computes the continuous hazard and class at a projected point
-// directly from the world fields (resolution-independent).
-func (m *Map) evaluate(p geom.Point) (float64, Class) {
+// Evaluate computes the continuous hazard and class at a projected point
+// directly from the world fields (resolution-independent). Build stores
+// it for every cell center.
+func (m *Model) Evaluate(p geom.Point) (float64, Class) {
 	w := m.world
 	si := w.StateAt(p)
 	if si < 0 {
@@ -182,7 +196,7 @@ func (m *Map) evaluate(p geom.Point) (float64, Class) {
 // HazardValue returns the continuous hazard in [0,1) at a projected point
 // given its state index and urban intensity. Exposed for the fire
 // simulator's fuel model.
-func (m *Map) HazardValue(p geom.Point, stateIdx int, urban float64) float64 {
+func (m *Model) HazardValue(p geom.Point, stateIdx int, urban float64) float64 {
 	w := m.world
 	base := stateHazard(stateIdx)
 	n := w.Noise().FBM(p.X/m.Cfg.NoiseScaleM, p.Y/m.Cfg.NoiseScaleM, 5, 0.55)
@@ -223,7 +237,7 @@ func classify(h float64, th [4]float64) Class {
 // floor so even very-low-hazard wildland carries some fuel. The function
 // is resolution-independent: it derives from the world fields, not from
 // the class raster.
-func (m *Map) FuelAt(p geom.Point) float64 {
+func (m *Model) FuelAt(p geom.Point) float64 {
 	w := m.world
 	si := w.StateAt(p)
 	if si < 0 {

@@ -20,7 +20,7 @@ func windowAround(w *conus.World, center geom.Point, halfWidth, cellSize float64
 // WindowAround returns a raster geometry of the given cell size covering a
 // square window of halfWidth meters around a geographic (lon/lat) anchor,
 // clipped to the world grid. Use it to build fine-resolution WHP windows
-// for the §3.8 extension experiment and the Figure 13 metro maps.
+// for the Figure 13 metro maps.
 func WindowAround(w *conus.World, anchor geom.Point, halfWidth, cellSize float64) raster.Geometry {
 	return windowAround(w, w.ToXY(anchor), halfWidth, cellSize)
 }
