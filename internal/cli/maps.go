@@ -37,7 +37,7 @@ func BuildMapLayer(study *fivealarms.Study, layer string, opt MapOptions) (*rast
 		}
 		return study.Analyzer.ExtendedClasses(dist), MarkedPalette(), nil
 	case "wui":
-		m := wui.Build(study.World, study.Counties, study.WHP)
+		m := wui.Build(study.World, study.Analyzer.Population(), study.WHP)
 		pal := raster.Palette{
 			uint8(wui.NonWUI):    {R: 25, G: 25, B: 25, A: 255},
 			uint8(wui.Interface): {R: 250, G: 160, B: 60, A: 255},

@@ -32,12 +32,14 @@ type Model struct {
 // DefaultRadiusM is the default serving radius.
 const DefaultRadiusM = 10000
 
-// Build synthesizes the population surface and returns a model.
-func Build(w *conus.World, counties *census.Counties, radiusM float64) *Model {
+// New returns a model over the population surface pop (BuildPopulation's
+// output for w). radiusM 0 or below selects DefaultRadiusM. The model
+// only reads pop, so one surface can serve many models.
+func New(w *conus.World, pop *raster.FloatGrid, radiusM float64) *Model {
 	if radiusM <= 0 {
 		radiusM = DefaultRadiusM
 	}
-	return &Model{World: w, Pop: BuildPopulation(w, counties), RadiusM: radiusM}
+	return &Model{World: w, Pop: pop, RadiusM: radiusM}
 }
 
 // BuildPopulation distributes county populations over the world grid:

@@ -13,7 +13,7 @@ import (
 var (
 	testWorld    = conus.Build(conus.Config{Seed: 7, CellSizeM: 20000})
 	testCounties = census.Synthesize(testWorld, 7)
-	testModel    = Build(testWorld, testCounties, 0)
+	testModel    = New(testWorld, BuildPopulation(testWorld, testCounties), 0)
 )
 
 func TestBuildDefaults(t *testing.T) {

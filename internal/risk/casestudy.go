@@ -32,12 +32,27 @@ func (a *Analyzer) CaliforniaRegion() geom.BBox {
 	return geom.NewBBox(sw, ne)
 }
 
-// CaseStudyFall2019 builds the California power network from the dataset,
-// attaches the 2019 season's fires, simulates the PSPS event and
-// aggregates DIRS reports.
+// CaliforniaNetwork returns the power network BuildNetwork builds for the
+// case-study region with cfg. The topology — substations, their hazard,
+// the wiring and the backhaul endpoints — does not depend on the battery
+// mean (see powergrid.BuildNetwork), so it is built once per cfg.Seed as
+// passed and shared by every call and by the PSPS analyses; each call
+// draws only the sites' battery hours, at cfg.MeanBatteryHours. The
+// shared Substations and SubstationHazard are read-only; the returned
+// Sites are the caller's own.
+func (a *Analyzer) CaliforniaNetwork(cfg powergrid.NetConfig) *powergrid.Network {
+	topology := a.networks.Get(cfg.Seed, func() *powergrid.Network {
+		return powergrid.BuildNetwork(a.Data, a.WHP, a.CaliforniaRegion(), powergrid.NetConfig{Seed: cfg.Seed})
+	})
+	return topology.WithBatteryHours(cfg.MeanBatteryHours)
+}
+
+// CaseStudyFall2019 takes the California power network, attaches the
+// 2019 season's fires, simulates the PSPS event and aggregates DIRS
+// reports.
 func (a *Analyzer) CaseStudyFall2019(season *wildfire.Season, netCfg powergrid.NetConfig, seed uint64) *CaseStudyResult {
 	region := a.CaliforniaRegion()
-	net := powergrid.BuildNetwork(a.Data, a.WHP, region, netCfg)
+	net := a.CaliforniaNetwork(netCfg)
 
 	var fires []*wildfire.Fire
 	for i := range season.Mapped {
@@ -89,9 +104,7 @@ func (a *Analyzer) MitigationSweep(season *wildfire.Season, hours []float64, see
 
 	out := make([]MitigationPoint, 0, len(hours))
 	for _, h := range hours {
-		net := powergrid.BuildNetwork(a.Data, a.WHP, region, powergrid.NetConfig{
-			Seed: seed, MeanBatteryHours: h,
-		})
+		net := a.CaliforniaNetwork(powergrid.NetConfig{Seed: seed, MeanBatteryHours: h})
 		o := net.Simulate(sc, seed)
 		day, peak := o.PeakDay()
 		out = append(out, MitigationPoint{

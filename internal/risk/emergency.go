@@ -36,7 +36,7 @@ func (a *Analyzer) EmergencyAnalysis(season *wildfire.Season, netCfg powergrid.N
 		wirelessShare = 0.80
 	}
 	region := a.CaliforniaRegion()
-	net := powergrid.BuildNetwork(a.Data, a.WHP, region, netCfg)
+	net := a.CaliforniaNetwork(netCfg)
 
 	var fires []*wildfire.Fire
 	for i := range season.Mapped {
@@ -47,7 +47,7 @@ func (a *Analyzer) EmergencyAnalysis(season *wildfire.Season, netCfg powergrid.N
 	sc := powergrid.NewFall2019Scenario(fires)
 	outcome := net.Simulate(sc, seed)
 
-	model := coverage.Build(a.World, a.Counties, 0)
+	model := coverage.New(a.World, a.Population(), 0)
 	res := &EmergencyImpact{WirelessOnlyShare: wirelessShare}
 	for d := range outcome.Causes {
 		var up, down []geom.Point

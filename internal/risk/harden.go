@@ -40,7 +40,7 @@ type HardeningResult struct {
 // greedy, within 1-1/e of optimal). radiusM 0 selects the default serving
 // radius.
 func (a *Analyzer) HardeningPlan(budget int, radiusM float64) *HardeningResult {
-	model := coverage.Build(a.World, a.Counties, radiusM)
+	model := coverage.New(a.World, a.Population(), radiusM)
 	g := a.World.Grid
 
 	// Group at-risk transceivers into sites.

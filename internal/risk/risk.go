@@ -13,6 +13,8 @@ import (
 	"fivealarms/internal/census"
 	"fivealarms/internal/conus"
 	"fivealarms/internal/geodata"
+	"fivealarms/internal/pipeline"
+	"fivealarms/internal/powergrid"
 	"fivealarms/internal/raster"
 	"fivealarms/internal/whp"
 )
@@ -30,6 +32,13 @@ type Analyzer struct {
 	classOf []whp.Class
 	// countyOf caches the county index of each transceiver (-1 off-CONUS).
 	countyOf []int32
+
+	// networks holds the California power-network topology per
+	// NetConfig.Seed as passed (see CaliforniaNetwork); population holds
+	// the population surface (see Population). Each is built on first
+	// use and read-only after.
+	networks   pipeline.Keyed[uint64, *powergrid.Network]
+	population pipeline.Cell[*raster.FloatGrid]
 }
 
 // New builds an analyzer over the given layers and precomputes the

@@ -53,7 +53,7 @@ func (r *WUIResult) Concentration() float64 {
 // WUIAnalysis builds the WUI layer and measures the concentration of
 // at-risk infrastructure inside it.
 func (a *Analyzer) WUIAnalysis() *WUIResult {
-	m := wui.Build(a.World, a.Counties, a.WHP)
+	m := wui.Build(a.World, a.Population(), a.WHP)
 	res := &WUIResult{
 		AllTotal:      a.Data.Len(),
 		WUIPopulation: m.Population(),

@@ -13,9 +13,7 @@
 package wui
 
 import (
-	"fivealarms/internal/census"
 	"fivealarms/internal/conus"
-	"fivealarms/internal/coverage"
 	"fivealarms/internal/geom"
 	"fivealarms/internal/raster"
 	"fivealarms/internal/whp"
@@ -80,10 +78,11 @@ type Map struct {
 	Pop *raster.FloatGrid
 }
 
-// Build computes the WUI over the world grid.
-func Build(w *conus.World, counties *census.Counties, hazard *whp.Map) *Map {
+// Build computes the WUI over the world grid from the population surface
+// pop (coverage.BuildPopulation's output for w), which the Map keeps and
+// only reads.
+func Build(w *conus.World, pop *raster.FloatGrid, hazard *whp.Map) *Map {
 	g := w.Grid
-	pop := coverage.BuildPopulation(w, counties)
 
 	// Wildland vegetation mask and its large patches.
 	veg := raster.NewBitGrid(g)

@@ -5,6 +5,7 @@ import (
 
 	"fivealarms/internal/census"
 	"fivealarms/internal/conus"
+	"fivealarms/internal/coverage"
 	"fivealarms/internal/geom"
 	"fivealarms/internal/whp"
 )
@@ -13,7 +14,7 @@ var (
 	testWorld    = conus.Build(conus.Config{Seed: 7, CellSizeM: 20000})
 	testWHP      = whp.Build(testWorld, testWorld.Grid, whp.Config{})
 	testCounties = census.Synthesize(testWorld, 7)
-	testWUI      = Build(testWorld, testCounties, testWHP)
+	testWUI      = Build(testWorld, coverage.BuildPopulation(testWorld, testCounties), testWHP)
 )
 
 func TestClassStrings(t *testing.T) {

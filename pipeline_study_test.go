@@ -16,6 +16,7 @@ import (
 
 	"fivealarms/internal/cellnet"
 	"fivealarms/internal/faults"
+	"fivealarms/internal/powergrid"
 	"fivealarms/internal/risk"
 )
 
@@ -60,6 +61,12 @@ func analysisFingerprints(s *Study) map[string]string {
 			s.CaseStudy().PeakDay, s.CaseStudy().PeakOut, s.CaseStudy().PeakPowerShare),
 		"mask": fmt.Sprintf("hist=%d s2019=%d",
 			s.HistoryUnionMask().Count(), s.Season2019UnionMask().Count()),
+		"emergency": asJSON(s.Emergency()),
+		"harden":    asJSON(s.Harden(15)),
+		"coverage":  asJSON(s.Coverage(0)),
+		"wui":       asJSON(s.WUI()),
+		"mitigation": asJSON(s.Analyzer.MitigationSweep(s.Season2019(),
+			[]float64{4, 8, 24, 48, 72}, s.Cfg.Seed)),
 	}
 }
 
@@ -126,6 +133,19 @@ func TestMemoizedAccessors(t *testing.T) {
 	fine := ExtendOptions{CellSizeM: 800}
 	if s.ExtendWith(fine).Window != s.ExtendWith(fine).Window {
 		t.Error("fine extension not memoized per parameter pair")
+	}
+	// The PSPS analyses share one network topology per seed, whatever
+	// their battery means, and the surface analyses one population grid.
+	s.CaseStudy()
+	s.Analyzer.MitigationSweep(s.Season2019(), []float64{4, 72}, s.Cfg.Seed)
+	s.Emergency()
+	short := s.Analyzer.CaliforniaNetwork(powergrid.NetConfig{Seed: s.Cfg.Seed})
+	long := s.Analyzer.CaliforniaNetwork(powergrid.NetConfig{Seed: s.Cfg.Seed, MeanBatteryHours: 72})
+	if len(short.Substations) == 0 || &short.Substations[0] != &long.Substations[0] {
+		t.Error("California network topology not shared across battery means")
+	}
+	if s.Analyzer.Population() != s.Analyzer.Population() {
+		t.Error("population surface not memoized")
 	}
 }
 
