@@ -1,10 +1,6 @@
 package risk
 
-import (
-	"testing"
-
-	"fivealarms/internal/whp"
-)
+import "testing"
 
 func TestCoverage(t *testing.T) {
 	res := testAnalyzer.Coverage(0)
@@ -36,17 +32,5 @@ func TestCoverage(t *testing.T) {
 	if wide.StrandedPopulation >= wide.AtRiskServedPopulation {
 		t.Errorf("redundancy should leave stranded (%.0f) below exposed (%.0f)",
 			wide.StrandedPopulation, wide.AtRiskServedPopulation)
-	}
-}
-
-func TestCoverageByClass(t *testing.T) {
-	byClass := testAnalyzer.CoverageByClass(0)
-	m, h, vh := byClass[whp.Moderate], byClass[whp.High], byClass[whp.VeryHigh]
-	if m <= 0 || h <= 0 || vh <= 0 {
-		t.Fatalf("per-class coverage missing: M=%.0f H=%.0f VH=%.0f", m, h, vh)
-	}
-	// More transceivers -> at least comparable served population.
-	if m < vh {
-		t.Errorf("moderate-served %.0f below very-high-served %.0f", m, vh)
 	}
 }
