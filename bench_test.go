@@ -120,6 +120,10 @@ func BenchmarkFig4Overlay(b *testing.B) {
 }
 
 // BenchmarkFig5CaseStudy regenerates the PSPS outage series (Figure 5).
+// The first iteration builds the California network; every later one
+// times the analysis over the analyzer's memoized topology (battery
+// re-draw, simulation and DIRS aggregation). BenchmarkBuildNetwork in
+// internal/powergrid times the cold build.
 func BenchmarkFig5CaseStudy(b *testing.B) {
 	season := benchStudy.Season2019()
 	b.ResetTimer()
@@ -293,6 +297,8 @@ func BenchmarkExtension(b *testing.B) {
 }
 
 // BenchmarkMitigationSweep regenerates the §3.10 backup-power ablation.
+// After the first iteration it times the sweep over the memoized network:
+// one battery re-draw and one simulation per level.
 func BenchmarkMitigationSweep(b *testing.B) {
 	season := benchStudy.Season2019()
 	b.ResetTimer()
