@@ -113,6 +113,7 @@ func (n *Network) Simulate(sc Scenario, seed uint64) *Outcome {
 	for i := range n.Sites {
 		s := &n.Sites[i]
 		severed[i] = make([]bool, len(sc.Fires))
+		route := geom.NewBBox(s.XY, s.Backhaul)
 		for fi, af := range sc.Fires {
 			if af.Fire.PreparedPerimeter().Contains(s.XY) && src.Bool(sc.DamageProb) {
 				end := af.LastDay + sc.RepairDays
@@ -122,7 +123,7 @@ func (n *Network) Simulate(sc Scenario, seed uint64) *Outcome {
 			}
 			// Backhaul: a crossing only severs transport when the route
 			// has no protection path.
-			if segmentCrossesPerimeter(s.XY, s.Backhaul, af.Fire) {
+			if segmentCrossesPerimeter(s.XY, s.Backhaul, route, af.Fire) {
 				severed[i][fi] = src.Bool(sc.BackhaulSeverProb)
 			}
 		}
@@ -208,12 +209,13 @@ func backhaulSevered(sc Scenario, severed []bool, day int) bool {
 	return false
 }
 
-// segmentCrossesPerimeter samples the backhaul segment and tests perimeter
-// containment — a cheap stand-in for exact segment/polygon intersection
-// that is exact in the limit of the sampling density (200 m).
-func segmentCrossesPerimeter(a, b geom.Point, f *wildfire.Fire) bool {
+// segmentCrossesPerimeter samples the backhaul segment ab, whose bounding
+// box is route, and tests perimeter containment — a cheap stand-in for
+// exact segment/polygon intersection that is exact in the limit of the
+// sampling density (200 m).
+func segmentCrossesPerimeter(a, b geom.Point, route geom.BBox, f *wildfire.Fire) bool {
 	prep := f.PreparedPerimeter()
-	if !prep.BBox().Intersects(geom.NewBBox(a, b)) {
+	if !prep.BBox().Intersects(route) {
 		return false
 	}
 	d := b.Sub(a)
