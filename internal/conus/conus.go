@@ -12,6 +12,8 @@ package conus
 
 import (
 	"math"
+	"math/bits"
+	"slices"
 
 	"fivealarms/internal/geodata"
 	"fivealarms/internal/geom"
@@ -79,16 +81,23 @@ type World struct {
 	stateWt   []float64     // sqrt(area) weights for the weighted Voronoi
 	cityByIdx map[int][]int // state index -> city indices
 
-	// Road centerlines and a per-cell bucket of nearby segment indices,
-	// so RoadDistAt can return exact sub-cell distances near corridors.
+	// Road centerlines and, per cell, the segments RoadDistAt and
+	// NearestRoadPoint measure, so RoadDistAt can return exact sub-cell
+	// distances near corridors. A cell's own bucket lists, in segment
+	// order, the segments rasterized through its 3x3 neighbourhood. A
+	// ring cell has no own bucket but lies within 2.5 cells of a road
+	// cell in the raster distance; ring lists the deduplicated union of
+	// its 5x5 neighbourhood's own buckets.
 	roadSegs []roadSegment
-	cellSegs map[int32][]int32
+	own      cellLists
+	ring     cellLists
 }
 
 type roadSegment struct{ a, b geom.Point }
 
 // Build constructs the world for cfg. Construction cost is dominated by
-// the raster size (Cells ~ 3.6M at 2.7 km, ~1M at 5 km).
+// the raster size (1703x1057 = 1,800,071 cells at 2.7 km, 920x571 =
+// 525,320 at 5 km).
 func Build(cfg Config) *World {
 	cfg = cfg.withDefaults()
 	w := &World{
@@ -213,11 +222,11 @@ func (w *World) buildUrbanField() {
 	}
 }
 
-// buildRoads connects each city to its roadNeighbors nearest cities and
-// rasterizes the segments.
+// buildRoads connects each city to its roadNeighbors nearest cities,
+// rasterizes the segments and indexes them by cell.
 func (w *World) buildRoads() {
 	w.Roads = raster.NewBitGrid(w.Grid)
-	w.cellSegs = map[int32][]int32{}
+	bk := &buckets{mark: make([]uint64, (w.Grid.Cells()+63)/64)}
 	type edge struct{ a, b int }
 	seen := map[edge]bool{}
 	k := roadNeighbors
@@ -247,20 +256,31 @@ func (w *World) buildRoads() {
 			e := edge{min(i, j), max(i, j)}
 			if !seen[e] {
 				seen[e] = true
-				w.rasterizeSegment(w.Cities[i].XY, w.Cities[j].XY)
+				w.rasterizeSegment(bk, w.Cities[i].XY, w.Cities[j].XY)
 			}
 		}
 	}
 	w.RoadDist = raster.DistanceTransform(w.Roads)
+	w.own = newCellLists(w.Grid.Cells(), bk.cells, bk.segs)
+	w.ring = w.ringLists()
+}
+
+// buckets collects the own buckets as (cell, segment) pairs, segment by
+// segment.
+type buckets struct {
+	cells, segs []int32
+	// mark holds the cells the segment being rasterized has bucketed.
+	mark []uint64
 }
 
 // rasterizeSegment marks the cells along segment ab (grid Bresenham via
 // uniform stepping at half-cell resolution), records the centerline, and
 // buckets the segment under every cell it touches plus their neighbors
 // for exact-distance queries.
-func (w *World) rasterizeSegment(a, b geom.Point) {
+func (w *World) rasterizeSegment(bk *buckets, a, b geom.Point) {
 	segIdx := int32(len(w.roadSegs))
 	w.roadSegs = append(w.roadSegs, roadSegment{a: a, b: b})
+	first := len(bk.cells)
 	d := b.Sub(a)
 	steps := int(d.Norm()/(w.Grid.CellSize/2)) + 1
 	last := int32(-1)
@@ -271,15 +291,19 @@ func (w *World) rasterizeSegment(a, b geom.Point) {
 			w.Roads.Set(cx, cy, true)
 			idx := int32(cy*w.Grid.NX + cx)
 			if idx != last {
-				w.bucketSegment(cx, cy, segIdx)
+				w.bucketSegment(bk, cx, cy, segIdx)
 				last = idx
 			}
 		}
 	}
+	for _, c := range bk.cells[first:] {
+		bk.mark[c>>6] &^= 1 << (c & 63)
+	}
 }
 
-// bucketSegment registers seg under the 3x3 neighborhood of (cx, cy).
-func (w *World) bucketSegment(cx, cy int, seg int32) {
+// bucketSegment registers seg under the 3x3 neighborhood of (cx, cy),
+// once per cell.
+func (w *World) bucketSegment(bk *buckets, cx, cy int, seg int32) {
 	for dy := -1; dy <= 1; dy++ {
 		for dx := -1; dx <= 1; dx++ {
 			nx, ny := cx+dx, cy+dy
@@ -287,13 +311,104 @@ func (w *World) bucketSegment(cx, cy int, seg int32) {
 				continue
 			}
 			key := int32(ny*w.Grid.NX + nx)
-			list := w.cellSegs[key]
-			if n := len(list); n > 0 && list[n-1] == seg {
+			if bk.mark[key>>6]&(1<<(key&63)) != 0 {
 				continue
 			}
-			w.cellSegs[key] = append(list, seg)
+			bk.mark[key>>6] |= 1 << (key & 63)
+			bk.cells = append(bk.cells, key)
+			bk.segs = append(bk.segs, seg)
 		}
 	}
+}
+
+// ringLists indexes the ring cells: every cell without an own bucket
+// whose raster road distance RoadDistAt does not return outright lists
+// the distinct segments of its 5x5 neighbourhood's own buckets.
+func (w *World) ringLists() cellLists {
+	g := w.Grid
+	lim := 2.5 * g.CellSize
+	var cells, segs []int32
+	for c, v := range w.RoadDist.Data {
+		if v > lim || w.own.has(c) {
+			continue
+		}
+		cx, cy := c%g.NX, c/g.NX
+		first := len(segs)
+		for ny := max(cy-2, 0); ny <= min(cy+2, g.NY-1); ny++ {
+			for nx := max(cx-2, 0); nx <= min(cx+2, g.NX-1); nx++ {
+				for _, s := range w.own.list(ny*g.NX + nx) {
+					if !slices.Contains(segs[first:], s) {
+						cells = append(cells, int32(c))
+						segs = append(segs, s)
+					}
+				}
+			}
+		}
+	}
+	return newCellLists(g.Cells(), cells, segs)
+}
+
+// cellLists maps grid cells to lists of segment ids in compressed
+// sparse row form. Only the cells with a list take a row: set marks
+// them, rank counts the set bits before each word of set, and cell c's
+// row is its rank among the set cells. Row r lists
+// ids[off[r]:off[r+1]].
+type cellLists struct {
+	set  []uint64
+	rank []int32
+	off  []int32
+	ids  []int32
+}
+
+// newCellLists indexes the pairs (cells[k], ids[k]) of a grid of n
+// cells. Each cell's list keeps its pairs' order.
+func newCellLists(n int, cells, ids []int32) cellLists {
+	words := (n + 63) / 64
+	l := cellLists{set: make([]uint64, words), rank: make([]int32, words)}
+	for _, c := range cells {
+		l.set[c>>6] |= 1 << (c & 63)
+	}
+	var rows int32
+	for i, word := range l.set {
+		l.rank[i] = rows
+		rows += int32(bits.OnesCount64(word))
+	}
+	// Count each row's pairs into off[row+1], sum them into starts, fill
+	// the rows advancing off[row] to the row's end, then shift the ends
+	// back into starts.
+	l.off = make([]int32, rows+1)
+	for _, c := range cells {
+		l.off[l.row(int(c))+1]++
+	}
+	for r := 1; r <= int(rows); r++ {
+		l.off[r] += l.off[r-1]
+	}
+	l.ids = make([]int32, len(ids))
+	for k, c := range cells {
+		r := l.row(int(c))
+		l.ids[l.off[r]] = ids[k]
+		l.off[r]++
+	}
+	copy(l.off[1:], l.off[:rows])
+	l.off[0] = 0
+	return l
+}
+
+// row returns the row of a cell whose set bit is on.
+func (l *cellLists) row(c int) int32 {
+	return l.rank[c>>6] + int32(bits.OnesCount64(l.set[c>>6]&(1<<(c&63)-1)))
+}
+
+// has reports whether cell c has a list.
+func (l *cellLists) has(c int) bool { return l.set[c>>6]&(1<<(c&63)) != 0 }
+
+// list returns cell c's list, nil if it has none.
+func (l *cellLists) list(c int) []int32 {
+	if !l.has(c) {
+		return nil
+	}
+	r := l.row(c)
+	return l.ids[l.off[r]:l.off[r+1]]
 }
 
 // StateAt returns the geodata.States index of the state containing the
@@ -326,43 +441,29 @@ func (w *World) UrbanAt(p geom.Point) float64 {
 // distance-transform value is returned — accurate to within a cell, which
 // is all "far" callers need.
 func (w *World) RoadDistAt(p geom.Point) float64 {
-	v, ok := w.RoadDist.Sample(p)
+	cx, cy, ok := w.Grid.CellOf(p)
 	if !ok {
 		return math.Inf(1)
 	}
+	c := cy*w.Grid.NX + cx
+	v := w.RoadDist.Data[c]
 	if v > 2.5*w.Grid.CellSize {
 		return v
 	}
-	cx, cy, ok := w.Grid.CellOf(p)
-	if !ok {
-		return v
+	// The 3x3 buckets around each road cell guarantee any point within
+	// ~1.5 cells of a centerline sees its segment in its own bucket. A
+	// point 1.5-2.5 cells out has none and measures its ring list, the
+	// segments of the wider 5x5 neighbourhood, before falling back to
+	// the raster value.
+	segs := w.own.list(c)
+	if len(segs) == 0 {
+		segs = w.ring.list(c)
 	}
 	best := math.Inf(1)
-	// The 3x3 buckets around each road cell guarantee any point within
-	// ~1.5 cells of a centerline sees its segment here.
-	key := int32(cy*w.Grid.NX + cx)
-	for _, si := range w.cellSegs[key] {
+	for _, si := range segs {
 		s := w.roadSegs[si]
 		if d := geom.DistancePointSegment(p, s.a, s.b); d < best {
 			best = d
-		}
-	}
-	if math.IsInf(best, 1) {
-		// No bucketed segment (point 1.5-2.5 cells out): scan the wider
-		// 5x5 neighborhood before falling back to the raster value.
-		for dy := -2; dy <= 2; dy++ {
-			for dx := -2; dx <= 2; dx++ {
-				key := int32((cy+dy)*w.Grid.NX + (cx + dx))
-				if cy+dy < 0 || cx+dx < 0 || cy+dy >= w.Grid.NY || cx+dx >= w.Grid.NX {
-					continue
-				}
-				for _, si := range w.cellSegs[key] {
-					s := w.roadSegs[si]
-					if d := geom.DistancePointSegment(p, s.a, s.b); d < best {
-						best = d
-					}
-				}
-			}
 		}
 	}
 	if math.IsInf(best, 1) {
@@ -387,7 +488,7 @@ func (w *World) NearestRoadPoint(p geom.Point) (geom.Point, bool) {
 			if nx < 0 || ny < 0 || nx >= w.Grid.NX || ny >= w.Grid.NY {
 				continue
 			}
-			for _, si := range w.cellSegs[int32(ny*w.Grid.NX+nx)] {
+			for _, si := range w.own.list(ny*w.Grid.NX + nx) {
 				s := w.roadSegs[si]
 				q := closestOnSegment(p, s.a, s.b)
 				if d := p.DistanceTo(q); d < best {

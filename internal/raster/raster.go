@@ -55,25 +55,40 @@ func (g Geometry) Bounds() geom.BBox {
 }
 
 // CellOf returns the cell containing the projected point and whether it is
-// inside the grid.
+// inside the grid. The column depends on p.X alone and the row on p.Y
+// alone: CellOf is Col and Row.
 func (g Geometry) CellOf(p geom.Point) (cx, cy int, ok bool) {
-	cx = int((p.X - g.MinX) / g.CellSize)
-	cy = int((p.Y - g.MinY) / g.CellSize)
-	// The explicit cx/cy bounds also reject NaN and infinite coordinates,
-	// whose conversions to int are platform-defined.
-	if p.X < g.MinX || p.Y < g.MinY || cx < 0 || cy < 0 || cx >= g.NX || cy >= g.NY {
-		return cx, cy, false
-	}
-	return cx, cy, true
+	cx, okX := g.Col(p.X)
+	cy, okY := g.Row(p.Y)
+	return cx, cy, okX && okY
+}
+
+// Col returns the column holding projected x and whether it is one of
+// the grid's columns.
+func (g Geometry) Col(x float64) (int, bool) {
+	cx := int((x - g.MinX) / g.CellSize)
+	// The explicit bounds also reject NaN and infinite coordinates, whose
+	// conversions to int are platform-defined.
+	return cx, x >= g.MinX && cx >= 0 && cx < g.NX
+}
+
+// Row returns the row holding projected y and whether it is one of the
+// grid's rows.
+func (g Geometry) Row(y float64) (int, bool) {
+	cy := int((y - g.MinY) / g.CellSize)
+	return cy, y >= g.MinY && cy >= 0 && cy < g.NY
 }
 
 // Center returns the projected coordinates of the center of cell (cx, cy).
 func (g Geometry) Center(cx, cy int) geom.Point {
-	return geom.Point{
-		X: g.MinX + (float64(cx)+0.5)*g.CellSize,
-		Y: g.MinY + (float64(cy)+0.5)*g.CellSize,
-	}
+	return geom.Point{X: g.ColX(cx), Y: g.RowY(cy)}
 }
+
+// ColX returns the projected x of the centers of column cx.
+func (g Geometry) ColX(cx int) float64 { return g.MinX + (float64(cx)+0.5)*g.CellSize }
+
+// RowY returns the projected y of the centers of row cy.
+func (g Geometry) RowY(cy int) float64 { return g.MinY + (float64(cy)+0.5)*g.CellSize }
 
 // CellArea returns the area of one cell in square meters.
 func (g Geometry) CellArea() float64 { return g.CellSize * g.CellSize }

@@ -171,9 +171,10 @@ func (a *Analyzer) fineConfig() whp.Config {
 // whp.Map.ExtendVeryHigh read at those cells, with each cell of g
 // classified at most once.
 func extendCells(m *whp.Model, g raster.Geometry, cells []int, distM float64) (before, after []whp.Class) {
+	e := m.Evaluator(g)
 	before = make([]whp.Class, len(cells))
 	for i, c := range cells {
-		_, before[i] = m.Evaluate(g.Center(c%g.NX, c/g.NX))
+		_, before[i] = e.Evaluate(c%g.NX, c/g.NX)
 	}
 	disk := raster.DilationDisk(g, distM)
 	// The cells the dilation reads for the cells it may promote, less
@@ -187,7 +188,7 @@ func extendCells(m *whp.Model, g raster.Geometry, cells []int, distM float64) (b
 	for _, c := range cells {
 		need.Set(c%g.NX, c/g.NX, false)
 	}
-	vh := veryHighCells(m, need)
+	vh := veryHighCells(e, need)
 	for i, c := range cells {
 		if before[i] == whp.VeryHigh {
 			vh.Set(c%g.NX, c/g.NX, true)
@@ -210,7 +211,7 @@ type cellRun struct{ cy, cx0, cx1 int }
 // goroutines, as whp.Build fans out rows. BitGrid packs rows into shared
 // words, so each goroutine lists its very-high runs and the lists are
 // set into the result after the join.
-func veryHighCells(m *whp.Model, cells *raster.BitGrid) *raster.BitGrid {
+func veryHighCells(e *whp.Evaluator, cells *raster.BitGrid) *raster.BitGrid {
 	g := cells.Geometry
 	var runs []cellRun
 	cells.ForEachSetRun(func(cy, cx0, cx1 int) {
@@ -226,7 +227,7 @@ func veryHighCells(m *whp.Model, cells *raster.BitGrid) *raster.BitGrid {
 			for i := wk; i < len(runs); i += len(found) {
 				r := runs[i]
 				for cx := r.cx0; cx <= r.cx1; cx++ {
-					if _, c := m.Evaluate(g.Center(cx, r.cy)); c != whp.VeryHigh {
+					if _, c := e.Evaluate(cx, r.cy); c != whp.VeryHigh {
 						continue
 					}
 					if n := len(out); n > 0 && out[n-1].cy == r.cy && out[n-1].cx1 == cx-1 {

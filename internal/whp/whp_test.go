@@ -249,6 +249,19 @@ func TestResolutionIndependence(t *testing.T) {
 	}
 }
 
+var buildSink *Map
+
+// BenchmarkBuild rasterizes the WHP over the 2.7 km world, the paper's
+// raster: one Build of the whole national grid per iteration.
+func BenchmarkBuild(b *testing.B) {
+	w := conus.Build(conus.Config{Seed: 7, CellSizeM: 2700})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		buildSink = Build(w, w.Grid, Config{})
+	}
+}
+
 func BenchmarkBuildNational20km(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		_ = Build(testWorld, testWorld.Grid, Config{})
