@@ -118,7 +118,8 @@ diffcheck:
 		-run 'Sweep|Golden|Fixture|EqualUlp|Divergence'
 	$(GO) test -count=1 ./internal/geom ./internal/raster ./internal/rtree \
 		./internal/grid ./internal/proj ./internal/census ./internal/conus \
-		./internal/rng ./internal/wildfire ./internal/powergrid -run 'Conformance|Golden'
+		./internal/rng ./internal/wildfire ./internal/powergrid ./internal/whp \
+		-run 'Conformance|Golden'
 	$(GO) test -count=1 ./internal/risk -run 'CrossCheck'
 	$(GO) test -count=1 . -run 'SeedDeterminism|Metamorphic|ShardedDiffcheck'
 
