@@ -141,7 +141,6 @@ fuzz:
 	$(GO) test -fuzz=FuzzGridIndexDiff -fuzztime=10s ./internal/grid
 	$(GO) test -fuzz=FuzzAlbersDiff -fuzztime=10s ./internal/proj
 	$(GO) test -fuzz=FuzzReadArcASCII -fuzztime=10s ./internal/raster
-	$(GO) test -fuzz=FuzzReadCSV -fuzztime=10s ./internal/cellnet
 	$(GO) test -fuzz=FuzzSnapshotDecode -fuzztime=10s ./internal/cellnet
 	$(GO) test -fuzz=FuzzReadCSV -fuzztime=10s ./internal/dirs
 	$(GO) test -fuzz=FuzzReadGeoJSON -fuzztime=10s ./internal/wildfire

@@ -7,8 +7,6 @@
 package cellnet
 
 import (
-	"fmt"
-
 	"fivealarms/internal/conus"
 	"fivealarms/internal/geodata"
 	"fivealarms/internal/geom"
@@ -42,22 +40,6 @@ func (r Radio) String() string {
 	default:
 		return "UNKNOWN"
 	}
-}
-
-// ParseRadio converts an OpenCelliD radio string; unknown values report an
-// error.
-func ParseRadio(s string) (Radio, error) {
-	switch s {
-	case "GSM":
-		return GSM, nil
-	case "CDMA":
-		return CDMA, nil
-	case "UMTS":
-		return UMTS, nil
-	case "LTE":
-		return LTE, nil
-	}
-	return 0, fmt.Errorf("cellnet: unknown radio %q", s)
 }
 
 // Radios lists all radio technologies in declaration order.
