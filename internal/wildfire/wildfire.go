@@ -37,7 +37,6 @@ import (
 	"fivealarms/internal/geom"
 	"fivealarms/internal/raster"
 	"fivealarms/internal/rng"
-	"fivealarms/internal/rtree"
 	"fivealarms/internal/whp"
 )
 
@@ -98,8 +97,6 @@ type Season struct {
 	TotalAcres float64
 	// Mapped are the fires with simulated perimeters.
 	Mapped []Fire
-	// Tree indexes Mapped by perimeter bounding box.
-	Tree *rtree.Tree
 }
 
 // MappedAcres sums the perimeter areas of the mapped fires.
@@ -263,12 +260,6 @@ func (s *Simulator) Season(cfg SeasonConfig) *Season {
 			id++
 		}
 	}
-
-	items := make([]rtree.Item, len(season.Mapped))
-	for i := range season.Mapped {
-		items[i] = rtree.Item{Box: season.Mapped[i].BBox(), ID: i}
-	}
-	season.Tree = rtree.New(items)
 	return season
 }
 

@@ -202,25 +202,6 @@ func TestSimulateHistoryCalibration(t *testing.T) {
 	}
 }
 
-func TestSeasonTreeQueries(t *testing.T) {
-	s := testSim.Season(SeasonConfig{Seed: 23, Year: 2016, TotalFires: 67743, TotalAcres: 5.5e6, MappedFires: 20})
-	if s.Tree.Len() != len(s.Mapped) {
-		t.Fatalf("tree size %d != mapped %d", s.Tree.Len(), len(s.Mapped))
-	}
-	for i := range s.Mapped {
-		hits := s.Tree.SearchPoint(s.Mapped[i].Ignition, nil)
-		found := false
-		for _, h := range hits {
-			if h == i {
-				found = true
-			}
-		}
-		if !found {
-			t.Errorf("fire %d not found at its own ignition", i)
-		}
-	}
-}
-
 func TestGeoJSONRoundTrip(t *testing.T) {
 	s := testSim.Season(SeasonConfig{Seed: 29, Year: 2014, TotalFires: 63312, TotalAcres: 3.6e6, MappedFires: 8})
 	var buf bytes.Buffer
