@@ -2,6 +2,7 @@ package pipeline
 
 import (
 	"errors"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -203,7 +204,11 @@ func TestCellConcurrentFailureSharedThenRetried(t *testing.T) {
 			}
 		}()
 	}
-	time.Sleep(5 * time.Millisecond)
+	// Heal only once a caller has seen the failing flight, so the failure
+	// is observed however late the goroutines are scheduled.
+	for failures.Load() == 0 {
+		runtime.Gosched()
+	}
 	healed.Store(true)
 	wg.Wait()
 	if failures.Load() == 0 {
