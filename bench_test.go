@@ -352,8 +352,10 @@ func BenchmarkHarden(b *testing.B) {
 
 // --- Ablations (design choices called out in DESIGN.md) ---
 
-// BenchmarkAblationRTreeOverlay measures the perimeter join with the
-// R-tree path (the production path).
+// BenchmarkAblationRTreeOverlay measures the production perimeter join,
+// Analyzer.TransceiversInFire: a grid.Index query by the perimeter's
+// bounding box, then the prepared containment test. No R-tree takes part;
+// the name stays so results compare with earlier runs.
 func BenchmarkAblationRTreeOverlay(b *testing.B) {
 	season := benchStudy.Sim.Season(wildfire.SeasonConfig{
 		Seed: 5, Year: 2018, TotalFires: 58083, TotalAcres: 8.8e6, MappedFires: 20,
