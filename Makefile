@@ -145,10 +145,11 @@ fuzz:
 	$(GO) test -fuzz=FuzzReadCSV -fuzztime=10s ./internal/dirs
 	$(GO) test -fuzz=FuzzReadGeoJSON -fuzztime=10s ./internal/wildfire
 
-# Run the fault-containment chaos suite under the race detector.
+# Run the fault-containment chaos suite, and the band fan-out's tests,
+# under the race detector.
 chaos:
 	$(GO) test -race -count=2 \
-		-run 'Chaos|Cancel|Context|Panic|Poison|Retri|JoinErrors' \
+		-run 'Chaos|Cancel|Context|Panic|Poison|Retri|JoinErrors|Bands' \
 		./internal/pipeline ./internal/faults ./internal/wildfire .
 
 # Run the serving-layer chaos suite under the race detector: overload

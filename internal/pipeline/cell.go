@@ -93,9 +93,9 @@ func (c *Cell[T]) GetErr(build func() (T, error)) (T, error) {
 
 // Keyed is a map of memoization cells: one Cell per key, created on
 // demand. Distinct keys compute concurrently; callers racing on the
-// same key share one computation. Like Cell, a failed or panicking
-// build re-arms its key instead of poisoning it. The zero value is
-// ready to use.
+// same key share one computation. Like Cell, a panicking build
+// re-arms its key instead of poisoning it. The zero value is ready to
+// use.
 type Keyed[K comparable, T any] struct {
 	mu sync.Mutex
 	m  map[K]*Cell[T]
@@ -121,10 +121,4 @@ func (k *Keyed[K, T]) cell(key K) *Cell[T] {
 // builds on different keys proceed in parallel.
 func (k *Keyed[K, T]) Get(key K, build func() T) T {
 	return k.cell(key).Get(build)
-}
-
-// GetErr is Get for fallible builders, with Cell.GetErr's retry
-// semantics per key.
-func (k *Keyed[K, T]) GetErr(key K, build func() (T, error)) (T, error) {
-	return k.cell(key).GetErr(build)
 }

@@ -1,8 +1,9 @@
 // Package pipeline provides the small concurrency toolkit behind the
 // public Study: a dependency-graph executor that fans independent build
-// steps out across GOMAXPROCS workers, and memoization cells (Cell, Keyed)
+// steps out across GOMAXPROCS workers, memoization cells (Cell, Keyed)
 // that compute a derived product exactly once and share it between
-// concurrent callers (singleflight semantics).
+// concurrent callers (singleflight semantics), and Bands, the one fan-out
+// of a data loop over GOMAXPROCS goroutines.
 //
 // The executor is deliberately tiny: tasks are named, depend on other
 // tasks by name, and run as soon as every dependency has finished.

@@ -245,18 +245,6 @@ func TestCellPanicRearmsAndPropagates(t *testing.T) {
 	}
 }
 
-func TestKeyedGetErrRetriesPerKey(t *testing.T) {
-	var k Keyed[string, int]
-	boom := errors.New("boom")
-	if _, err := k.GetErr("a", func() (int, error) { return 0, boom }); !errors.Is(err, boom) {
-		t.Fatalf("err = %v", err)
-	}
-	v, err := k.GetErr("a", func() (int, error) { return 5, nil })
-	if err != nil || v != 5 {
-		t.Fatalf("retry: %d, %v", v, err)
-	}
-}
-
 func TestKeyedPerKeySingleflight(t *testing.T) {
 	var k Keyed[int, int]
 	var builds int32

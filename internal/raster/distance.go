@@ -3,6 +3,8 @@ package raster
 import (
 	"math"
 	"sync"
+
+	"fivealarms/internal/pipeline"
 )
 
 // DistanceTransform computes, for every cell, the exact Euclidean distance
@@ -35,7 +37,7 @@ type dtColsTask struct {
 
 var dtColsPool = sync.Pool{New: func() any { return new(dtColsTask) }}
 
-func (t *dtColsTask) runBand(_, lo, hi int) {
+func (t *dtColsTask) RunBand(_, lo, hi int) {
 	g := t.mask.Geometry
 	colDist := t.colDist
 	inf := math.Inf(1)
@@ -86,7 +88,7 @@ type dtRowsTask struct {
 
 var dtRowsPool = sync.Pool{New: func() any { return new(dtRowsTask) }}
 
-func (t *dtRowsTask) runBand(_, lo, hi int) {
+func (t *dtRowsTask) RunBand(_, lo, hi int) {
 	g := t.g
 	inf := math.Inf(1)
 	vP := getInts(g.NX)       // parabola source positions
@@ -160,13 +162,13 @@ func DistanceTransformInto(out *FloatGrid, mask *BitGrid) error {
 
 	ct := dtColsPool.Get().(*dtColsTask)
 	ct.mask, ct.colDist = mask, *colDistP
-	runBands(ct, g.NX, kernelBands(g.Cells(), g.NX))
+	pipeline.Bands(ct, g.NX, kernelBands(g.Cells(), g.NX))
 	ct.mask, ct.colDist = nil, nil
 	dtColsPool.Put(ct)
 
 	rt := dtRowsPool.Get().(*dtRowsTask)
 	rt.g, rt.colDist, rt.out = g, *colDistP, out.Data
-	runBands(rt, g.NY, kernelBands(g.Cells(), g.NY))
+	pipeline.Bands(rt, g.NY, kernelBands(g.Cells(), g.NY))
 	rt.colDist, rt.out = nil, nil
 	dtRowsPool.Put(rt)
 
@@ -186,7 +188,7 @@ type thresholdTask struct {
 
 var thresholdPool = sync.Pool{New: func() any { return new(thresholdTask) }}
 
-func (t *thresholdTask) runBand(_, lo, hi int) {
+func (t *thresholdTask) RunBand(_, lo, hi int) {
 	for w := lo; w < hi; w++ {
 		base := w * 64
 		n := t.cells - base
@@ -219,7 +221,7 @@ func DilateByDistance(mask *BitGrid, dist float64) *BitGrid {
 	if len(out.bits) > 0 {
 		tt := thresholdPool.Get().(*thresholdTask)
 		tt.dt, tt.out, tt.cells, tt.dist = dt.Data, out.bits, g.Cells(), dist
-		runBands(tt, len(out.bits), kernelBands(g.Cells(), len(out.bits)))
+		pipeline.Bands(tt, len(out.bits), kernelBands(g.Cells(), len(out.bits)))
 		tt.dt, tt.out = nil, nil
 		thresholdPool.Put(tt)
 	}
@@ -302,20 +304,6 @@ func (d Disk) Cover(b *BitGrid, cx, cy int) {
 	}
 }
 
-// ErodeByDistance returns the mask shrunk inward by dist meters: a cell
-// stays set only when every cell within dist is set (computed as the
-// complement's dilation, all word-level).
-func ErodeByDistance(mask *BitGrid, dist float64) *BitGrid {
-	if dist <= 0 {
-		return mask.Clone()
-	}
-	inv := mask.Clone()
-	inv.Not()
-	out := DilateByDistance(inv, dist)
-	out.Not()
-	return out
-}
-
 // dilate8Task is one ring of 8-neighborhood dilation: bands are row
 // ranges reading the previous generation (shared, read-only) and
 // accumulating newly set cells into per-band tiles merged serially in
@@ -328,7 +316,7 @@ type dilate8Task struct {
 
 var dilate8Pool = sync.Pool{New: func() any { return new(dilate8Task) }}
 
-func (t *dilate8Task) runBand(band, lo, hi int) {
+func (t *dilate8Task) RunBand(band, lo, hi int) {
 	cur := t.cur
 	nx := cur.NX
 	tile := *t.tiles[band]
@@ -363,7 +351,7 @@ func Dilate8(mask *BitGrid, steps int) *BitGrid {
 	t.tiles = t.tiles[:0]
 	t.offs = t.offs[:0]
 	for b := 0; b < bands; b++ {
-		lo, hi := bandRange(b, g.NY, bands)
+		lo, hi := pipeline.BandRange(b, g.NY, bands)
 		w0 := (lo * g.NX) >> 6
 		w1 := (hi*g.NX + 63) >> 6
 		t.tiles = append(t.tiles, getWords(w1-w0))
@@ -377,7 +365,7 @@ func Dilate8(mask *BitGrid, steps int) *BitGrid {
 				clear(*t.tiles[b])
 			}
 		}
-		runBands(t, g.NY, bands)
+		pipeline.Bands(t, g.NY, bands)
 		// Serial merge, band order: OR each band's tile into the next
 		// generation. Bands only share their boundary words, and OR is
 		// commutative, so the merge is order-independent anyway.

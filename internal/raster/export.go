@@ -33,34 +33,6 @@ func (c *ClassGrid) WritePNG(w io.Writer, pal Palette) error {
 	return nil
 }
 
-// WritePGM writes the float grid as a binary 8-bit PGM, scaling values
-// linearly from [lo, hi] to [0, 255]. Useful for quick visual inspection
-// without image viewers that understand PNG palettes.
-func (f *FloatGrid) WritePGM(w io.Writer, lo, hi float64) error {
-	if hi <= lo {
-		hi = lo + 1
-	}
-	if _, err := fmt.Fprintf(w, "P5\n%d %d\n255\n", f.NX, f.NY); err != nil {
-		return fmt.Errorf("raster: writing PGM header: %w", err)
-	}
-	row := make([]byte, f.NX)
-	for cy := f.NY - 1; cy >= 0; cy-- {
-		for cx := 0; cx < f.NX; cx++ {
-			v := (f.Data[cy*f.NX+cx] - lo) / (hi - lo)
-			if v < 0 {
-				v = 0
-			} else if v > 1 {
-				v = 1
-			}
-			row[cx] = byte(v * 255)
-		}
-		if _, err := w.Write(row); err != nil {
-			return fmt.Errorf("raster: writing PGM row: %w", err)
-		}
-	}
-	return nil
-}
-
 // ASCII renders the class grid as text, one rune per cell via the glyphs
 // map (missing classes render '.'), north at the top. Intended for quick
 // map "figures" in terminals and golden tests; cap columns with maxWidth

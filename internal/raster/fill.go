@@ -5,6 +5,7 @@ import (
 	"sync"
 
 	"fivealarms/internal/geom"
+	"fivealarms/internal/pipeline"
 )
 
 // fillTask is the fused scanline rasterizer: bands are row ranges, and
@@ -26,7 +27,7 @@ type fillTask struct {
 
 var fillPool = sync.Pool{New: func() any { return new(fillTask) }}
 
-func (t *fillTask) runBand(band, lo, hi int) {
+func (t *fillTask) RunBand(band, lo, hi int) {
 	g := t.g
 	var tile []uint64
 	off := 0
@@ -147,14 +148,14 @@ func FillPolygonsInto(mask *BitGrid, polys []geom.Polygon) {
 	t.tiles, t.offs = t.tiles[:0], t.offs[:0]
 	if bands > 1 {
 		for b := 0; b < bands; b++ {
-			lo, hi := bandRange(b, g.NY, bands)
+			lo, hi := pipeline.BandRange(b, g.NY, bands)
 			w0 := (lo * g.NX) >> 6
 			w1 := (hi*g.NX + 63) >> 6
 			t.tiles = append(t.tiles, getWords(w1-w0))
 			t.offs = append(t.offs, w0)
 		}
 	}
-	runBands(t, g.NY, bands)
+	pipeline.Bands(t, g.NY, bands)
 	if bands > 1 {
 		// Serial merge in band order: adjacent bands share at most their
 		// boundary words (rows are bit-packed back to back), and OR is

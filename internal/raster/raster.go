@@ -197,42 +197,6 @@ func (f *FloatGrid) Sample(p geom.Point) (float64, bool) {
 	return f.Data[cy*f.NX+cx], true
 }
 
-// MinMax returns the extreme values of the grid. An empty grid returns
-// (0, 0).
-func (f *FloatGrid) MinMax() (lo, hi float64) {
-	if len(f.Data) == 0 {
-		return 0, 0
-	}
-	lo, hi = f.Data[0], f.Data[0]
-	for _, v := range f.Data[1:] {
-		if v < lo {
-			lo = v
-		}
-		if v > hi {
-			hi = v
-		}
-	}
-	return lo, hi
-}
-
-// Classify maps the grid through thresholds: the result class is the number
-// of thresholds strictly below the value (so len(thresholds)+1 classes).
-func (f *FloatGrid) Classify(thresholds []float64) *ClassGrid {
-	out := NewClassGrid(f.Geometry)
-	for i, v := range f.Data {
-		var cls uint8
-		for _, t := range thresholds {
-			if v >= t {
-				cls++
-			} else {
-				break
-			}
-		}
-		out.Data[i] = cls
-	}
-	return out
-}
-
 // BitGrid is a compact boolean raster used for burned-area and buffer
 // masks.
 type BitGrid struct {

@@ -93,21 +93,6 @@ func TestClassGridMask(t *testing.T) {
 	}
 }
 
-func TestFloatGridClassify(t *testing.T) {
-	f := NewFloatGrid(testGeom(3, 1, 1))
-	f.Set(0, 0, 0.1)
-	f.Set(1, 0, 0.5)
-	f.Set(2, 0, 0.9)
-	c := f.Classify([]float64{0.3, 0.7})
-	if c.At(0, 0) != 0 || c.At(1, 0) != 1 || c.At(2, 0) != 2 {
-		t.Errorf("Classify = %d,%d,%d", c.At(0, 0), c.At(1, 0), c.At(2, 0))
-	}
-	lo, hi := f.MinMax()
-	if lo != 0.1 || hi != 0.9 {
-		t.Errorf("MinMax = %v,%v", lo, hi)
-	}
-}
-
 func TestBitGridOps(t *testing.T) {
 	g := testGeom(8, 8, 1)
 	a := NewBitGrid(g)
@@ -251,26 +236,6 @@ func TestDilateByDistance(t *testing.T) {
 	same := DilateByDistance(mask, 0)
 	if same.Count() != 1 {
 		t.Error("zero distance should clone")
-	}
-}
-
-func TestErodeByDistance(t *testing.T) {
-	g := testGeom(20, 20, 1)
-	mask := NewBitGrid(g)
-	for cy := 5; cy <= 15; cy++ {
-		for cx := 5; cx <= 15; cx++ {
-			mask.Set(cx, cy, true)
-		}
-	}
-	eroded := ErodeByDistance(mask, 2)
-	if eroded.Count() >= mask.Count() {
-		t.Error("erosion must shrink")
-	}
-	if !eroded.Get(10, 10) {
-		t.Error("deep interior must survive")
-	}
-	if eroded.Get(5, 5) {
-		t.Error("corner must be eroded")
 	}
 }
 
@@ -496,25 +461,6 @@ func TestWritePNG(t *testing.T) {
 	}
 	if buf.Len() < 8 || string(buf.Bytes()[1:4]) != "PNG" {
 		t.Error("output is not a PNG")
-	}
-}
-
-func TestWritePGM(t *testing.T) {
-	f := NewFloatGrid(testGeom(4, 4, 1))
-	f.Set(2, 2, 10)
-	var buf bytes.Buffer
-	if err := f.WritePGM(&buf, 0, 10); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.HasPrefix(buf.Bytes(), []byte("P5\n4 4\n255\n")) {
-		t.Errorf("PGM header wrong: %q", buf.Bytes()[:12])
-	}
-	if buf.Len() != 11+16 {
-		t.Errorf("PGM size = %d", buf.Len())
-	}
-	// Degenerate range must not divide by zero.
-	if err := f.WritePGM(&bytes.Buffer{}, 5, 5); err != nil {
-		t.Fatal(err)
 	}
 }
 

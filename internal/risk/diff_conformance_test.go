@@ -31,7 +31,7 @@ func table1Reference(a *Analyzer, s *wildfire.Season) int {
 
 // TestTable1CrossCheck recomputes every Table 1 row with the refimpl
 // full scan. The optimized path composes three accelerated primitives
-// (grid index candidate query, prepared containment, visited-mask
+// (grid index candidate query, prepared containment, sort-and-compact
 // dedup); the reference composes none of them.
 func TestTable1CrossCheck(t *testing.T) {
 	// A slice of the history keeps the full scan (seasons × transceivers
@@ -51,6 +51,13 @@ func TestTable1CrossCheck(t *testing.T) {
 	for i := range serial {
 		if serial[i] != parallel[i] {
 			t.Errorf("row %d: serial %+v != parallel %+v", i, serial[i], parallel[i])
+		}
+	}
+	// No seasons give an empty table at any GOMAXPROCS: the fan-out
+	// still runs one band, over the empty range.
+	for _, procs := range []int{1, 4} {
+		if rows := overlayAt(procs, nil); rows == nil || len(rows) != 0 {
+			t.Errorf("GOMAXPROCS=%d: overlay of no seasons = %#v, want an empty slice", procs, rows)
 		}
 	}
 }

@@ -3,9 +3,9 @@ package risk
 import (
 	"runtime"
 	"slices"
-	"sync"
 
 	"fivealarms/internal/geom"
+	"fivealarms/internal/pipeline"
 	"fivealarms/internal/raster"
 	"fivealarms/internal/whp"
 	"fivealarms/internal/wildfire"
@@ -111,28 +111,15 @@ func (a *Analyzer) ExtendAndValidateFine(season *wildfire.Season, cellSize, dist
 		return whp.Water, whp.Water
 	}
 
-	// Join against the window's fires.
-	inPerimeter := map[int]bool{}
-	var buf []int
-	for fi := range season.Mapped {
-		f := &season.Mapped[fi]
-		prep := f.PreparedPerimeter()
-		if !prep.BBox().Intersects(region) {
+	// Join the window's transceivers against the fires that reach it.
+	inWindow := func(f *wildfire.Fire) bool { return f.PreparedPerimeter().BBox().Intersects(region) }
+	for _, ti := range a.seasonHits(season, inWindow) {
+		p := a.Data.T[ti].XY
+		if !region.ContainsPoint(p) {
 			continue
 		}
-		buf = a.Data.Index.Query(prep.BBox(), buf[:0])
-		for _, ti := range buf {
-			if !region.ContainsPoint(a.Data.T[ti].XY) {
-				continue
-			}
-			if prep.Contains(a.Data.T[ti].XY) {
-				inPerimeter[ti] = true
-			}
-		}
-	}
-	res.InPerimeter = len(inPerimeter)
-	for ti := range inPerimeter {
-		cb, ca := classAt(a.Data.T[ti].XY)
+		res.InPerimeter++
+		cb, ca := classAt(p)
 		if cb.AtRisk() {
 			res.PredictedBefore++
 		}
@@ -208,40 +195,32 @@ type cellRun struct{ cy, cx0, cx1 int }
 
 // veryHighCells classifies every set cell of cells once and returns the
 // very-high ones. The runs of set cells fan out over GOMAXPROCS
-// goroutines, as whp.Build fans out rows. BitGrid packs rows into shared
-// words, so each goroutine lists its very-high runs and the lists are
-// set into the result after the join.
+// contiguous bands (pipeline.Bands). BitGrid packs rows into shared
+// words, so each band lists its very-high runs and the lists are set
+// into the result after the join.
 func veryHighCells(e *whp.Evaluator, cells *raster.BitGrid) *raster.BitGrid {
-	g := cells.Geometry
 	var runs []cellRun
 	cells.ForEachSetRun(func(cy, cx0, cx1 int) {
 		runs = append(runs, cellRun{cy, cx0, cx1})
 	})
-	found := make([][]cellRun, min(runtime.GOMAXPROCS(0), len(runs)))
-	var wg sync.WaitGroup
-	for wk := range found {
-		wg.Add(1)
-		go func(wk int) {
-			defer wg.Done()
-			var out []cellRun
-			for i := wk; i < len(runs); i += len(found) {
-				r := runs[i]
-				for cx := r.cx0; cx <= r.cx1; cx++ {
-					if _, c := e.Evaluate(cx, r.cy); c != whp.VeryHigh {
-						continue
-					}
-					if n := len(out); n > 0 && out[n-1].cy == r.cy && out[n-1].cx1 == cx-1 {
-						out[n-1].cx1 = cx
-					} else {
-						out = append(out, cellRun{r.cy, cx, cx})
-					}
+	found := make([][]cellRun, runtime.GOMAXPROCS(0))
+	pipeline.Bands(pipeline.BandFunc(func(band, lo, hi int) {
+		var out []cellRun
+		for _, r := range runs[lo:hi] {
+			for cx := r.cx0; cx <= r.cx1; cx++ {
+				if _, c := e.Evaluate(cx, r.cy); c != whp.VeryHigh {
+					continue
+				}
+				if n := len(out); n > 0 && out[n-1].cy == r.cy && out[n-1].cx1 == cx-1 {
+					out[n-1].cx1 = cx
+				} else {
+					out = append(out, cellRun{r.cy, cx, cx})
 				}
 			}
-			found[wk] = out
-		}(wk)
-	}
-	wg.Wait()
-	vh := raster.NewBitGrid(g)
+		}
+		found[band] = out
+	}), len(runs), len(found))
+	vh := raster.NewBitGrid(cells.Geometry)
 	for _, out := range found {
 		for _, r := range out {
 			vh.SetSpan(r.cy, r.cx0, r.cx1)

@@ -1,11 +1,10 @@
 package risk
 
 import (
-	"runtime"
-	"sync"
-	"sync/atomic"
+	"slices"
 
 	"fivealarms/internal/geom"
+	"fivealarms/internal/pipeline"
 	"fivealarms/internal/raster"
 	"fivealarms/internal/wildfire"
 )
@@ -20,43 +19,10 @@ type YearOverlay struct {
 	PerMillionAcres float64
 }
 
-// overlayScratch is the per-worker reusable state of the seasonal join:
-// the visited mask (reset sparsely through touched after every season)
-// and the candidate buffer the grid index fills.
-type overlayScratch struct {
-	visited []bool
-	touched []int
-	buf     []int
-}
-
-func newOverlayScratch(n int) *overlayScratch {
-	return &overlayScratch{visited: make([]bool, n)}
-}
-
 // overlaySeason joins one season's perimeters against the transceiver
-// set. A transceiver inside several perimeters of the season counts
-// once, matching the paper's "within wildfire perimeters" semantics.
-func (a *Analyzer) overlaySeason(s *wildfire.Season, sc *overlayScratch) YearOverlay {
-	count := 0
-	sc.touched = sc.touched[:0]
-	for fi := range s.Mapped {
-		f := &s.Mapped[fi]
-		prep := f.PreparedPerimeter()
-		sc.buf = a.Data.Index.Query(prep.BBox(), sc.buf[:0])
-		for _, ti := range sc.buf {
-			if sc.visited[ti] {
-				continue
-			}
-			if prep.Contains(a.Data.T[ti].XY) {
-				sc.visited[ti] = true
-				sc.touched = append(sc.touched, ti)
-				count++
-			}
-		}
-	}
-	for _, ti := range sc.touched {
-		sc.visited[ti] = false
-	}
+// set: Table 1's row for the season.
+func (a *Analyzer) overlaySeason(s *wildfire.Season) YearOverlay {
+	count := len(a.seasonHits(s, nil))
 	perM := 0.0
 	if s.TotalAcres > 0 {
 		perM = float64(count) / (s.TotalAcres / 1e6)
@@ -71,39 +37,16 @@ func (a *Analyzer) overlaySeason(s *wildfire.Season, sc *overlayScratch) YearOve
 }
 
 // HistoricalOverlay joins the transceiver set against each season's
-// perimeters (Table 1, Figure 4) across min(GOMAXPROCS, len(seasons))
-// workers. Each worker joins whole seasons with its own visited/candidate
-// scratch, the same pattern wildfire.SimulateHistory uses for the season
-// simulations; with one worker the join runs inline. Seasons are
-// independent joins over read-only layers, so the result is
+// perimeters (Table 1, Figure 4), one band per season (pipeline.Bands).
+// Seasons are independent joins over read-only layers, so the result is
 // bit-identical at any GOMAXPROCS.
 func (a *Analyzer) HistoricalOverlay(seasons []*wildfire.Season) []YearOverlay {
-	workers := min(runtime.GOMAXPROCS(0), len(seasons))
 	out := make([]YearOverlay, len(seasons))
-	if workers <= 1 {
-		sc := newOverlayScratch(a.Data.Len())
-		for i, s := range seasons {
-			out[i] = a.overlaySeason(s, sc)
+	pipeline.Bands(pipeline.BandFunc(func(_, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			out[i] = a.overlaySeason(seasons[i])
 		}
-		return out
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			sc := newOverlayScratch(a.Data.Len())
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(seasons) {
-					return
-				}
-				out[i] = a.overlaySeason(seasons[i], sc)
-			}
-		}()
-	}
-	wg.Wait()
+	}), len(seasons), len(seasons))
 	return out
 }
 
@@ -129,6 +72,21 @@ func (a *Analyzer) TransceiversInFire(f *wildfire.Fire) []int {
 		}
 	}
 	return out
+}
+
+// seasonHits returns, ascending, the distinct transceivers inside the
+// perimeters of the season's mapped fires that keep accepts (nil keeps
+// every fire). A transceiver inside several of those perimeters appears
+// once, matching the paper's "within wildfire perimeters" semantics.
+func (a *Analyzer) seasonHits(s *wildfire.Season, keep func(*wildfire.Fire) bool) []int {
+	var hits []int
+	for fi := range s.Mapped {
+		if f := &s.Mapped[fi]; keep == nil || keep(f) {
+			hits = append(hits, a.TransceiversInFire(f)...)
+		}
+	}
+	slices.Sort(hits)
+	return slices.Compact(hits)
 }
 
 // SeasonPerimeters flattens every mapped fire's perimeter polygons

@@ -7,7 +7,6 @@ package risk
 
 import (
 	"runtime"
-	"sync"
 
 	"fivealarms/internal/cellnet"
 	"fivealarms/internal/census"
@@ -42,8 +41,9 @@ type Analyzer struct {
 }
 
 // New builds an analyzer over the given layers and precomputes the
-// per-transceiver class and county assignments (in parallel; both are
-// pure lookups).
+// per-transceiver class and county assignments over GOMAXPROCS
+// contiguous ranges of the fleet (pipeline.Bands; both are pure
+// lookups).
 func New(w *conus.World, m *whp.Map, d *cellnet.Dataset, c *census.Counties) *Analyzer {
 	a := &Analyzer{
 		World:    w,
@@ -54,22 +54,12 @@ func New(w *conus.World, m *whp.Map, d *cellnet.Dataset, c *census.Counties) *An
 		classOf:  make([]whp.Class, d.Len()),
 		countyOf: make([]int32, d.Len()),
 	}
-	workers := runtime.GOMAXPROCS(0)
-	if workers > d.Len() {
-		workers = 1
-	}
-	var wg sync.WaitGroup
-	for wk := 0; wk < workers; wk++ {
-		wg.Add(1)
-		go func(start int) {
-			defer wg.Done()
-			for i := start; i < len(d.T); i += workers {
-				a.classOf[i] = m.ClassAt(d.T[i].XY)
-				a.countyOf[i] = int32(c.CountyAt(d.T[i].XY))
-			}
-		}(wk)
-	}
-	wg.Wait()
+	pipeline.Bands(pipeline.BandFunc(func(_, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			a.classOf[i] = m.ClassAt(d.T[i].XY)
+			a.countyOf[i] = int32(c.CountyAt(d.T[i].XY))
+		}
+	}), d.Len(), runtime.GOMAXPROCS(0))
 	return a
 }
 

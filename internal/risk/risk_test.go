@@ -282,6 +282,27 @@ func TestHistoricalOverlayTable1(t *testing.T) {
 	}
 }
 
+// TestEmptyFleet runs the fanned-out analyses over a fleet of no
+// transceivers at GOMAXPROCS 1 and 4: each fan-out still runs one band,
+// over the empty range, and every count is zero.
+func TestEmptyFleet(t *testing.T) {
+	season := wildfire.Simulate2019(testSim, 7, 4)
+	for _, procs := range []int{1, 4} {
+		faults.WithGOMAXPROCS(procs, func() {
+			a := New(testWorld, testWHP, cellnet.NewDataset(testWorld, nil), testCounties)
+			if rows := a.HistoricalOverlay([]*wildfire.Season{season}); rows[0].TransceiversIn != 0 {
+				t.Errorf("GOMAXPROCS=%d: Table 1 row %+v, want no transceivers", procs, rows[0])
+			}
+			if v := a.Validate(season); *v != (ValidationResult{}) {
+				t.Errorf("GOMAXPROCS=%d: validation %+v, want zero", procs, *v)
+			}
+			if f := a.ExtendAndValidateFine(season, 4000, 0); f.WindowTransceivers != 0 || f.InPerimeter != 0 || f.VHAfter != 0 {
+				t.Errorf("GOMAXPROCS=%d: fine extension %+v, want zero counts", procs, *f)
+			}
+		})
+	}
+}
+
 func TestTransceiversInFire(t *testing.T) {
 	season := testSim.Season(wildfire.SeasonConfig{
 		Seed: 5, Year: 2018, TotalFires: 58083, TotalAcres: 8.8e6, MappedFires: 30,

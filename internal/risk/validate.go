@@ -1,6 +1,8 @@
 package risk
 
 import (
+	"slices"
+
 	"fivealarms/internal/raster"
 	"fivealarms/internal/whp"
 	"fivealarms/internal/wildfire"
@@ -51,33 +53,15 @@ func (a *Analyzer) Validate(season *wildfire.Season) *ValidationResult {
 // (e.g. one produced by ClassesAgainst). Read-only: safe under
 // concurrent analyses.
 func (a *Analyzer) ValidateFor(season *wildfire.Season, classOf []whp.Class) *ValidationResult {
-	res := &ValidationResult{}
-	seen := make(map[int]bool)
-	// inRoad tracks whether the transceiver is inside at least one
-	// road-corridor fire.
-	inRoad := make(map[int]bool)
-	var buf []int
-	for fi := range season.Mapped {
-		f := &season.Mapped[fi]
-		prep := f.PreparedPerimeter()
-		buf = a.Data.Index.Query(prep.BBox(), buf[:0])
-		for _, ti := range buf {
-			if !prep.Contains(a.Data.T[ti].XY) {
-				continue
-			}
-			seen[ti] = true
-			if f.RoadCorridor {
-				inRoad[ti] = true
-			}
-		}
-	}
-	for ti := range seen {
-		res.InPerimeter++
+	hits := a.seasonHits(season, nil)
+	road := a.seasonHits(season, func(f *wildfire.Fire) bool { return f.RoadCorridor })
+	res := &ValidationResult{InPerimeter: len(hits)}
+	for _, ti := range hits {
 		predicted := classOf[ti].AtRisk()
 		if predicted {
 			res.Predicted++
 		}
-		if inRoad[ti] {
+		if _, inRoad := slices.BinarySearch(road, ti); inRoad {
 			res.RoadFireTotal++
 			if !predicted {
 				res.MissesInRoadFires++

@@ -26,12 +26,11 @@ package whp
 import (
 	"image/color"
 	"math"
-	"runtime"
-	"sync"
 
 	"fivealarms/internal/conus"
 	"fivealarms/internal/geom"
 	"fivealarms/internal/noise"
+	"fivealarms/internal/pipeline"
 	"fivealarms/internal/raster"
 )
 
@@ -150,9 +149,9 @@ type Map struct {
 }
 
 // Build computes the WHP over the given geometry (often w.Grid): the
-// Model evaluated at every cell center. Rows are evaluated in parallel;
-// the result is deterministic because every cell is a pure function of
-// the world fields.
+// Model evaluated at every cell center. Rows fan out as one band each
+// (pipeline.Bands); the result is deterministic because every cell is a
+// pure function of the world fields.
 func Build(w *conus.World, g raster.Geometry, cfg Config) *Map {
 	m := &Map{
 		Model:   *NewModel(w, g.CellSize, cfg),
@@ -160,28 +159,15 @@ func Build(w *conus.World, g raster.Geometry, cfg Config) *Map {
 		Hazard:  raster.NewFloatGrid(g),
 	}
 	e := m.Evaluator(g)
-	workers := runtime.GOMAXPROCS(0)
-	if workers > g.NY {
-		workers = g.NY
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	var wg sync.WaitGroup
-	for wk := 0; wk < workers; wk++ {
-		wg.Add(1)
-		go func(start int) {
-			defer wg.Done()
-			for cy := start; cy < g.NY; cy += workers {
-				for cx := 0; cx < g.NX; cx++ {
-					h, cls := e.Evaluate(cx, cy)
-					m.Hazard.Set(cx, cy, h)
-					m.Classes.Set(cx, cy, uint8(cls))
-				}
+	pipeline.Bands(pipeline.BandFunc(func(_, lo, hi int) {
+		for cy := lo; cy < hi; cy++ {
+			for cx := 0; cx < g.NX; cx++ {
+				h, cls := e.Evaluate(cx, cy)
+				m.Hazard.Set(cx, cy, h)
+				m.Classes.Set(cx, cy, uint8(cls))
 			}
-		}(wk)
-	}
-	wg.Wait()
+		}
+	}), g.NY, g.NY)
 	return m
 }
 

@@ -3,12 +3,10 @@ package wildfire
 import (
 	"context"
 	"fmt"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"fivealarms/internal/geodata"
 	"fivealarms/internal/geom"
+	"fivealarms/internal/pipeline"
 )
 
 // historyConfigs lists the 2000-2018 season configurations oldest-first
@@ -30,37 +28,26 @@ func historyConfigs(seed uint64, mappedPerSeason int) []SeasonConfig {
 
 // SimulateHistory runs the 2000-2018 seasons with fire counts and burned
 // acres calibrated to the paper's Table 1 marginals. mappedPerSeason
-// controls simulation cost (0 selects the default). Seasons fan out over
-// min(GOMAXPROCS, 19) goroutines. Every season draws from its own rng
-// stream keyed by year and the simulator is read-only after
-// construction, so the output is bit-identical at any GOMAXPROCS — only
-// wall-clock time changes.
+// controls simulation cost (0 selects the default). Seasons fan out as
+// one band each (pipeline.Bands) over at most GOMAXPROCS goroutines.
+// Every season draws from its own rng stream keyed by year and the
+// simulator is read-only after construction, so the output is
+// bit-identical at any GOMAXPROCS — only wall-clock time changes.
 //
-// Cancellation is honored between seasons: a cancelled ctx stops
-// workers from claiming further seasons, the seasons already in flight
-// run to completion (a season is the cancellation granularity), and the
-// call returns a nil slice with an error wrapping ctx.Err() and the
-// progress made — partial histories never escape.
+// Cancellation is honored between seasons: ctx is checked before each
+// season starts, so a cancelled ctx skips the seasons not yet begun,
+// the seasons already in flight run to completion (a season is the
+// cancellation granularity), and the call returns a nil slice with an
+// error wrapping ctx.Err() and the progress made — partial histories
+// never escape.
 func SimulateHistory(ctx context.Context, sim *Simulator, seed uint64, mappedPerSeason int) ([]*Season, error) {
 	cfgs := historyConfigs(seed, mappedPerSeason)
-	workers := min(runtime.GOMAXPROCS(0), len(cfgs))
 	out := make([]*Season, len(cfgs))
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for ctx.Err() == nil {
-				i := int(next.Add(1)) - 1
-				if i >= len(cfgs) {
-					return
-				}
-				out[i] = sim.Season(cfgs[i])
-			}
-		}()
-	}
-	wg.Wait()
+	pipeline.Bands(pipeline.BandFunc(func(_, lo, hi int) {
+		for i := lo; i < hi && ctx.Err() == nil; i++ {
+			out[i] = sim.Season(cfgs[i])
+		}
+	}), len(cfgs), len(cfgs))
 	if err := ctx.Err(); err != nil {
 		done := 0
 		for _, s := range out {

@@ -96,9 +96,10 @@ func TestSimulateHistoryContextCancelled(t *testing.T) {
 }
 
 // errAfterCalls is a context whose Err flips to Canceled after a fixed
-// number of polls. Workers poll once before claiming each season, so
-// with one worker the budget below deterministically allows exactly one
-// season before cancellation lands at the season boundary.
+// number of polls. SimulateHistory polls once inside each season's band,
+// before the season starts, so with one goroutine running the bands in
+// order the budget below deterministically allows exactly one season
+// before cancellation lands at the season boundary.
 type errAfterCalls struct {
 	context.Context
 	mu        sync.Mutex
@@ -116,8 +117,9 @@ func (c *errAfterCalls) Err() error {
 }
 
 // Cancellation between seasons: the first season completes, the second
-// is never claimed, and the partial count is reported — never a partial
-// slice. GOMAXPROCS=1 runs the one worker the poll budget assumes.
+// is never started, and the partial count is reported — never a partial
+// slice. GOMAXPROCS=1 runs the bands on the one goroutine the poll
+// budget assumes.
 func TestSimulateHistoryContextCancelBetweenSeasons(t *testing.T) {
 	ctx := &errAfterCalls{Context: context.Background(), remaining: 1}
 	var seasons []*Season
