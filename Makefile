@@ -119,8 +119,8 @@ diffcheck:
 	$(GO) test -count=1 ./internal/geom ./internal/raster ./internal/rtree \
 		./internal/grid ./internal/proj ./internal/census ./internal/conus \
 		./internal/rng ./internal/wildfire ./internal/powergrid ./internal/whp \
-		-run 'Conformance|Golden'
-	$(GO) test -count=1 ./internal/risk -run 'CrossCheck'
+		./internal/cellnet -run 'Conformance|Golden'
+	$(GO) test -count=1 ./internal/risk -run 'CrossCheck|Conformance'
 	$(GO) test -count=1 . -run 'SeedDeterminism|Metamorphic|ShardedDiffcheck'
 
 # Enforce the per-package coverage floors (COVERAGE_FLOOR.txt); pass a

@@ -206,6 +206,19 @@ func BenchmarkGenerate40k(b *testing.B) {
 	}
 }
 
+var dataSink *Dataset
+
+// BenchmarkGenerate500k generates a 500k-row snapshot over the 2.7 km
+// world, built once: the cellnet task of a fleet-scale study.
+func BenchmarkGenerate500k(b *testing.B) {
+	w := conus.Build(conus.Config{Seed: 7, CellSizeM: 2700})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		dataSink = Generate(w, GenConfig{Seed: 1, Total: 500000})
+	}
+}
+
 func BenchmarkResolver(b *testing.B) {
 	r := NewResolver()
 	tr := Transceiver{MCC: 310, MNC: 410}

@@ -2,10 +2,12 @@ package cellnet
 
 import (
 	"math"
+	"runtime"
 
 	"fivealarms/internal/conus"
 	"fivealarms/internal/geodata"
 	"fivealarms/internal/geom"
+	"fivealarms/internal/pipeline"
 	"fivealarms/internal/rng"
 )
 
@@ -32,6 +34,25 @@ func (c GenConfig) withDefaults() GenConfig {
 	return c
 }
 
+// The provider groups, in the order of the draw that picks a site's
+// group. groups and profiles are indexed by group.
+const (
+	groupATT = iota
+	groupTMobile
+	groupSprint
+	groupVerizon
+	groupOthers
+	numGroups
+)
+
+var groups = [numGroups]string{
+	groupATT:     geodata.ProviderATT,
+	groupTMobile: geodata.ProviderTMobile,
+	groupSprint:  geodata.ProviderSprint,
+	groupVerizon: geodata.ProviderVerizon,
+	groupOthers:  geodata.ProviderOthersAg,
+}
+
 // placementProfile is the per-provider-group mix of site locations. The
 // differences reproduce the real fleets' footprints: Sprint concentrated
 // in metros, the national carriers with substantial highway and rural
@@ -44,24 +65,24 @@ type placementProfile struct {
 	radio [numRadios]float64 // indexed by Radio
 }
 
-var profiles = map[string]placementProfile{
-	geodata.ProviderATT: {
+var profiles = [numGroups]placementProfile{
+	groupATT: {
 		urban: 0.56, road: 0.32, rural: 0.12,
 		radio: [numRadios]float64{GSM: 0.07, CDMA: 0, UMTS: 0.40, LTE: 0.53},
 	},
-	geodata.ProviderTMobile: {
+	groupTMobile: {
 		urban: 0.62, road: 0.28, rural: 0.10,
 		radio: [numRadios]float64{GSM: 0.10, CDMA: 0, UMTS: 0.40, LTE: 0.50},
 	},
-	geodata.ProviderSprint: {
+	groupSprint: {
 		urban: 0.74, road: 0.20, rural: 0.06,
 		radio: [numRadios]float64{GSM: 0, CDMA: 0.35, UMTS: 0, LTE: 0.65},
 	},
-	geodata.ProviderVerizon: {
+	groupVerizon: {
 		urban: 0.56, road: 0.32, rural: 0.12,
 		radio: [numRadios]float64{GSM: 0, CDMA: 0.33, UMTS: 0, LTE: 0.67},
 	},
-	geodata.ProviderOthersAg: {
+	groupOthers: {
 		// Regional licensees serve towns and highway corridors rather
 		// than deep wildland.
 		urban: 0.42, road: 0.42, rural: 0.16,
@@ -70,42 +91,25 @@ var profiles = map[string]placementProfile{
 }
 
 // Generate builds the synthetic snapshot over the world. Deterministic in
-// (world configuration, cfg).
+// (world configuration, cfg). The draws run serially on one stream and
+// position each transceiver in projected coordinates; its geographic
+// position and state then derive from that alone, over GOMAXPROCS
+// ranges of the fleet (pipeline.Bands).
 func Generate(w *conus.World, cfg GenConfig) *Dataset {
 	cfg = cfg.withDefaults()
 	src := rng.NewStream(cfg.Seed, 0xCE11)
 
-	// Pre-bucket world cells by state for road and rural placement.
-	nStates := len(geodata.States)
-	zoneCells := make([][]geom.Point, nStates)
-	roadCells := make([][]geom.Point, nStates)
-	g := w.Grid
-	for cy := 0; cy < g.NY; cy++ {
-		for cx := 0; cx < g.NX; cx++ {
-			v := w.StateZone.At(cx, cy)
-			if v == 0 {
-				continue
-			}
-			p := g.Center(cx, cy)
-			zoneCells[v-1] = append(zoneCells[v-1], p)
-			if w.Roads.Get(cx, cy) {
-				roadCells[v-1] = append(roadCells[v-1], p)
-			}
-		}
-	}
+	// World cells by state for road and rural placement.
+	zoneCells := w.CellsByState(nil)
+	roadCells := w.CellsByState(w.Roads)
 
-	// Provider-group share weights and code tables.
-	groups := []string{
-		geodata.ProviderATT, geodata.ProviderTMobile,
-		geodata.ProviderSprint, geodata.ProviderVerizon, geodata.ProviderOthersAg,
-	}
-	groupW := make([]float64, len(groups))
-	for i, p := range groups {
-		groupW[i] = geodata.NationalShare[p]
-	}
-	majorCodes := map[string][]geodata.MCCMNC{}
-	for _, p := range geodata.MajorProviders {
-		majorCodes[p] = geodata.CodesForProvider(p)
+	// Provider-group share weights and code tables. The regional
+	// carriers draw a licensee first, then one of its codes.
+	var groupW [numGroups]float64
+	var codes [numGroups][]geodata.MCCMNC
+	for gi, p := range groups {
+		groupW[gi] = geodata.NationalShare[p]
+		codes[gi] = geodata.CodesForProvider(p)
 	}
 	regionals := geodata.RegionalProviders()
 	regionalCodes := make([][]geodata.MCCMNC, len(regionals))
@@ -127,11 +131,15 @@ func Generate(w *conus.World, cfg GenConfig) *Dataset {
 		// midwest (rural RSA licensees), not in the high-hazard west —
 		// the reason Table 2 shows "Others" with the lowest at-risk
 		// share. Scale their selection weight by the state's hazard.
-		stateGroupW := make([]float64, len(groupW))
-		copy(stateGroupW, groupW)
+		stateGroupW := groupW
 		m := 1.05 - st.Hazard
-		stateGroupW[len(stateGroupW)-1] *= 2.5 * m * math.Sqrt(m)
+		stateGroupW[groupOthers] *= 2.5 * m * math.Sqrt(m)
+		// Urban sites pick a city by metro population.
 		cities := w.CitiesOfState(si)
+		cityW := make([]float64, len(cities))
+		for i, ci := range cities {
+			cityW[i] = float64(w.Cities[ci].MetroPop)
+		}
 		placed := 0
 		for placed < n {
 			// One site with Poisson-distributed tenancy.
@@ -139,10 +147,9 @@ func Generate(w *conus.World, cfg GenConfig) *Dataset {
 			if placed+k > n {
 				k = n - placed
 			}
-			gi := src.Categorical(stateGroupW)
-			group := groups[gi]
-			prof := profiles[group]
-			pos, ok := placeSite(w, src, prof, si, cities, roadCells[si], zoneCells[si])
+			gi := src.Categorical(stateGroupW[:])
+			prof := &profiles[gi]
+			pos, ok := placeSite(w, src, prof, cities, cityW, roadCells[si], zoneCells[si])
 			if !ok {
 				continue
 			}
@@ -152,15 +159,11 @@ func Generate(w *conus.World, cfg GenConfig) *Dataset {
 				// Each co-located transceiver gets its own code pair: the
 				// site hosts one tenant in this model, with per-radio
 				// cells. (Multi-tenant sites appear as co-located sites.)
-				var code geodata.MCCMNC
-				if group == geodata.ProviderOthersAg {
-					rp := src.Intn(len(regionals))
-					codes := regionalCodes[rp]
-					code = codes[src.Intn(len(codes))]
-				} else {
-					codes := majorCodes[group]
-					code = codes[src.Intn(len(codes))]
+				gc := codes[gi]
+				if gi == groupOthers {
+					gc = regionalCodes[src.Intn(len(regionalCodes))]
 				}
+				code := gc[src.Intn(len(gc))]
 				radio := Radio(src.Categorical(prof.radio[:]))
 				cellID++
 				created := uint16(2005 + src.Intn(15)) // 2005..2019 per §3.11
@@ -169,20 +172,14 @@ func Generate(w *conus.World, cfg GenConfig) *Dataset {
 				// location (OpenCelliD triangulation error, §2.2.3).
 				jitter := src.Normal(0, 120)
 				ang := src.Range(0, 2*math.Pi)
-				txy := geom.Point{
-					X: pos.X + jitter*math.Cos(ang),
-					Y: pos.Y + jitter*math.Sin(ang),
-				}
-				tll := w.ToLonLat(txy)
-				// State attribution is positional (the zone the record
-				// actually falls in), so codecs that recompute it from
-				// coordinates agree; border jitter can land a site in the
-				// neighboring state.
 				ts = append(ts, Transceiver{
-					XY: txy, Lon: tll.X, Lat: tll.Y,
+					XY: geom.Point{
+						X: pos.X + jitter*math.Cos(ang),
+						Y: pos.Y + jitter*math.Sin(ang),
+					},
 					MCC: uint16(code.MCC), MNC: uint16(code.MNC),
 					Area: area, Cell: cellID, SiteID: siteID,
-					StateIdx: int16(w.StateAt(txy)), Radio: radio,
+					Radio:   radio,
 					Created: created, Updated: updated,
 					Samples: uint16(1 + src.Intn(200)),
 				})
@@ -190,14 +187,26 @@ func Generate(w *conus.World, cfg GenConfig) *Dataset {
 			placed += k
 		}
 	}
+	pipeline.Bands(pipeline.BandFunc(func(_, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			t := &ts[i]
+			ll := w.ToLonLat(t.XY)
+			t.Lon, t.Lat = ll.X, ll.Y
+			// State attribution is positional (the zone the record
+			// actually falls in), so codecs that recompute it from
+			// coordinates agree; border jitter can land a site in the
+			// neighboring state.
+			t.StateIdx = int16(w.StateAt(t.XY))
+		}
+	}), len(ts), runtime.GOMAXPROCS(0))
 	return NewDataset(w, ts)
 }
 
 // placeSite samples one site position for the given profile within the
-// state. Returns ok=false when a valid position could not be found (the
-// caller retries).
-func placeSite(w *conus.World, src *rng.Source, prof placementProfile, si int,
-	cities []int, roads, zone []geom.Point) (geom.Point, bool) {
+// state. cityW weights the state's cities. Returns ok=false when a valid
+// position could not be found (the caller retries).
+func placeSite(w *conus.World, src *rng.Source, prof *placementProfile,
+	cities []int, cityW []float64, roads, zone []geom.Point) (geom.Point, bool) {
 
 	mode := src.Categorical([]float64{prof.urban, prof.road, prof.rural})
 	cell := w.Grid.CellSize
@@ -206,12 +215,7 @@ func placeSite(w *conus.World, src *rng.Source, prof placementProfile, si int,
 		if len(cities) == 0 {
 			break // fall through to rural placement
 		}
-		// Weight cities by metro population.
-		weights := make([]float64, len(cities))
-		for i, ci := range cities {
-			weights[i] = float64(w.Cities[ci].MetroPop)
-		}
-		c := w.Cities[cities[src.Categorical(weights)]]
+		c := w.Cities[cities[src.Categorical(cityW)]]
 		// Radial mix: dense core, suburb, exurb/WUI fringe.
 		sigma := c.SigmaM
 		switch src.Categorical([]float64{0.55, 0.30, 0.15}) {

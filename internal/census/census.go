@@ -102,16 +102,9 @@ func Synthesize(w *conus.World, seed uint64) *Counties {
 	src := rng.NewStream(seed, 0xC0)
 	c := &Counties{world: w, byState: make([][]int, len(geodata.States))}
 
-	// Bucket grid cells by state for seeding random county centers.
-	cellsByState := make([][]geom.Point, len(geodata.States))
+	// Grid cells by state for seeding random county centers.
+	cellsByState := w.CellsByState(nil)
 	g := w.Grid
-	for cy := 0; cy < g.NY; cy++ {
-		for cx := 0; cx < g.NX; cx++ {
-			if v := w.StateZone.At(cx, cy); v > 0 {
-				cellsByState[v-1] = append(cellsByState[v-1], g.Center(cx, cy))
-			}
-		}
-	}
 
 	for si, st := range geodata.States {
 		var anchors []geodata.BigCounty

@@ -261,7 +261,8 @@ func TestCountyAtConformance(t *testing.T) {
 var countySink int
 
 // BenchmarkCountyAt looks up the county of every transceiver position
-// of a 2.7 km fleet, the join risk.New runs once per study.
+// of a 2.7 km fleet, the join the population analyses (Figures 10 and
+// 12) run once per study.
 func BenchmarkCountyAt(b *testing.B) {
 	w := conus.Build(conus.Config{Seed: 7, CellSizeM: 2700})
 	c := Synthesize(w, 7)

@@ -18,6 +18,7 @@ import (
 	"fivealarms/internal/geodata"
 	"fivealarms/internal/geom"
 	"fivealarms/internal/noise"
+	"fivealarms/internal/pipeline"
 	"fivealarms/internal/proj"
 	"fivealarms/internal/raster"
 )
@@ -141,39 +142,44 @@ const zoneTile = 16
 // dist/weight (multiplicatively weighted Voronoi), which yields zone areas
 // roughly proportional to real state areas. Each tile scans only the
 // states that can win one of its cell centres, in state order, so every
-// cell gets the state a scan of all of them would give.
+// cell gets the state a scan of all of them would give. Tile rows fan
+// out as one band each (pipeline.Bands); their tiles write disjoint
+// cells.
 func (w *World) buildStateZones() {
 	g := w.Grid
 	w.StateZone = raster.NewClassGrid(g)
-	var cand []int
-	for ty := 0; ty < g.NY; ty += zoneTile {
-		for tx := 0; tx < g.NX; tx += zoneTile {
-			x1, y1 := min(tx+zoneTile, g.NX), min(ty+zoneTile, g.NY)
-			centres := geom.NewBBox(g.Center(tx, ty), g.Center(x1-1, y1-1)).Buffer(1)
-			cand = geom.WeightedVoronoiCandidates(cand[:0], centres, w.statesXY, w.stateWt)
-			for cy := ty; cy < y1; cy++ {
-				for cx := tx; cx < x1; cx++ {
-					if !w.Inside.Get(cx, cy) {
-						continue
-					}
-					p := g.Center(cx, cy)
-					best := -1
-					bestD := math.Inf(1)
-					for _, i := range cand {
-						c := w.statesXY[i]
-						dx := p.X - c.X
-						dy := p.Y - c.Y
-						d := math.Sqrt(dx*dx+dy*dy) / w.stateWt[i]
-						if d < bestD {
-							bestD = d
-							best = i
+	tileRows := (g.NY + zoneTile - 1) / zoneTile
+	pipeline.Bands(pipeline.BandFunc(func(_, lo, hi int) {
+		var cand []int
+		for ty := lo * zoneTile; ty < hi*zoneTile; ty += zoneTile {
+			for tx := 0; tx < g.NX; tx += zoneTile {
+				x1, y1 := min(tx+zoneTile, g.NX), min(ty+zoneTile, g.NY)
+				centres := geom.NewBBox(g.Center(tx, ty), g.Center(x1-1, y1-1)).Buffer(1)
+				cand = geom.WeightedVoronoiCandidates(cand[:0], centres, w.statesXY, w.stateWt)
+				for cy := ty; cy < y1; cy++ {
+					for cx := tx; cx < x1; cx++ {
+						if !w.Inside.Get(cx, cy) {
+							continue
 						}
+						p := g.Center(cx, cy)
+						best := -1
+						bestD := math.Inf(1)
+						for _, i := range cand {
+							c := w.statesXY[i]
+							dx := p.X - c.X
+							dy := p.Y - c.Y
+							d := math.Sqrt(dx*dx+dy*dy) / w.stateWt[i]
+							if d < bestD {
+								bestD = d
+								best = i
+							}
+						}
+						w.StateZone.Set(cx, cy, uint8(best+1))
 					}
-					w.StateZone.Set(cx, cy, uint8(best+1))
 				}
 			}
 		}
-	}
+	}), tileRows, tileRows)
 }
 
 func (w *World) buildCities() {
@@ -323,23 +329,38 @@ func (w *World) bucketSegment(bk *buckets, cx, cy int, seg int32) {
 
 // ringLists indexes the ring cells: every cell without an own bucket
 // whose raster road distance RoadDistAt does not return outright lists
-// the distinct segments of its 5x5 neighbourhood's own buckets.
+// the distinct segments of its 5x5 neighbourhood's own buckets. Such a
+// distance is at most 2.5 cells, so the nearest road cell is at most 2
+// cells away along each axis: only the 5x5 neighbourhoods of the road
+// cells are visited, each cell once and in cell order.
 func (w *World) ringLists() cellLists {
 	g := w.Grid
 	lim := 2.5 * g.CellSize
-	var cells, segs []int32
-	for c, v := range w.RoadDist.Data {
-		if v > lim || w.own.has(c) {
-			continue
-		}
-		cx, cy := c%g.NX, c/g.NX
-		first := len(segs)
+	near := make([]uint64, (g.Cells()+63)/64)
+	w.Roads.ForEachSetRun(func(cy, cx0, cx1 int) {
 		for ny := max(cy-2, 0); ny <= min(cy+2, g.NY-1); ny++ {
-			for nx := max(cx-2, 0); nx <= min(cx+2, g.NX-1); nx++ {
-				for _, s := range w.own.list(ny*g.NX + nx) {
-					if !slices.Contains(segs[first:], s) {
-						cells = append(cells, int32(c))
-						segs = append(segs, s)
+			for nx := max(cx0-2, 0); nx <= min(cx1+2, g.NX-1); nx++ {
+				c := ny*g.NX + nx
+				near[c>>6] |= 1 << (c & 63)
+			}
+		}
+	})
+	var cells, segs []int32
+	for wi, word := range near {
+		for ; word != 0; word &= word - 1 {
+			c := wi<<6 + bits.TrailingZeros64(word)
+			if w.RoadDist.Data[c] > lim || w.own.has(c) {
+				continue
+			}
+			cx, cy := c%g.NX, c/g.NX
+			first := len(segs)
+			for ny := max(cy-2, 0); ny <= min(cy+2, g.NY-1); ny++ {
+				for nx := max(cx-2, 0); nx <= min(cx+2, g.NX-1); nx++ {
+					for _, s := range w.own.list(ny*g.NX + nx) {
+						if !slices.Contains(segs[first:], s) {
+							cells = append(cells, int32(c))
+							segs = append(segs, s)
+						}
 					}
 				}
 			}
@@ -421,6 +442,47 @@ func (w *World) StateAt(p geom.Point) int {
 	return int(v) - 1
 }
 
+// CellsByState returns, per geodata.States index, the centres of the
+// state's zone cells that mask marks (all of them when mask is nil), in
+// row-major order. A counting pass sizes the lists, which share one
+// backing array; both passes visit only the mask's set runs.
+func (w *World) CellsByState(mask *raster.BitGrid) [][]geom.Point {
+	if mask == nil {
+		mask = w.Inside // every zone cell lies inside the outline
+	}
+	g := w.Grid
+	zone := w.StateZone.Data
+	// next[v] counts zone value v's cells, then becomes the write
+	// cursor of its list in buf. Zone 0 is outside every state.
+	next := make([]int, len(geodata.States)+1)
+	mask.ForEachSetRun(func(cy, cx0, cx1 int) {
+		for _, v := range zone[cy*g.NX+cx0 : cy*g.NX+cx1+1] {
+			next[v]++
+		}
+	})
+	next[0] = 0
+	total := 0
+	for v := 1; v < len(next); v++ {
+		next[v], total = total, total+next[v]
+	}
+	buf := make([]geom.Point, total)
+	mask.ForEachSetRun(func(cy, cx0, cx1 int) {
+		y := g.RowY(cy)
+		for cx := cx0; cx <= cx1; cx++ {
+			if v := zone[cy*g.NX+cx]; v > 0 {
+				buf[next[v]] = geom.Point{X: g.ColX(cx), Y: y}
+				next[v]++
+			}
+		}
+	})
+	// Each cursor now stands where the next zone's list begins.
+	out := make([][]geom.Point, len(geodata.States))
+	for si := range out {
+		out[si] = buf[next[si]:next[si+1]:next[si+1]]
+	}
+	return out
+}
+
 // Contains reports whether the projected point lies inside the CONUS
 // outline raster.
 func (w *World) Contains(p geom.Point) bool {
@@ -480,15 +542,21 @@ func (w *World) NearestRoadPoint(p geom.Point) (geom.Point, bool) {
 	if !ok {
 		return geom.Point{}, false
 	}
+	g := w.Grid
 	best := math.Inf(1)
 	var bestPt geom.Point
-	for dy := -2; dy <= 2; dy++ {
-		for dx := -2; dx <= 2; dx++ {
-			nx, ny := cx+dx, cy+dy
-			if nx < 0 || ny < 0 || nx >= w.Grid.NX || ny >= w.Grid.NY {
-				continue
-			}
-			for _, si := range w.own.list(ny*w.Grid.NX + nx) {
+	// Neighbouring buckets repeat segments. A repeat measures the same
+	// distance as its first listing, so it can never win the strict
+	// minimum: each distinct segment is measured once.
+	var seenBuf [16]int32
+	seen := seenBuf[:0]
+	for ny := max(cy-2, 0); ny <= min(cy+2, g.NY-1); ny++ {
+		for nx := max(cx-2, 0); nx <= min(cx+2, g.NX-1); nx++ {
+			for _, si := range w.own.list(ny*g.NX + nx) {
+				if slices.Contains(seen, si) {
+					continue
+				}
+				seen = append(seen, si)
 				s := w.roadSegs[si]
 				q := closestOnSegment(p, s.a, s.b)
 				if d := p.DistanceTo(q); d < best {

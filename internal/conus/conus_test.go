@@ -2,10 +2,13 @@ package conus
 
 import (
 	"math"
+	"slices"
 	"testing"
 
+	"fivealarms/internal/faults"
 	"fivealarms/internal/geodata"
 	"fivealarms/internal/geom"
+	"fivealarms/internal/raster"
 )
 
 // testWorld builds a coarse world once for the whole package test run.
@@ -231,17 +234,56 @@ func stateZoneScan(w *World) []uint8 {
 	return zones
 }
 
-// TestStateZoneConformance pins the tile-pruned state zones to the scan
-// over every state, cell for cell.
+// TestStateZoneConformance pins the tile-pruned state zones, built by
+// tile row at GOMAXPROCS 1, 2 and 4, to the serial scan over every
+// state, cell for cell.
 func TestStateZoneConformance(t *testing.T) {
 	for _, cell := range []float64{2700, 10000, 20000, 40000} {
 		for _, seed := range []uint64{1, 7, 99} {
-			w := Build(Config{Seed: seed, CellSizeM: cell})
-			want := stateZoneScan(w)
-			for i, got := range w.StateZone.Data {
-				if got != want[i] {
-					t.Fatalf("%g m, seed %d: cell (%d,%d) in state zone %d, scan says %d",
-						cell, seed, i%w.Grid.NX, i/w.Grid.NX, got, want[i])
+			for _, procs := range []int{1, 2, 4} {
+				var w *World
+				faults.WithGOMAXPROCS(procs, func() { w = Build(Config{Seed: seed, CellSizeM: cell}) })
+				want := stateZoneScan(w)
+				for i, got := range w.StateZone.Data {
+					if got != want[i] {
+						t.Fatalf("%g m, seed %d, GOMAXPROCS %d: cell (%d,%d) in state zone %d, scan says %d",
+							cell, seed, procs, i%w.Grid.NX, i/w.Grid.NX, got, want[i])
+					}
+				}
+			}
+		}
+	}
+}
+
+// cellsByStateGrowing is the per-state bucketing the generator and the
+// county synthesis each did before CellsByState counted first: lists
+// grown by append in row-major order.
+func cellsByStateGrowing(w *World, mask *raster.BitGrid) [][]geom.Point {
+	out := make([][]geom.Point, len(geodata.States))
+	g := w.Grid
+	for cy := 0; cy < g.NY; cy++ {
+		for cx := 0; cx < g.NX; cx++ {
+			v := w.StateZone.At(cx, cy)
+			if v == 0 || (mask != nil && !mask.Get(cx, cy)) {
+				continue
+			}
+			out[v-1] = append(out[v-1], g.Center(cx, cy))
+		}
+	}
+	return out
+}
+
+// TestCellsByStateConformance pins CellsByState to the growing-slice
+// bucketing, with and without the road mask.
+func TestCellsByStateConformance(t *testing.T) {
+	for _, cell := range []float64{2700, 20000, 40000} {
+		w := Build(Config{Seed: 7, CellSizeM: cell})
+		for _, mask := range []*raster.BitGrid{nil, w.Roads} {
+			got, want := w.CellsByState(mask), cellsByStateGrowing(w, mask)
+			for si := range want {
+				if !slices.Equal(got[si], want[si]) {
+					t.Fatalf("%g m, road mask %v: state %d lists %d cells, growing slices %d",
+						cell, mask != nil, si, len(got[si]), len(want[si]))
 				}
 			}
 		}

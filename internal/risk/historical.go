@@ -117,19 +117,3 @@ func (a *Analyzer) FireUnionMask(seasons []*wildfire.Season) *raster.BitGrid {
 	raster.FillPolygonsInto(union, SeasonPerimeters(seasons))
 	return union
 }
-
-// FireDistance computes, for every grid cell, the distance in meters to
-// the nearest cell burned by any of the seasons' fires — the field
-// behind the risk server's fire-distance queries. The perimeter union
-// and its distance transform run as one fused sweep: the intermediate
-// burn mask lives in the raster scratch arena and is released before
-// returning, so only the distance grid is allocated.
-func (a *Analyzer) FireDistance(seasons []*wildfire.Season) *raster.FloatGrid {
-	mask := raster.AcquireBitGrid(a.World.Grid)
-	raster.FillPolygonsInto(mask, SeasonPerimeters(seasons))
-	dist := raster.NewFloatGrid(a.World.Grid)
-	// The error is impossible: dist was just built on the mask's geometry.
-	_ = raster.DistanceTransformInto(dist, mask) //fivealarms:allow(errflow) dist was just built on the mask's geometry, the only error the kernel can report
-	raster.ReleaseBitGrid(mask)
-	return dist
-}

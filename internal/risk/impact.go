@@ -35,12 +35,13 @@ func popColumn(d census.DensityClass) int {
 // PopulationImpact computes the Figure 10 matrix.
 func (a *Analyzer) PopulationImpact() *ImpactMatrix {
 	m := &ImpactMatrix{}
+	countyOf := a.countyOf()
 	for i := range a.Data.T {
 		row := classColumn(a.classOf[i])
 		if row < 0 {
 			continue
 		}
-		ci := int(a.countyOf[i])
+		ci := int(countyOf[i])
 		if ci < 0 {
 			continue
 		}
@@ -95,6 +96,7 @@ func (a *Analyzer) MetroImpact() []MetroRow {
 // windows.
 func (a *Analyzer) MetroImpactWindows(windows []geodata.MetroWindow) []MetroRow {
 	rows := make([]MetroRow, 0, len(windows))
+	countyOf := a.countyOf()
 	var buf []int
 	for _, mw := range windows {
 		center := a.World.ToXY(geom.Point{X: mw.AnchorLon, Y: mw.AnchorLat})
@@ -113,7 +115,7 @@ func (a *Analyzer) MetroImpactWindows(windows []geodata.MetroWindow) []MetroRow 
 				continue
 			}
 			if a.classOf[ti] == whp.VeryHigh {
-				if ci := int(a.countyOf[ti]); ci >= 0 &&
+				if ci := int(countyOf[ti]); ci >= 0 &&
 					a.Counties.All[ci].Density() == census.PopVeryDense {
 					row.VHVeryDense++
 				}

@@ -29,8 +29,9 @@ type Analyzer struct {
 
 	// classOf caches the WHP class at each transceiver.
 	classOf []whp.Class
-	// countyOf caches the county index of each transceiver (-1 off-CONUS).
-	countyOf []int32
+	// county caches the county index of each transceiver (-1
+	// off-CONUS), joined on first use (see countyOf).
+	county pipeline.Cell[[]int32]
 
 	// networks holds the California power-network topology per
 	// NetConfig.Seed as passed (see CaliforniaNetwork); population holds
@@ -41,9 +42,9 @@ type Analyzer struct {
 }
 
 // New builds an analyzer over the given layers and precomputes the
-// per-transceiver class and county assignments over GOMAXPROCS
-// contiguous ranges of the fleet (pipeline.Bands; both are pure
-// lookups).
+// per-transceiver WHP class over GOMAXPROCS contiguous ranges of the
+// fleet (pipeline.Bands; a pure lookup). The county join waits for
+// its first reader.
 func New(w *conus.World, m *whp.Map, d *cellnet.Dataset, c *census.Counties) *Analyzer {
 	a := &Analyzer{
 		World:    w,
@@ -52,15 +53,29 @@ func New(w *conus.World, m *whp.Map, d *cellnet.Dataset, c *census.Counties) *An
 		Counties: c,
 		Resolver: cellnet.NewResolver(),
 		classOf:  make([]whp.Class, d.Len()),
-		countyOf: make([]int32, d.Len()),
 	}
 	pipeline.Bands(pipeline.BandFunc(func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			a.classOf[i] = m.ClassAt(d.T[i].XY)
-			a.countyOf[i] = int32(c.CountyAt(d.T[i].XY))
 		}
 	}), d.Len(), runtime.GOMAXPROCS(0))
 	return a
+}
+
+// countyOf returns the county index of each transceiver (-1
+// off-CONUS). Only the population analyses read it, so the join runs
+// on their first call, over GOMAXPROCS contiguous ranges of the fleet,
+// and concurrent first callers share it.
+func (a *Analyzer) countyOf() []int32 {
+	return a.county.Get(func() []int32 {
+		out := make([]int32, a.Data.Len())
+		pipeline.Bands(pipeline.BandFunc(func(_, lo, hi int) {
+			for i := lo; i < hi; i++ {
+				out[i] = int32(a.Counties.CountyAt(a.Data.T[i].XY))
+			}
+		}), len(out), runtime.GOMAXPROCS(0))
+		return out
+	})
 }
 
 // Class returns the cached WHP class of transceiver i.

@@ -45,11 +45,12 @@ type studyEntry struct {
 	fireDist pipeline.Cell[*raster.FloatGrid]
 }
 
-// FireDist returns the memoized nearest-fire distance grid, computed as
-// one fused union-fill + distance sweep over the 2000-2018 seasons.
+// FireDist returns the memoized nearest-fire distance grid: the
+// distance transform of the study's 2000-2018 perimeter union mask,
+// which the point handler reads as well.
 func (e *studyEntry) FireDist() *raster.FloatGrid {
 	return e.fireDist.Get(func() *raster.FloatGrid {
-		return e.study.Analyzer.FireDistance(e.study.History())
+		return raster.DistanceTransform(e.study.HistoryUnionMask())
 	})
 }
 

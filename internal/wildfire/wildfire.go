@@ -173,19 +173,33 @@ type Simulator struct {
 }
 
 // NewSimulator prepares a simulator. The hazard map supplies the fuel
-// model; its raster resolution does not constrain fire resolution.
+// model; its raster resolution does not constrain fire resolution. A
+// counting pass sizes the ignition pool and its weights.
 func NewSimulator(w *conus.World, hazard *whp.Map) *Simulator {
 	s := &Simulator{World: w, Hazard: hazard}
-	var weights []float64
 	g := w.Grid
+	ignitable := func(cx, cy int) (geom.Point, float64, bool) {
+		if w.StateZone.At(cx, cy) == 0 {
+			return geom.Point{}, 0, false
+		}
+		p := g.Center(cx, cy)
+		h := hazard.HazardAt(p)
+		return p, h, h > 0.05
+	}
+	n := 0
 	for cy := 0; cy < g.NY; cy++ {
 		for cx := 0; cx < g.NX; cx++ {
-			if w.StateZone.At(cx, cy) == 0 {
-				continue
+			if _, _, ok := ignitable(cx, cy); ok {
+				n++
 			}
-			p := g.Center(cx, cy)
-			h := hazard.HazardAt(p)
-			if h <= 0.05 {
+		}
+	}
+	s.pool = make([]geom.Point, 0, n)
+	weights := make([]float64, 0, n)
+	for cy := 0; cy < g.NY; cy++ {
+		for cx := 0; cx < g.NX; cx++ {
+			p, h, ok := ignitable(cx, cy)
+			if !ok {
 				continue
 			}
 			s.pool = append(s.pool, p)

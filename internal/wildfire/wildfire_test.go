@@ -346,6 +346,20 @@ func BenchmarkIgnitionDraw(b *testing.B) {
 	}
 }
 
+var simSink *Simulator
+
+// BenchmarkNewSimulator builds the ignition pool and table of the 2.7 km
+// world, the study's sim task.
+func BenchmarkNewSimulator(b *testing.B) {
+	w := conus.Build(conus.Config{Seed: 7, CellSizeM: 2700})
+	m := whp.Build(w, w.Grid, whp.Config{})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		simSink = NewSimulator(w, m)
+	}
+}
+
 // benchSeason is the season BenchmarkSeason simulates.
 var benchSeason = SeasonConfig{Seed: 5, Year: 2010, TotalFires: 50000, TotalAcres: 4e6, MappedFires: 20}
 
