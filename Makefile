@@ -76,8 +76,9 @@ bench-raster:
 # 5,364,949-transceiver fleet on the 2.7 km national raster, plus the
 # band pass (all 19 seasons and the 2019 hold-out joined over 16 CONUS
 # row bands) and the history union mask. Records wall time and the
-# accounted peak per-band copy (peak-shard-B) in BENCH_shard.json.
-# Expect under a minute at GOMAXPROCS=2.
+# measured peak of the heap's object bytes, sampled every 2 ms
+# (peak-heap-B), in BENCH_shard.json. Expect under a minute and a
+# heap peak near 1.3 GB at GOMAXPROCS=2.
 bench-shard:
 	FIVEALARMS_BENCH_PAPER=1 $(GO) test -run '^$$' -bench 'BenchmarkShardedStudy' \
 		-benchtime=1x -timeout=0 -benchmem -json . > BENCH_shard.json

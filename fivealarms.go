@@ -79,9 +79,9 @@ type Config struct {
 	// fleet into for the products that join simulated perimeters
 	// against it (Table 1 and the hold-out validation): each band joins
 	// its own rows in a pipeline task and the partial counts merge in
-	// band order. Results are bit-identical at any band count (see
-	// DESIGN.md §10). 0 or 1 (the default) is one band, which joins the
-	// Study's own Analyzer and copies nothing.
+	// band order. Every band joins the Study's own Analyzer in place
+	// and copies nothing. Results are bit-identical at any band count
+	// (see DESIGN.md §10). 0 or 1 (the default) is one band.
 	Shards int
 	// SnapshotPath, when non-empty, warm-loads the transceiver layer
 	// from a columnar snapshot file (cellnet's "FA5C" format, written by

@@ -4,13 +4,16 @@ package grid_test
 // conformance tests run from outside to avoid the cycle.
 
 import (
+	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"fivealarms/internal/geom"
 	"fivealarms/internal/grid"
 	"fivealarms/internal/refimpl"
 	"fivealarms/internal/refimpl/diffcheck"
+	"fivealarms/internal/rng"
 )
 
 // TestPointIndexConformance sweeps window, radius and count queries
@@ -98,4 +101,95 @@ func FuzzGridIndexDiff(f *testing.F) {
 			t.Fatal(err)
 		}
 	})
+}
+
+// twinSets are the point sets the compressed rows are compared with the
+// legacy twin on: random, clustered, duplicate and single-point sets,
+// then every diffcheck point-index case and every fixture's vertices.
+func twinSets(t *testing.T) map[string][]geom.Point {
+	t.Helper()
+	r := rng.New(11)
+	sets := map[string][]geom.Point{"single": {geom.Pt(3, -4)}, "empty": nil}
+	var random, clustered, dup []geom.Point
+	for i := 0; i < 3000; i++ {
+		random = append(random, geom.Pt(r.Range(-500, 500), r.Range(0, 300)))
+		c := float64(i % 3)
+		clustered = append(clustered, geom.Pt(c*1e5+r.Range(0, 2), c*1e5+r.Range(0, 2)))
+		dup = append(dup, geom.Pt(float64(i%7), float64(i%5)))
+	}
+	sets["random"], sets["clustered"], sets["duplicates"] = random, clustered, dup
+	for seed := int64(0); seed < 40; seed++ {
+		c := diffcheck.GenPointsCase(seed)
+		sets[fmt.Sprintf("diffcheck %d: %s", seed, c.Desc)] = c.Pts
+	}
+	for _, name := range diffcheck.FixtureNames() {
+		features, err := diffcheck.Fixture(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var pts []geom.Point
+		for _, m := range features {
+			for _, pg := range m {
+				for _, ring := range append([]geom.Ring{pg.Exterior}, pg.Holes...) {
+					pts = append(pts, ring...)
+				}
+			}
+		}
+		sets["fixture "+name] = pts
+	}
+	return sets
+}
+
+// TestIndexMatchesLegacyTwin: on every twin set and at a fitted, a
+// coarse and a fine requested cell size, Query, Visit and QueryRadius
+// return the legacy twin's index sequences element for element (not
+// just the same sets), CountRadius counts them, and the effective cell
+// sizes agree.
+func TestIndexMatchesLegacyTwin(t *testing.T) {
+	r := rng.New(12)
+	for name, pts := range twinSets(t) {
+		bb := geom.PointsBBox(pts)
+		extent := math.Max(math.Max(bb.Width(), bb.Height()), 1)
+		if len(pts) == 0 {
+			bb = geom.NewBBox(geom.Pt(0, 0), geom.Pt(1, 1))
+		}
+		for _, cell := range []float64{0, extent / 8, extent / 2048} {
+			got, want := grid.New(pts, cell), grid.NewLegacy(pts, cell)
+			at := fmt.Sprintf("%s (%d points) cell %g", name, len(pts), cell)
+			if got.CellSize() != want.CellSize() {
+				t.Fatalf("%s: cell size %v, twin %v", at, got.CellSize(), want.CellSize())
+			}
+			windows := []geom.BBox{bb, geom.EmptyBBox()}
+			for q := 0; q < 24; q++ {
+				x, y := r.Range(bb.MinX-extent/4, bb.MaxX), r.Range(bb.MinY-extent/4, bb.MaxY)
+				w, h := r.Range(0, extent/2), r.Range(0, extent/2)
+				windows = append(windows, geom.NewBBox(geom.Pt(x, y), geom.Pt(x+w, y+h)))
+			}
+			for _, w := range windows {
+				if g, wt := got.Query(w, nil), want.Query(w, nil); !slices.Equal(g, wt) {
+					t.Fatalf("%s: Query(%v) = %v, twin %v", at, w, g, wt)
+				}
+				var g, wt []int
+				got.Visit(w, func(i int) bool { g = append(g, i); return len(g) < 17 })
+				want.Visit(w, func(i int) bool { wt = append(wt, i); return len(wt) < 17 })
+				if !slices.Equal(g, wt) {
+					t.Fatalf("%s: Visit(%v) = %v, twin %v", at, w, g, wt)
+				}
+			}
+			for q := 0; q < 24; q++ {
+				c := geom.Pt(r.Range(bb.MinX, bb.MaxX), r.Range(bb.MinY, bb.MaxY))
+				rad := r.Range(0, extent/3)
+				if q < len(pts) {
+					rad = c.DistanceTo(pts[q]) // a rim-exact radius
+				}
+				g, wt := got.QueryRadius(c, rad, nil), want.QueryRadius(c, rad, nil)
+				if !slices.Equal(g, wt) {
+					t.Fatalf("%s: QueryRadius(%v, %v) = %v, twin %v", at, c, rad, g, wt)
+				}
+				if n := got.CountRadius(c, rad); n != len(wt) {
+					t.Fatalf("%s: CountRadius(%v, %v) = %d, twin %d", at, c, rad, n, len(wt))
+				}
+			}
+		}
+	}
 }

@@ -14,11 +14,15 @@ import (
 // Index is a uniform-grid point index built once over a fixed point set.
 // Safe for concurrent readers.
 type Index struct {
-	cell     float64
-	minX     float64
-	minY     float64
-	nx, ny   int
-	cellPts  [][]int32 // point indices per cell, row-major
+	cell   float64
+	minX   float64
+	minY   float64
+	nx, ny int
+	// The point indices of each cell, in compressed rows: cell c (row
+	// major) holds ids[start[c]:start[c+1]], ascending, so a run of
+	// cells in one grid row is one contiguous slice of ids.
+	start    []int32
+	ids      []int32
 	pts      []geom.Point
 	boundBox geom.BBox
 }
@@ -31,7 +35,7 @@ func New(pts []geom.Point, cellSize float64) *Index {
 	if len(pts) == 0 {
 		idx.cell = 1
 		idx.nx, idx.ny = 1, 1
-		idx.cellPts = make([][]int32, 1)
+		idx.start = make([]int32, 2)
 		return idx
 	}
 	b := idx.boundBox
@@ -67,27 +71,25 @@ func New(pts []geom.Point, cellSize float64) *Index {
 		idx.ny = int(math.Floor(b.Height()/idx.cell)) + 1
 	}
 
-	counts := make([]int32, idx.nx*idx.ny)
-	cellOf := make([]int32, len(pts))
-	for i, p := range pts {
-		c := idx.cellIndex(p)
-		cellOf[i] = int32(c)
-		counts[c]++
+	// Count each cell's points and sum the counts, so start[c] is where
+	// cell c ends; then place the points from the last down, each one
+	// before the points already placed in its cell, which leaves
+	// start[c] where cell c begins and every cell ascending.
+	nc := idx.nx * idx.ny
+	idx.start = make([]int32, nc+1)
+	for _, p := range pts {
+		idx.start[idx.cellIndex(p)]++
 	}
-	idx.cellPts = make([][]int32, idx.nx*idx.ny)
-	// Single backing array sliced per cell.
-	backing := make([]int32, len(pts))
-	offsets := make([]int32, len(counts))
-	var off int32
-	for c, n := range counts {
-		offsets[c] = off
-		idx.cellPts[c] = backing[off : off : off+n]
-		off += n
+	for c := 1; c < nc; c++ {
+		idx.start[c] += idx.start[c-1]
 	}
-	for i := range pts {
-		c := cellOf[i]
-		idx.cellPts[c] = append(idx.cellPts[c], int32(i))
+	idx.ids = make([]int32, len(pts))
+	for i := len(pts) - 1; i >= 0; i-- {
+		c := idx.cellIndex(pts[i])
+		idx.start[c]--
+		idx.ids[idx.start[c]] = int32(i)
 	}
+	idx.start[nc] = int32(len(pts))
 	return idx
 }
 
@@ -122,12 +124,9 @@ func (idx *Index) Query(box geom.BBox, dst []int) []int {
 	cx0, cy0 := idx.clampCell(box.MinX, box.MinY)
 	cx1, cy1 := idx.clampCell(box.MaxX, box.MaxY)
 	for cy := cy0; cy <= cy1; cy++ {
-		base := cy * idx.nx
-		for cx := cx0; cx <= cx1; cx++ {
-			for _, pi := range idx.cellPts[base+cx] {
-				if box.ContainsPoint(idx.pts[pi]) {
-					dst = append(dst, int(pi))
-				}
+		for _, pi := range idx.rowRun(cy, cx0, cx1) {
+			if box.ContainsPoint(idx.pts[pi]) {
+				dst = append(dst, int(pi))
 			}
 		}
 	}
@@ -143,15 +142,20 @@ func (idx *Index) Visit(box geom.BBox, fn func(i int) bool) {
 	cx0, cy0 := idx.clampCell(box.MinX, box.MinY)
 	cx1, cy1 := idx.clampCell(box.MaxX, box.MaxY)
 	for cy := cy0; cy <= cy1; cy++ {
-		base := cy * idx.nx
-		for cx := cx0; cx <= cx1; cx++ {
-			for _, pi := range idx.cellPts[base+cx] {
-				if box.ContainsPoint(idx.pts[pi]) && !fn(int(pi)) {
-					return
-				}
+		for _, pi := range idx.rowRun(cy, cx0, cx1) {
+			if box.ContainsPoint(idx.pts[pi]) && !fn(int(pi)) {
+				return
 			}
 		}
 	}
+}
+
+// rowRun returns the point indices of cells cx0..cx1 of row cy, cell by
+// cell: one slice, since those cells are adjacent in the compressed
+// rows.
+func (idx *Index) rowRun(cy, cx0, cx1 int) []int32 {
+	base := cy * idx.nx
+	return idx.ids[idx.start[base+cx0]:idx.start[base+cx1+1]]
 }
 
 // QueryRadius appends the indices of all points within planar distance r of

@@ -177,3 +177,17 @@ func BenchmarkQueryRadius100k(b *testing.B) {
 		_ = idx.CountRadius(geom.Pt(250, 150), 40)
 	}
 }
+
+// BenchmarkNew500k builds the index over 500k points, the fleet of the
+// perfbench fleet workload, at the fitted cell size (about one point
+// per cell); -benchmem shows the index's bytes per build.
+func BenchmarkNew500k(b *testing.B) {
+	pts := randomPoints(10, 500_000)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if New(pts, 0).Len() != len(pts) {
+			b.Fatal("index lost points")
+		}
+	}
+}

@@ -44,7 +44,10 @@ import (
 type PanicError struct {
 	Task  string // the task whose function (or injection hook) panicked
 	Value any    // the value passed to panic
-	Stack []byte // the panicking goroutine's stack at recovery time
+	// Stack is the panicking goroutine's stack at recovery time: for a
+	// band that panicked inside Bands, the band's goroutine where it
+	// panicked.
+	Stack []byte
 }
 
 func (e *PanicError) Error() string {
@@ -113,11 +116,16 @@ func (g *Graph) TaskNames() []string {
 func (g *Graph) SetInjectionHook(hook func(task string) error) { g.inject = hook }
 
 // runTask executes one task with the injection hook applied and any
-// panic contained into a *PanicError.
+// panic contained into a *PanicError. A panic re-raised by Bands reports
+// the band's value and the stack where the band panicked.
 func (g *Graph) runTask(t *task) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			err = &PanicError{Task: t.name, Value: r, Stack: debug.Stack()}
+			pe := &PanicError{Task: t.name, Value: r, Stack: debug.Stack()}
+			if bp, ok := r.(*BandPanic); ok {
+				pe.Value, pe.Stack = bp.Value, bp.Stack
+			}
+			err = pe
 		}
 	}()
 	if g.inject != nil {

@@ -19,10 +19,11 @@ type YearOverlay struct {
 	PerMillionAcres float64
 }
 
-// overlaySeason joins one season's perimeters against the transceiver
-// set: Table 1's row for the season.
-func (a *Analyzer) overlaySeason(s *wildfire.Season) YearOverlay {
-	count := len(a.seasonHits(s, nil))
+// overlaySeason joins one season's perimeters against band b of the
+// transceiver set: Table 1's row for the season, or the band's share of
+// its count.
+func (a *Analyzer) overlaySeason(s *wildfire.Season, b Band) YearOverlay {
+	count := len(a.seasonHits(s, b, nil))
 	perM := 0.0
 	if s.TotalAcres > 0 {
 		perM = float64(count) / (s.TotalAcres / 1e6)
@@ -41,10 +42,15 @@ func (a *Analyzer) overlaySeason(s *wildfire.Season) YearOverlay {
 // Seasons are independent joins over read-only layers, so the result is
 // bit-identical at any GOMAXPROCS.
 func (a *Analyzer) HistoricalOverlay(seasons []*wildfire.Season) []YearOverlay {
+	return a.historicalOverlay(seasons, wholeFleet)
+}
+
+// historicalOverlay is HistoricalOverlay over band b of the fleet.
+func (a *Analyzer) historicalOverlay(seasons []*wildfire.Season, b Band) []YearOverlay {
 	out := make([]YearOverlay, len(seasons))
 	pipeline.Bands(pipeline.BandFunc(func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
-			out[i] = a.overlaySeason(seasons[i])
+			out[i] = a.overlaySeason(seasons[i], b)
 		}
 	}), len(seasons), len(seasons))
 	return out
@@ -63,26 +69,36 @@ func TotalInPerimeters(rows []YearOverlay) int {
 // TransceiversInFire returns the indices of transceivers inside one
 // fire's perimeter.
 func (a *Analyzer) TransceiversInFire(f *wildfire.Fire) []int {
-	var out []int
-	prep := f.PreparedPerimeter()
-	cand := a.Data.Index.Query(prep.BBox(), nil)
-	for _, ti := range cand {
-		if prep.Contains(a.Data.T[ti].XY) {
-			out = append(out, ti)
-		}
-	}
-	return out
+	return a.fireHits(f, wholeFleet, nil)
 }
 
-// seasonHits returns, ascending, the distinct transceivers inside the
-// perimeters of the season's mapped fires that keep accepts (nil keeps
-// every fire). A transceiver inside several of those perimeters appears
-// once, matching the paper's "within wildfire perimeters" semantics.
-func (a *Analyzer) seasonHits(s *wildfire.Season, keep func(*wildfire.Fire) bool) []int {
+// fireHits appends to dst, in index order, the transceivers of band b
+// inside f's perimeter. The index is queried by the perimeter's
+// bounding box clipped to the band's y range, which holds every
+// transceiver of the band, and a candidate must be in the band.
+func (a *Analyzer) fireHits(f *wildfire.Fire, b Band, dst []int) []int {
+	prep := f.PreparedPerimeter()
+	box := prep.BBox()
+	box.MinY, box.MaxY = max(box.MinY, b.MinY), min(box.MaxY, b.MaxY)
+	a.Data.Index.Visit(box, func(ti int) bool {
+		if b.holds(ti) && prep.Contains(a.Data.T[ti].XY) {
+			dst = append(dst, ti)
+		}
+		return true
+	})
+	return dst
+}
+
+// seasonHits returns, ascending, the distinct transceivers of band b
+// inside the perimeters of the season's mapped fires that keep accepts
+// (nil keeps every fire). A transceiver inside several of those
+// perimeters appears once, matching the paper's "within wildfire
+// perimeters" semantics.
+func (a *Analyzer) seasonHits(s *wildfire.Season, b Band, keep func(*wildfire.Fire) bool) []int {
 	var hits []int
 	for fi := range s.Mapped {
 		if f := &s.Mapped[fi]; keep == nil || keep(f) {
-			hits = append(hits, a.TransceiversInFire(f)...)
+			hits = a.fireHits(f, b, hits)
 		}
 	}
 	slices.Sort(hits)

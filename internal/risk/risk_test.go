@@ -528,13 +528,6 @@ func TestMitigationSweep(t *testing.T) {
 	}
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 func BenchmarkWHPOverlay(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		_ = testAnalyzer.WHPOverlay()

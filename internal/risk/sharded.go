@@ -2,40 +2,67 @@ package risk
 
 import (
 	"fmt"
+	"math"
 
+	"fivealarms/internal/pipeline"
 	"fivealarms/internal/wildfire"
 )
 
 // Band-pass support: Table 1 and the hold-out validation are sums of
 // independent per-transceiver contributions, so a disjoint, exhaustive
-// partition of the fleet can compute them shard by shard and merge by
+// partition of the fleet can compute them band by band and merge by
 // integer addition. The derived ratio (Table 1's per-million-acres
 // density) is NOT summed: the merge recomputes it from the merged
 // integer counts with exactly the expression the one-pass join uses —
 // one float division on the same operands — which is what makes the
-// merged results bit-identical, not merely close.
+// merged results bit-identical, not merely close. A band joins the
+// analyzer's own fleet, index and class cache in place and copies none
+// of them.
 
-// ShardOverlay is one shard's partial perimeter-join products: raw
-// counts over the shard's slice of the fleet, ready for merging.
+// A Band selects the transceivers of one band of a partition of the
+// fleet for a join: those i with Of[i] == I, or every transceiver when
+// Of is nil. MinY and MaxY bound the projected y of every selected
+// transceiver (either may be infinite): a join clips each fire's query
+// box to them, so a fire outside the band's slab costs nothing, and
+// then keeps only the candidates the band selects.
+type Band struct {
+	Of         []uint16
+	I          uint16
+	MinY, MaxY float64
+}
+
+// wholeFleet selects every transceiver and clips no query box.
+var wholeFleet = Band{MinY: math.Inf(-1), MaxY: math.Inf(1)}
+
+// holds reports whether the band selects transceiver i.
+func (b Band) holds(i int) bool { return b.Of == nil || b.Of[i] == b.I }
+
+// ShardOverlay is one band's partial perimeter-join products: raw
+// counts over the band's slice of the fleet, ready for merging.
 type ShardOverlay struct {
-	// Rows is the shard's transceiver count.
-	Rows int
 	// Table1 holds per-season partial counts; the ratio fields are
-	// garbage until merged (they reflect only this shard's count).
+	// garbage until merged (they reflect only this band's count).
 	Table1 []YearOverlay
-	// Validation holds the shard's §3.4 validation counters.
+	// Validation holds the band's §3.4 validation counters.
 	Validation ValidationResult
 }
 
-// ShardOverlay computes one shard's partial products: the analyzer must
-// be built over that shard's transceivers only (the partition owns
-// disjointness; this method just counts what it was given).
-func (a *Analyzer) ShardOverlay(history []*wildfire.Season, season2019 *wildfire.Season) *ShardOverlay {
-	return &ShardOverlay{
-		Rows:       a.Data.Len(),
-		Table1:     a.HistoricalOverlay(history),
-		Validation: *a.Validate(season2019),
-	}
+// ShardOverlay computes band b's partial products: Table 1's join over
+// history() and the §3.4 validation over season2019(), side by side as
+// the two bands of one pipeline.Bands call, so the two seasons' sources
+// (memoized simulations, say) can compute at the same time. It panics
+// if either source does, once both bands have stopped (see
+// pipeline.Bands).
+func (a *Analyzer) ShardOverlay(history func() []*wildfire.Season, season2019 func() *wildfire.Season, b Band) *ShardOverlay {
+	o := &ShardOverlay{}
+	pipeline.Bands(pipeline.BandFunc(func(band, _, _ int) {
+		if band == 0 {
+			o.Table1 = a.historicalOverlay(history(), b)
+		} else {
+			o.Validation = *a.validateFor(season2019(), a.classOf, b)
+		}
+	}), 2, 2)
+	return o
 }
 
 // MergeYearOverlays merges per-shard Table 1 rows in shard order: the
@@ -87,10 +114,10 @@ func MergeValidations(parts []ValidationResult) (*ValidationResult, error) {
 	return out, nil
 }
 
-// MergeShardOverlays merges a band-ordered slice of per-shard partial
-// products into the one-pass Table 1 rows and validation result. Shards
+// MergeShardOverlays merges a band-ordered slice of per-band partial
+// products into the one-pass Table 1 rows and validation result. Bands
 // must all cover the same seasons (they do, by construction: every
-// shard joins the same simulated history).
+// band joins the same simulated history).
 func MergeShardOverlays(parts []*ShardOverlay) (t1 []YearOverlay, v *ValidationResult, err error) {
 	if len(parts) == 0 {
 		return nil, nil, fmt.Errorf("risk: merging zero shard overlays")

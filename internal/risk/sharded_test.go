@@ -1,10 +1,12 @@
 package risk
 
-// Merge-function tests: the shard merges must reproduce monolithic
-// rows exactly on real (small) data, and must refuse shape or
-// season-fact mismatches instead of merging garbage.
+// Merge-function tests: the band joins of any partition of the fleet
+// must merge to the monolithic rows exactly on real (small) data, and
+// the merges must refuse shape or season-fact mismatches instead of
+// merging garbage.
 
 import (
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -12,83 +14,102 @@ import (
 	"fivealarms/internal/cellnet"
 	"fivealarms/internal/census"
 	"fivealarms/internal/conus"
+	"fivealarms/internal/shard"
 	"fivealarms/internal/whp"
 	"fivealarms/internal/wildfire"
 )
 
-// shardMergeFixture builds a small monolithic analyzer plus per-shard
-// analyzers over a contiguous split of the same fleet.
+// shardMergeFixture is a small analyzer with its simulated seasons.
 type shardMergeFixture struct {
 	mono    *Analyzer
-	shards  []*Analyzer
 	history []*wildfire.Season
 	s2019   *wildfire.Season
 }
 
-func newShardMergeFixture(t *testing.T, cuts []int) *shardMergeFixture {
+func newShardMergeFixture(t *testing.T) *shardMergeFixture {
 	t.Helper()
 	w := conus.Build(conus.Config{Seed: 5, CellSizeM: 40000})
 	m := whp.Build(w, w.Grid, whp.Config{})
 	d := cellnet.Generate(w, cellnet.GenConfig{Seed: 5, Total: 4000})
 	c := census.Synthesize(w, 5)
 	sim := wildfire.NewSimulator(w, m)
-	f := &shardMergeFixture{
+	return &shardMergeFixture{
 		mono:    New(w, m, d, c),
 		history: simulateHistory(t, sim, 5, 3),
 		s2019:   wildfire.Simulate2019(sim, 5, 3),
 	}
-	lo := 0
-	for _, hi := range append(cuts, d.Len()) {
-		part := cellnet.NewDataset(w, append([]cellnet.Transceiver(nil), d.T[lo:hi]...))
-		f.shards = append(f.shards, New(w, m, part, c))
-		lo = hi
-	}
-	return f
 }
 
-// TestMergeShardOverlaysMatchesMonolithic: partial products from a
-// contiguous fleet split — including one empty shard — merge to exactly
-// the monolithic analyzer's rows, floats included.
+// overlays joins every band of the partition of into partial products,
+// each band clipped to clip(i).
+func (f *shardMergeFixture) overlays(of []uint16, bands int, clip func(i int) (float64, float64)) []*ShardOverlay {
+	parts := make([]*ShardOverlay, bands)
+	history := func() []*wildfire.Season { return f.history }
+	s2019 := func() *wildfire.Season { return f.s2019 }
+	for i := range parts {
+		b := Band{Of: of, I: uint16(i)}
+		b.MinY, b.MaxY = clip(i)
+		parts[i] = f.mono.ShardOverlay(history, s2019, b)
+	}
+	return parts
+}
+
+func unclipped(int) (float64, float64) { return math.Inf(-1), math.Inf(1) }
+
+// TestMergeShardOverlaysMatchesMonolithic: partial products from
+// partitions of the fleet — a contiguous index split with one empty
+// band, and row bands clipped to their YRange — merge to exactly the
+// monolithic analyzer's rows, floats included.
 func TestMergeShardOverlaysMatchesMonolithic(t *testing.T) {
-	f := newShardMergeFixture(t, []int{0, 900, 2201}) // first shard empty
-	parts := make([]*ShardOverlay, len(f.shards))
-	for i, a := range f.shards {
-		parts[i] = a.ShardOverlay(f.history, f.s2019)
+	f := newShardMergeFixture(t)
+	n := f.mono.Data.Len()
+	cuts := make([]uint16, n) // bands [0,0) [0,900) [900,2201) [2201,n)
+	for i := range cuts {
+		cuts[i] = 1
+		if i >= 900 {
+			cuts[i] = 2
+		}
+		if i >= 2201 {
+			cuts[i] = 3
+		}
 	}
-	t1, v, err := MergeShardOverlays(parts)
+	g := f.mono.World.Grid
+	plan := shard.MakePlan(g.NY, 5)
+	rows, _, err := shard.Partition(plan, g, n, func(i int) float64 { return f.mono.Data.T[i].XY.Y })
 	if err != nil {
-		t.Fatalf("MergeShardOverlays: %v", err)
+		t.Fatal(err)
 	}
-	if want := f.mono.HistoricalOverlay(f.history); !reflect.DeepEqual(t1, want) {
-		t.Errorf("merged Table 1 differs from monolithic:\n got %+v\nwant %+v", t1, want)
-	}
-	if want := f.mono.Validate(f.s2019); !reflect.DeepEqual(v, want) {
-		t.Errorf("merged validation differs from monolithic:\n got %+v\nwant %+v", v, want)
-	}
-	rows := 0
-	for _, p := range parts {
-		rows += p.Rows
-	}
-	if rows != f.mono.Data.Len() {
-		t.Errorf("shard rows sum to %d, fleet is %d", rows, f.mono.Data.Len())
+	for name, parts := range map[string][]*ShardOverlay{
+		"index cuts": f.overlays(cuts, 4, unclipped),
+		"row bands":  f.overlays(rows, 5, func(i int) (float64, float64) { return plan.YRange(g, i) }),
+	} {
+		t1, v, err := MergeShardOverlays(parts)
+		if err != nil {
+			t.Fatalf("%s: MergeShardOverlays: %v", name, err)
+		}
+		if want := f.mono.HistoricalOverlay(f.history); !reflect.DeepEqual(t1, want) {
+			t.Errorf("%s: merged Table 1 differs from monolithic:\n got %+v\nwant %+v", name, t1, want)
+		}
+		if want := f.mono.Validate(f.s2019); !reflect.DeepEqual(v, want) {
+			t.Errorf("%s: merged validation differs from monolithic:\n got %+v\nwant %+v", name, v, want)
+		}
 	}
 }
 
-// TestMergeSingleShardIsIdentity: a one-shard merge returns the shard's
+// TestMergeSingleShardIsIdentity: a one-band merge returns the band's
 // own rows with ratios recomputed — identical to monolithic when the
-// shard is the whole fleet.
+// band is the whole fleet.
 func TestMergeSingleShardIsIdentity(t *testing.T) {
-	f := newShardMergeFixture(t, nil)
-	p := f.shards[0].ShardOverlay(f.history, f.s2019)
-	t1, v, err := MergeShardOverlays([]*ShardOverlay{p})
+	f := newShardMergeFixture(t)
+	t1, v, err := MergeShardOverlays(f.overlays(nil, 1, unclipped))
 	if err != nil {
 		t.Fatalf("MergeShardOverlays: %v", err)
 	}
 	if want := f.mono.HistoricalOverlay(f.history); !reflect.DeepEqual(t1, want) {
-		t.Errorf("single-shard Table 1 differs from monolithic")
+		t.Errorf("single-band Table 1 differs from monolithic")
 	}
 	if !reflect.DeepEqual(v, f.mono.Validate(f.s2019)) {
-		t.Errorf("single-shard validation differs from monolithic")
+		t.Errorf("single-band validation differs from monolithic")
 	}
 }
 

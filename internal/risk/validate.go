@@ -53,8 +53,13 @@ func (a *Analyzer) Validate(season *wildfire.Season) *ValidationResult {
 // (e.g. one produced by ClassesAgainst). Read-only: safe under
 // concurrent analyses.
 func (a *Analyzer) ValidateFor(season *wildfire.Season, classOf []whp.Class) *ValidationResult {
-	hits := a.seasonHits(season, nil)
-	road := a.seasonHits(season, func(f *wildfire.Fire) bool { return f.RoadCorridor })
+	return a.validateFor(season, classOf, wholeFleet)
+}
+
+// validateFor is ValidateFor over band b of the fleet.
+func (a *Analyzer) validateFor(season *wildfire.Season, classOf []whp.Class, b Band) *ValidationResult {
+	hits := a.seasonHits(season, b, nil)
+	road := a.seasonHits(season, b, func(f *wildfire.Fire) bool { return f.RoadCorridor })
 	res := &ValidationResult{InPerimeter: len(hits)}
 	for _, ti := range hits {
 		predicted := classOf[ti].AtRisk()

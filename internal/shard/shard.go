@@ -10,11 +10,13 @@
 // Correctness of the sharded study only requires the assignment to be
 // disjoint and exhaustive (every row index lands in exactly one shard);
 // the spatial coherence of row bands is a locality optimization — a
-// shard's fills and joins touch one horizontal slab of the country.
+// band's joins touch one horizontal slab of the country (YRange), so a
+// fire outside the slab costs the band nothing.
 package shard
 
 import (
 	"fmt"
+	"math"
 
 	"fivealarms/internal/raster"
 )
@@ -110,30 +112,47 @@ func RowOf(g raster.Geometry, y float64) int {
 	return cy
 }
 
-// Partition assigns every coordinate in ys to its shard and returns the
-// per-shard index lists, in input order within each shard. The lists
-// are disjoint and their union is exactly [0, len(ys)): each index
-// appears in precisely one shard. g must describe the grid the plan
-// was made for; a row-count mismatch is a programming error reported as
-// an error (never a torn partition).
-func Partition(p Plan, g raster.Geometry, ys []float64) ([][]int, error) {
+// YRange returns the projected y range [minY, maxY] holding every
+// position that RowOf places in band i: the band's rows plus one row
+// either side, so no rounding of RowOf's division can put a position
+// outside. The band holding row 0 is unbounded below and the band
+// holding the last row unbounded above, since RowOf clamps off-grid
+// positions into them. g must describe the grid the plan was made for.
+func (p Plan) YRange(g raster.Geometry, i int) (minY, maxY float64) {
+	y0, y1 := p.Band(i)
+	minY, maxY = math.Inf(-1), math.Inf(1)
+	if y0 > 0 {
+		minY = g.MinY + float64(y0-1)*g.CellSize
+	}
+	if y1 < p.ny {
+		maxY = g.MinY + float64(y1+1)*g.CellSize
+	}
+	return minY, maxY
+}
+
+// maxBands is the most bands Partition can assign: a band index is a
+// uint16.
+const maxBands = 1 << 16
+
+// Partition assigns each of n items to the band holding its row, where
+// y(i) is item i's projected y: of[i] is item i's band and counts[b]
+// the number of items in band b, so every item lands in exactly one
+// band. g must describe the grid the plan was made for, and the plan may
+// have at most 65,536 bands; either mismatch is a programming error
+// reported as an error (never a torn partition).
+func Partition(p Plan, g raster.Geometry, n int, y func(i int) float64) (of []uint16, counts []int, err error) {
 	if g.NY != p.ny {
-		return nil, fmt.Errorf("shard: plan over %d rows cannot partition a %d-row grid", p.ny, g.NY)
+		return nil, nil, fmt.Errorf("shard: plan over %d rows cannot partition a %d-row grid", p.ny, g.NY)
 	}
-	counts := make([]int, p.n)
-	owner := make([]int32, len(ys))
-	for i, y := range ys {
-		s := p.ShardOfRow(RowOf(g, y))
-		owner[i] = int32(s)
-		counts[s]++
+	if p.n > maxBands {
+		return nil, nil, fmt.Errorf("shard: %d bands exceed the %d a partition can assign", p.n, maxBands)
 	}
-	parts := make([][]int, p.n)
-	for s := range parts {
-		parts[s] = make([]int, 0, counts[s])
+	of = make([]uint16, n)
+	counts = make([]int, p.n)
+	for i := range of {
+		b := p.ShardOfRow(RowOf(g, y(i)))
+		of[i] = uint16(b)
+		counts[b]++
 	}
-	for i := range ys {
-		s := owner[i]
-		parts[s] = append(parts[s], i)
-	}
-	return parts, nil
+	return of, counts, nil
 }

@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"math"
 	"testing"
 
 	"fivealarms/internal/geom"
@@ -80,8 +81,10 @@ func testGeometry(cell float64, nx, ny int) raster.Geometry {
 	return raster.NewGeometry(box, cell)
 }
 
-// TestPartitionExactlyOnce: every input index appears in exactly one
-// shard, in input order, including coordinates far outside the grid.
+// TestPartitionExactlyOnce: every input index is assigned exactly one
+// band, the band holding its row, and each band's count is the number
+// of indices assigned to it, including coordinates far outside the
+// grid; every assigned position lies in its band's YRange.
 func TestPartitionExactlyOnce(t *testing.T) {
 	g := testGeometry(100, 40, 57)
 	r := rng.NewStream(3, 0xA11)
@@ -92,43 +95,74 @@ func TestPartitionExactlyOnce(t *testing.T) {
 			// Mostly in-grid, with a tail of off-grid strays.
 			ys[i] = r.Float64()*8000 - 1000
 		}
-		parts, err := Partition(p, g, ys)
+		// Row boundaries exactly, and one ulp to either side.
+		for cy := 0; cy <= g.NY; cy++ {
+			edge := g.MinY + float64(cy)*g.CellSize
+			ys = append(ys, edge, math.Nextafter(edge, math.Inf(-1)), math.Nextafter(edge, math.Inf(1)))
+		}
+		of, counts, err := Partition(p, g, len(ys), func(i int) float64 { return ys[i] })
 		if err != nil {
 			t.Fatalf("Partition: %v", err)
 		}
-		if len(parts) != n {
-			t.Fatalf("n=%d: %d parts", n, len(parts))
+		if len(of) != len(ys) || len(counts) != n {
+			t.Fatalf("n=%d: %d assignments, %d counts", n, len(of), len(counts))
 		}
-		seen := make([]int, len(ys))
-		for s, part := range parts {
-			prev := -1
-			for _, i := range part {
-				if i <= prev {
-					t.Fatalf("n=%d shard %d: indices out of input order", n, s)
-				}
-				prev = i
-				seen[i]++
-				// Spatial coherence: in-grid points live in their band.
-				cy := RowOf(g, ys[i])
-				if y0, y1 := p.Band(s); cy < y0 || cy >= y1 {
-					t.Fatalf("n=%d: index %d (row %d) landed in band %d [%d, %d)", n, i, cy, s, y0, y1)
-				}
+		seen := make([]int, n)
+		for i, b := range of {
+			if int(b) >= n {
+				t.Fatalf("n=%d: index %d assigned band %d", n, i, b)
+			}
+			seen[b]++
+			// Spatial coherence: every point lives in its band.
+			cy := RowOf(g, ys[i])
+			if y0, y1 := p.Band(int(b)); cy < y0 || cy >= y1 {
+				t.Fatalf("n=%d: index %d (row %d) landed in band %d [%d, %d)", n, i, cy, b, y0, y1)
+			}
+			if lo, hi := p.YRange(g, int(b)); ys[i] < lo || ys[i] > hi {
+				t.Fatalf("n=%d: index %d (y %v) outside band %d's range [%v, %v]", n, i, ys[i], b, lo, hi)
 			}
 		}
-		for i, c := range seen {
-			if c != 1 {
-				t.Fatalf("n=%d: index %d assigned %d times", n, i, c)
+		total := 0
+		for b, c := range counts {
+			if c != seen[b] {
+				t.Fatalf("n=%d: band %d counts %d, holds %d", n, b, c, seen[b])
 			}
+			total += c
+		}
+		if total != len(ys) {
+			t.Fatalf("n=%d: counts sum to %d for %d indices", n, total, len(ys))
 		}
 	}
 }
 
-// TestPartitionRejectsMismatchedGrid: a plan built for another grid
-// must refuse to partition rather than tear the assignment.
+// TestYRangeBounds: inner bands are bounded one row beyond their rows;
+// the bands holding the first and last rows, and one band alone, are
+// unbounded on their outer sides.
+func TestYRangeBounds(t *testing.T) {
+	g := testGeometry(100, 10, 20)
+	p := MakePlan(g.NY, 4) // rows [0,5) [5,10) [10,15) [15,20)
+	for i, want := range [][2]float64{
+		{math.Inf(-1), 600}, {400, 1100}, {900, 1600}, {1400, math.Inf(1)},
+	} {
+		if lo, hi := p.YRange(g, i); lo != want[0] || hi != want[1] {
+			t.Errorf("band %d: YRange = [%v, %v], want %v", i, lo, hi, want)
+		}
+	}
+	if lo, hi := MakePlan(g.NY, 1).YRange(g, 0); !math.IsInf(lo, -1) || !math.IsInf(hi, 1) {
+		t.Errorf("one band: YRange = [%v, %v], want unbounded", lo, hi)
+	}
+}
+
+// TestPartitionRejectsMismatchedGrid: a plan built for another grid, or
+// with more bands than a band index holds, must refuse to partition
+// rather than tear the assignment.
 func TestPartitionRejectsMismatchedGrid(t *testing.T) {
 	g := testGeometry(100, 10, 20)
-	p := MakePlan(g.NY+1, 4)
-	if _, err := Partition(p, g, []float64{1, 2, 3}); err == nil {
+	y := func(i int) float64 { return float64(i) }
+	if _, _, err := Partition(MakePlan(g.NY+1, 4), g, 3, y); err == nil {
 		t.Fatalf("mismatched partition succeeded")
+	}
+	if _, _, err := Partition(MakePlan(g.NY, maxBands+1), g, 3, y); err == nil {
+		t.Fatalf("partition into %d bands succeeded", maxBands+1)
 	}
 }

@@ -35,6 +35,7 @@ import (
 
 	"fivealarms/internal/conus"
 	"fivealarms/internal/geom"
+	"fivealarms/internal/pipeline"
 	"fivealarms/internal/raster"
 	"fivealarms/internal/rng"
 	"fivealarms/internal/whp"
@@ -162,9 +163,10 @@ func (c SeasonConfig) withDefaults() SeasonConfig {
 type Simulator struct {
 	World  *conus.World
 	Hazard *whp.Map
-	// pool holds the candidate ignition cells, and ignition draws a pool
-	// index in proportion to each cell's hazard-and-human weight.
-	pool     []geom.Point
+	// pool holds the world-grid cell ids (cy*NX+cx) of the candidate
+	// ignition cells, and ignition draws a pool index in proportion to
+	// each cell's hazard-and-human weight.
+	pool     []int32
 	ignition *rng.CategoricalTable
 	// onBurn, when set, receives every grown fire with the burned mask
 	// its perimeter was traced from. Tests set it on a copy of a
@@ -173,48 +175,63 @@ type Simulator struct {
 }
 
 // NewSimulator prepares a simulator. The hazard map supplies the fuel
-// model; its raster resolution does not constrain fire resolution. A
-// counting pass sizes the ignition pool and its weights.
+// model; its raster resolution does not constrain fire resolution.
+//
+// hazard must be built on the world grid (whp.Build(w, w.Grid, ...)):
+// the ignition pool reads its Hazard raster and the world's StateZone
+// cell by cell. One band per grid row (pipeline.Bands) counts the row's
+// ignitable cells; the rows' counts place each row's slice of the pool
+// and its weights, and a second pass of one band per row fills them.
+// The pool is in row-major order at any GOMAXPROCS.
 func NewSimulator(w *conus.World, hazard *whp.Map) *Simulator {
 	s := &Simulator{World: w, Hazard: hazard}
 	g := w.Grid
-	ignitable := func(cx, cy int) (geom.Point, float64, bool) {
-		if w.StateZone.At(cx, cy) == 0 {
-			return geom.Point{}, 0, false
+	zone, hz := w.StateZone.Data, hazard.Hazard.Data
+	ignitable := func(c int) bool { return zone[c] != 0 && hz[c] > 0.05 }
+	// rowStart[cy] is where row cy's cells start in the pool, once the
+	// per-row counts are summed.
+	rowStart := make([]int, g.NY+1)
+	pipeline.Bands(pipeline.BandFunc(func(_, lo, hi int) {
+		for cy := lo; cy < hi; cy++ {
+			n := 0
+			for c := cy * g.NX; c < (cy+1)*g.NX; c++ {
+				if ignitable(c) {
+					n++
+				}
+			}
+			rowStart[cy+1] = n
 		}
-		p := g.Center(cx, cy)
-		h := hazard.HazardAt(p)
-		return p, h, h > 0.05
-	}
-	n := 0
+	}), g.NY, g.NY)
 	for cy := 0; cy < g.NY; cy++ {
-		for cx := 0; cx < g.NX; cx++ {
-			if _, _, ok := ignitable(cx, cy); ok {
-				n++
+		rowStart[cy+1] += rowStart[cy]
+	}
+	s.pool = make([]int32, rowStart[g.NY])
+	weights := make([]float64, rowStart[g.NY])
+	pipeline.Bands(pipeline.BandFunc(func(_, lo, hi int) {
+		for cy := lo; cy < hi; cy++ {
+			i := rowStart[cy]
+			for cx := 0; cx < g.NX; cx++ {
+				c := cy*g.NX + cx
+				if !ignitable(c) {
+					continue
+				}
+				p, h := g.Center(cx, cy), hz[c]
+				s.pool[i] = int32(c)
+				// Ignition density rises superlinearly with hazard (dry,
+				// fuel-rich regions both ignite and escape containment
+				// more often) and with proximity to human activity: §2.1
+				// of the paper names power-line sparks, campfires and
+				// equipment as the dominant ignition sources, which is
+				// why escaped fires disproportionately start at the
+				// wildland-urban interface and along transportation
+				// corridors (Saddle Ridge ignited under a transmission
+				// tower beside a freeway).
+				human := 0.25 + math.Min(3*w.UrbanAt(p), 1.0) + math.Exp(-w.RoadDistAt(p)/15000)
+				weights[i] = h * h * human
+				i++
 			}
 		}
-	}
-	s.pool = make([]geom.Point, 0, n)
-	weights := make([]float64, 0, n)
-	for cy := 0; cy < g.NY; cy++ {
-		for cx := 0; cx < g.NX; cx++ {
-			p, h, ok := ignitable(cx, cy)
-			if !ok {
-				continue
-			}
-			s.pool = append(s.pool, p)
-			// Ignition density rises superlinearly with hazard (dry,
-			// fuel-rich regions both ignite and escape containment more
-			// often) and with proximity to human activity: §2.1 of the
-			// paper names power-line sparks, campfires and equipment as
-			// the dominant ignition sources, which is why escaped fires
-			// disproportionately start at the wildland-urban interface
-			// and along transportation corridors (Saddle Ridge ignited
-			// under a transmission tower beside a freeway).
-			human := 0.25 + math.Min(3*w.UrbanAt(p), 1.0) + math.Exp(-w.RoadDistAt(p)/15000)
-			weights = append(weights, h*h*human)
-		}
-	}
+	}), g.NY, g.NY)
 	s.ignition = rng.NewCategorical(weights)
 	return s
 }
@@ -259,9 +276,11 @@ func (s *Simulator) Season(cfg SeasonConfig) *Season {
 		if len(s.pool) == 0 {
 			break
 		}
-		ign := s.pool[s.ignition.Sample(src)]
+		g := s.World.Grid
+		c := int(s.pool[s.ignition.Sample(src)])
+		ign := g.Center(c%g.NX, c/g.NX)
 		// Jitter inside the coarse cell.
-		cell := s.World.Grid.CellSize
+		cell := g.CellSize
 		ign = geom.Point{
 			X: ign.X + src.Range(-cell/2, cell/2),
 			Y: ign.Y + src.Range(-cell/2, cell/2),

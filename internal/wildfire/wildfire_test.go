@@ -332,7 +332,7 @@ func BenchmarkGrowFire10k(b *testing.B) {
 	}
 }
 
-var ignitionSink geom.Point
+var ignitionSink int32
 
 // BenchmarkIgnitionDraw draws ignition cells from the hazard-weighted
 // pool of a 2.7 km world, the draw every mapped fire of a season makes.

@@ -69,10 +69,10 @@ func WithPaperScale(seed uint64) Option {
 
 // WithShards sets the band pass's band count (Config.Shards): Table 1
 // and the hold-out validation join the fleet over n CONUS row bands,
-// each copying only its own rows, and merge in band order. Results are
+// each joining the Study's own Analyzer in place for its own rows
+// without copying them, and merge in band order. Results are
 // bit-identical at any band count (see DESIGN.md §10);
-// Study.ShardStats reports the shape. n of 0 or 1 is one band, which
-// joins the Study's own Analyzer and copies nothing.
+// Study.ShardStats reports the shape. n of 0 or 1 is one band.
 func WithShards(n int) Option {
 	return func(c *Config) { c.Shards = n }
 }

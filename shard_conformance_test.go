@@ -9,11 +9,17 @@ package fivealarms
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
 
+	"fivealarms/internal/cellnet"
 	"fivealarms/internal/faults"
+	"fivealarms/internal/geom"
+	"fivealarms/internal/risk"
+	"fivealarms/internal/shard"
+	"fivealarms/internal/wildfire"
 )
 
 // sweepBands deliberately includes 1 (the pass with no partition
@@ -114,9 +120,114 @@ func TestShardedDiffcheckSweep(t *testing.T) {
 				if len(got.rows) != n || total != fleet {
 					t.Errorf("%s: ShardStats reports %d bands holding %d rows, want %d holding %d", at, len(got.rows), total, n, fleet)
 				}
-				if (got.peak > 0) != (n > 1) {
-					t.Errorf("%s: peak footprint %d, want > 0 only for more than one band", at, got.peak)
+				if got.peak != 0 {
+					t.Errorf("%s: peak footprint %d, want 0: bands copy nothing", at, got.peak)
 				}
+			}
+		}
+	}
+}
+
+// edgeStudy returns a Study over base's layers whose fleet is rows,
+// with nothing memoized, at n bands.
+func edgeStudy(base *Study, rows []cellnet.Transceiver, n int) *Study {
+	d := cellnet.NewDataset(base.World, rows)
+	cfg := base.Cfg
+	cfg.Shards = n
+	return &Study{
+		Cfg: cfg, World: base.World, WHP: base.WHP, Data: d, Counties: base.Counties,
+		Analyzer: risk.New(base.World, base.WHP, d, base.Counties), Sim: base.Sim,
+	}
+}
+
+// edgeFleet places transceivers where a band's row assignment and its
+// clipped query boxes meet: on the lower edge of the first row of every
+// band at each of bands, and one ulp to either side, along every fire
+// whose perimeter's box spans that edge; and below and above the grid.
+func edgeFleet(base *Study, bands []int) []cellnet.Transceiver {
+	g := base.World.Grid
+	top := g.MinY + float64(g.NY)*g.CellSize
+	edges := []float64{g.MinY, top}
+	for _, n := range bands {
+		plan := shard.MakePlan(g.NY, n)
+		for i := 1; i < n; i++ {
+			y0, _ := plan.Band(i)
+			edges = append(edges, g.MinY+float64(y0)*g.CellSize)
+		}
+	}
+	var rows []cellnet.Transceiver
+	add := func(x, y float64) {
+		tr := base.Data.T[0]
+		tr.XY = geom.Pt(x, y)
+		rows = append(rows, tr)
+	}
+	fires := []*wildfire.Fire{}
+	for _, s := range append(base.History(), base.Season2019()) {
+		for fi := range s.Mapped {
+			fires = append(fires, &s.Mapped[fi])
+		}
+	}
+	for _, f := range fires {
+		bb := f.PreparedPerimeter().BBox()
+		for _, e := range edges {
+			if e < bb.MinY || e > bb.MaxY {
+				continue
+			}
+			for k := 1; k < 32; k++ {
+				x := bb.MinX + bb.Width()*float64(k)/32
+				add(x, e)
+				add(x, math.Nextafter(e, math.Inf(-1)))
+				add(x, math.Nextafter(e, math.Inf(1)))
+			}
+		}
+	}
+	for k := 0; k < 16; k++ {
+		x := g.MinX + float64(g.NX)*g.CellSize*float64(k)/16
+		add(x, g.MinY-g.CellSize/2)
+		add(x, g.MinY-1e6)
+		add(x, top+g.CellSize/2)
+		add(x, top+1e6)
+	}
+	return rows
+}
+
+// TestBandEdgeTransceivers: transceivers on band-boundary rows, one ulp
+// to either side of them, and below and above the grid each count in
+// exactly one band. At 2, 4 and 7 bands and at GOMAXPROCS 1 and 4, the
+// band pass gives the one-band Table 1 and validation, and its row
+// counts sum to the fleet.
+func TestBandEdgeTransceivers(t *testing.T) {
+	bands := []int{2, 4, 7}
+	base := mustStudy(stressCfg)
+	rows := edgeFleet(base, bands)
+	ref := edgeStudy(base, rows, 0)
+	wantT1, wantV := ref.Table1(), ref.Validate()
+	if risk.TotalInPerimeters(wantT1) == 0 {
+		t.Fatalf("none of the %d edge transceivers is inside a perimeter", len(rows))
+	}
+	for _, procs := range schedules {
+		for _, n := range bands {
+			at := fmt.Sprintf("shards=%d GOMAXPROCS=%d", n, procs)
+			var got []risk.YearOverlay
+			var gotV *risk.ValidationResult
+			var counts []int
+			faults.WithGOMAXPROCS(procs, func() {
+				s := edgeStudy(base, rows, n)
+				got, gotV = s.Table1(), s.Validate()
+				counts, _ = s.ShardStats()
+			})
+			if !reflect.DeepEqual(got, wantT1) {
+				t.Errorf("%s: Table 1 differs from one band:\n got %+v\nwant %+v", at, got, wantT1)
+			}
+			if !reflect.DeepEqual(gotV, wantV) {
+				t.Errorf("%s: validation %+v, one band %+v", at, gotV, wantV)
+			}
+			total := 0
+			for _, c := range counts {
+				total += c
+			}
+			if len(counts) != n || total != len(rows) {
+				t.Errorf("%s: %d bands holding %d rows, want %d holding %d", at, len(counts), total, n, len(rows))
 			}
 		}
 	}
