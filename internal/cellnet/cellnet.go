@@ -101,8 +101,8 @@ func (d *Dataset) CountByState() []int {
 	return out
 }
 
-// Resolver maps MCC/MNC pairs to provider names in O(1), replacing the
-// linear table scan for the hot overlay loops.
+// Resolver maps MCC/MNC pairs to provider names in O(1), for the hot
+// overlay loops.
 type Resolver struct {
 	m map[uint32]string
 }

@@ -198,6 +198,22 @@ func TestResolver(t *testing.T) {
 	if got := r.Provider(&bad); got != geodata.ProviderUnknown {
 		t.Errorf("unknown = %q", got)
 	}
+	for _, tc := range []struct {
+		mcc, mnc uint16
+		want     string
+	}{
+		{310, 410, geodata.ProviderATT},
+		{310, 260, geodata.ProviderTMobile},
+		{310, 120, geodata.ProviderSprint},
+		{311, 480, geodata.ProviderVerizon},
+		{311, 580, "U.S. Cellular"},
+		{999, 99, geodata.ProviderUnknown},
+	} {
+		tr := Transceiver{MCC: tc.mcc, MNC: tc.mnc}
+		if got := r.Provider(&tr); got != tc.want {
+			t.Errorf("Provider(%d,%d) = %q, want %q", tc.mcc, tc.mnc, got, tc.want)
+		}
+	}
 }
 
 func BenchmarkGenerate40k(b *testing.B) {

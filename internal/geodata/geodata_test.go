@@ -138,25 +138,6 @@ func TestBigCounties(t *testing.T) {
 	}
 }
 
-func TestLookupProvider(t *testing.T) {
-	tests := []struct {
-		mcc, mnc int
-		want     string
-	}{
-		{310, 410, ProviderATT},
-		{310, 260, ProviderTMobile},
-		{310, 120, ProviderSprint},
-		{311, 480, ProviderVerizon},
-		{311, 580, "U.S. Cellular"},
-		{999, 99, ProviderUnknown},
-	}
-	for _, tc := range tests {
-		if got := LookupProvider(tc.mcc, tc.mnc); got != tc.want {
-			t.Errorf("LookupProvider(%d,%d) = %q, want %q", tc.mcc, tc.mnc, got, tc.want)
-		}
-	}
-}
-
 func TestRegionalProvidersCount(t *testing.T) {
 	// The paper footnotes 46 smaller providers operating at-risk
 	// infrastructure; the table must carry a comparable long tail.

@@ -112,17 +112,6 @@ var MCCMNCTable = []MCCMNC{
 	{316, 10, "Southern Communications"},
 }
 
-// LookupProvider resolves an MCC/MNC pair to a provider name, returning
-// ProviderUnknown for unrecognized codes.
-func LookupProvider(mcc, mnc int) string {
-	for _, e := range MCCMNCTable {
-		if e.MCC == mcc && e.MNC == mnc {
-			return e.Provider
-		}
-	}
-	return ProviderUnknown
-}
-
 // MajorProviders are the four national carriers of the study period, in
 // the order Table 2 of the paper lists them.
 var MajorProviders = []string{ProviderATT, ProviderTMobile, ProviderSprint, ProviderVerizon}

@@ -1,9 +1,6 @@
 package geom
 
-import (
-	"math"
-	"sort"
-)
+import "math"
 
 // SegmentsIntersect reports whether segments ab and cd share at least one
 // point, including collinear overlap and endpoint touching.
@@ -43,103 +40,8 @@ func onSegment(a, b, p Point) bool {
 		math.Min(a.Y, b.Y) <= p.Y && p.Y <= math.Max(a.Y, b.Y)
 }
 
-// RingsIntersect reports whether the boundaries or interiors of two rings
-// overlap. It is used by the overlay engine for perimeter/zone tests where a
-// bounding-box pre-filter has already passed.
-func RingsIntersect(r1, r2 Ring) bool {
-	if !r1.Valid() || !r2.Valid() {
-		return false
-	}
-	if !r1.BBox().Intersects(r2.BBox()) {
-		return false
-	}
-	n1, n2 := len(r1), len(r2)
-	for i := 0; i < n1; i++ {
-		a, b := r1[i], r1[(i+1)%n1]
-		for j := 0; j < n2; j++ {
-			if SegmentsIntersect(a, b, r2[j], r2[(j+1)%n2]) {
-				return true
-			}
-		}
-	}
-	// No edge crossings: one ring may contain the other entirely.
-	return r1.ContainsPoint(r2[0]) || r2.ContainsPoint(r1[0])
-}
-
-// ConvexHull returns the convex hull of the given points in counter-
-// clockwise order using Andrew's monotone chain. Inputs of fewer than three
-// distinct points return the distinct points.
-func ConvexHull(pts []Point) Ring {
-	if len(pts) == 0 {
-		return nil
-	}
-	ps := make([]Point, len(pts))
-	copy(ps, pts)
-	sort.Slice(ps, func(i, j int) bool {
-		if ps[i].X != ps[j].X { //fivealarms:allow(floateq) sort tie-break on raw coordinates; exactness keeps the hull order deterministic
-			return ps[i].X < ps[j].X
-		}
-		return ps[i].Y < ps[j].Y
-	})
-	// Deduplicate.
-	uniq := ps[:1]
-	for _, p := range ps[1:] {
-		if p != uniq[len(uniq)-1] {
-			uniq = append(uniq, p)
-		}
-	}
-	ps = uniq
-	n := len(ps)
-	if n < 3 {
-		return Ring(ps)
-	}
-	hull := make([]Point, 0, 2*n)
-	// Lower hull.
-	for _, p := range ps {
-		for len(hull) >= 2 && orient(hull[len(hull)-2], hull[len(hull)-1], p) <= 0 {
-			hull = hull[:len(hull)-1]
-		}
-		hull = append(hull, p)
-	}
-	// Upper hull.
-	lower := len(hull) + 1
-	for i := n - 2; i >= 0; i-- {
-		p := ps[i]
-		for len(hull) >= lower && orient(hull[len(hull)-2], hull[len(hull)-1], p) <= 0 {
-			hull = hull[:len(hull)-1]
-		}
-		hull = append(hull, p)
-	}
-	return Ring(hull[:len(hull)-1])
-}
-
-// Simplify returns a copy of the ring simplified with the Douglas-Peucker
-// algorithm at the given tolerance. Rings that would collapse below three
-// vertices are returned with their three most extreme vertices preserved.
-func Simplify(r Ring, tol float64) Ring {
-	if len(r) <= 3 || tol <= 0 {
-		return r.Clone()
-	}
-	// Treat as a closed line: run DP on the open vertex list plus the first
-	// vertex repeated, then strip it.
-	open := make([]Point, len(r)+1)
-	copy(open, r)
-	open[len(r)] = r[0]
-	keep := make([]bool, len(open))
-	keep[0], keep[len(open)-1] = true, true
-	douglasPeucker(open, 0, len(open)-1, tol, keep)
-	out := make(Ring, 0, len(r))
-	for i := 0; i < len(open)-1; i++ {
-		if keep[i] {
-			out = append(out, open[i])
-		}
-	}
-	if len(out) < 3 {
-		return fallbackTriangle(r)
-	}
-	return out
-}
-
+// douglasPeucker marks in keep the vertices of pts[lo+1:hi] that the
+// Douglas-Peucker simplification keeps at tolerance tol.
 func douglasPeucker(pts []Point, lo, hi int, tol float64, keep []bool) {
 	if hi-lo < 2 {
 		return
@@ -158,54 +60,6 @@ func douglasPeucker(pts []Point, lo, hi int, tol float64, keep []bool) {
 		douglasPeucker(pts, lo, maxI, tol, keep)
 		douglasPeucker(pts, maxI, hi, tol, keep)
 	}
-}
-
-// fallbackTriangle returns a 3-vertex ring that spans r's extent when
-// simplification collapsed it.
-func fallbackTriangle(r Ring) Ring {
-	if len(r) < 3 {
-		return r.Clone()
-	}
-	iMinX, iMaxX, iMaxY := 0, 0, 0
-	for i, p := range r {
-		if p.X < r[iMinX].X {
-			iMinX = i
-		}
-		if p.X > r[iMaxX].X {
-			iMaxX = i
-		}
-		if p.Y > r[iMaxY].Y {
-			iMaxY = i
-		}
-	}
-	tri := Ring{r[iMinX], r[iMaxX], r[iMaxY]}
-	if tri[0] == tri[1] || tri[1] == tri[2] || tri[0] == tri[2] {
-		return Ring{r[0], r[len(r)/3], r[2*len(r)/3]}
-	}
-	return tri
-}
-
-// BufferConvex returns an approximate outward buffer of a convex ring by
-// distance d: the convex hull of circles of radius d (approximated by
-// arcSteps points each) placed at every vertex. For non-convex rings the
-// result is the buffered convex hull, which is conservative (a superset).
-// The overlay engine uses raster distance transforms for exact buffering;
-// this vector version serves quick-and-dirty pre-filters and examples.
-func BufferConvex(r Ring, d float64, arcSteps int) Ring {
-	if len(r) == 0 || d <= 0 {
-		return r.Clone()
-	}
-	if arcSteps < 4 {
-		arcSteps = 8
-	}
-	pts := make([]Point, 0, len(r)*arcSteps)
-	for _, v := range r {
-		for i := 0; i < arcSteps; i++ {
-			a := 2 * math.Pi * float64(i) / float64(arcSteps)
-			pts = append(pts, Point{v.X + d*math.Cos(a), v.Y + d*math.Sin(a)})
-		}
-	}
-	return ConvexHull(pts)
 }
 
 // PointsBBox returns the bounding box of a point set.

@@ -433,111 +433,6 @@ func TestSegmentsIntersect(t *testing.T) {
 	}
 }
 
-func TestRingsIntersect(t *testing.T) {
-	sq := func(x, y, s float64) Ring {
-		return NewRing(Pt(x, y), Pt(x+s, y), Pt(x+s, y+s), Pt(x, y+s))
-	}
-	tests := []struct {
-		name   string
-		r1, r2 Ring
-		want   bool
-	}{
-		{"overlapping", sq(0, 0, 4), sq(2, 2, 4), true},
-		{"disjoint", sq(0, 0, 2), sq(5, 5, 2), false},
-		{"nested", sq(0, 0, 10), sq(3, 3, 2), true},
-		{"nested reversed args", sq(3, 3, 2), sq(0, 0, 10), true},
-		{"edge touching", sq(0, 0, 2), sq(2, 0, 2), true},
-	}
-	for _, tc := range tests {
-		if got := RingsIntersect(tc.r1, tc.r2); got != tc.want {
-			t.Errorf("%s: = %v, want %v", tc.name, got, tc.want)
-		}
-	}
-}
-
-func TestConvexHull(t *testing.T) {
-	pts := []Point{
-		{0, 0}, {4, 0}, {4, 4}, {0, 4}, // corners
-		{2, 2}, {1, 3}, {3, 1}, // interior
-		{2, 0}, // edge point
-	}
-	hull := ConvexHull(pts)
-	if len(hull) != 4 {
-		t.Fatalf("hull size = %d, want 4 (got %v)", len(hull), hull)
-	}
-	if !hull.IsCCW() {
-		t.Error("hull should be CCW")
-	}
-	if !almostEqual(hull.Area(), 16, 1e-9) {
-		t.Errorf("hull area = %v, want 16", hull.Area())
-	}
-}
-
-func TestConvexHullDegenerate(t *testing.T) {
-	if got := ConvexHull(nil); got != nil {
-		t.Errorf("hull of empty = %v", got)
-	}
-	one := ConvexHull([]Point{{1, 1}, {1, 1}})
-	if len(one) != 1 {
-		t.Errorf("hull of duplicated point = %v", one)
-	}
-	two := ConvexHull([]Point{{0, 0}, {1, 1}})
-	if len(two) != 2 {
-		t.Errorf("hull of two points = %v", two)
-	}
-}
-
-func TestConvexHullProperty(t *testing.T) {
-	f := func(raw [16]struct{ X, Y int8 }) bool {
-		pts := make([]Point, len(raw))
-		for i, r := range raw {
-			pts[i] = Pt(float64(r.X), float64(r.Y))
-		}
-		hull := ConvexHull(pts)
-		if len(hull) < 3 {
-			return true // collinear input
-		}
-		// Every input point must be inside or on the hull.
-		for _, p := range pts {
-			if !hull.ContainsPoint(p) && !hull.OnBoundary(p, 1e-9) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestSimplify(t *testing.T) {
-	// A square densified with redundant midpoints simplifies back to 4 corners.
-	dense := Ring{}
-	corners := []Point{{0, 0}, {10, 0}, {10, 10}, {0, 10}}
-	for i, c := range corners {
-		next := corners[(i+1)%4]
-		for k := 0; k < 10; k++ {
-			f := float64(k) / 10
-			dense = append(dense, Point{c.X + (next.X-c.X)*f, c.Y + (next.Y-c.Y)*f})
-		}
-	}
-	simp := Simplify(dense, 0.01)
-	if len(simp) > 5 {
-		t.Errorf("simplified ring has %d vertices, want <=5", len(simp))
-	}
-	if !almostEqual(simp.Area(), 100, 1) {
-		t.Errorf("simplified area = %v, want ~100", simp.Area())
-	}
-}
-
-func TestSimplifyPreservesSmallRings(t *testing.T) {
-	tri := NewRing(Pt(0, 0), Pt(1, 0), Pt(0, 1))
-	got := Simplify(tri, 10)
-	if len(got) != 3 {
-		t.Errorf("triangle should be preserved, got %d vertices", len(got))
-	}
-}
-
 func TestDistancePointSegment(t *testing.T) {
 	tests := []struct {
 		name    string
@@ -573,25 +468,6 @@ func TestRegularRing(t *testing.T) {
 	got := RegularRing(c, 1, 2)
 	if len(got) != 3 {
 		t.Errorf("n<3 should clamp to 3, got %d", len(got))
-	}
-}
-
-func TestBufferConvex(t *testing.T) {
-	sq := NewRing(Pt(0, 0), Pt(4, 0), Pt(4, 4), Pt(0, 4))
-	buf := BufferConvex(sq, 1, 16)
-	// Buffered area ~ original + perimeter*d + pi*d^2 = 16 + 16 + pi.
-	want := 16 + 16 + math.Pi
-	if math.Abs(buf.Area()-want) > 0.5 {
-		t.Errorf("buffered area = %v, want ~%v", buf.Area(), want)
-	}
-	for _, p := range sq {
-		if !buf.ContainsPoint(p) {
-			t.Errorf("buffer must contain original vertex %v", p)
-		}
-	}
-	same := BufferConvex(sq, 0, 8)
-	if len(same) != len(sq) {
-		t.Error("zero buffer should return clone")
 	}
 }
 

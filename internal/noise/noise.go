@@ -201,24 +201,3 @@ func resize[T any](s []T, n int) []T {
 	}
 	return s[:n]
 }
-
-// Ridged returns ridge noise — 1 - |2v-1| folded fBm — which produces
-// connected high-value ridgelines, a good model for mountain-range fuel
-// corridors.
-func (f *Field) Ridged(x, y float64, octaves int, gain float64) float64 {
-	if octaves < 1 {
-		octaves = 1
-	}
-	var sum, norm float64
-	amp := 1.0
-	freq := 1.0
-	for o := 0; o < octaves; o++ {
-		v := f.Value(x*freq+float64(o)*29.17, y*freq+float64(o)*7.77)
-		r := 1 - math.Abs(2*v-1)
-		sum += amp * r * r
-		norm += amp
-		amp *= gain
-		freq *= 2
-	}
-	return sum / norm
-}

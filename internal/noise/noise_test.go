@@ -92,17 +92,6 @@ func TestFBMOctavesClamp(t *testing.T) {
 	f := New(17)
 	// octaves < 1 clamps to 1 and must not panic.
 	_ = f.FBM(1.5, 2.5, 0, 0.5)
-	_ = f.Ridged(1.5, 2.5, -3, 0.5)
-}
-
-func TestRidgedRange(t *testing.T) {
-	f := New(19)
-	for i := 0; i < 5000; i++ {
-		v := f.Ridged(float64(i)*0.11, float64(i)*0.19, 4, 0.6)
-		if v < 0 || v > 1.0000001 {
-			t.Fatalf("Ridged out of range: %v", v)
-		}
-	}
 }
 
 func BenchmarkFBM5(b *testing.B) {

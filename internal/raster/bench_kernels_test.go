@@ -22,19 +22,17 @@ func BenchmarkRasterKernels(b *testing.B) {
 	FillPolygonsInto(mask, polys)
 
 	b.Run("fill", func(b *testing.B) {
-		out := AcquireBitGrid(g)
+		out := NewBitGrid(g)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			out.Clear()
 			FillPolygonsInto(out, polys)
 		}
-		b.StopTimer()
-		ReleaseBitGrid(out)
 	})
 	b.Run("union", func(b *testing.B) {
 		// The pre-fusion call pattern: one fill pass per fire.
-		out := AcquireBitGrid(g)
+		out := NewBitGrid(g)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -43,8 +41,6 @@ func BenchmarkRasterKernels(b *testing.B) {
 				FillPolygonsInto(out, polys[pi:pi+1])
 			}
 		}
-		b.StopTimer()
-		ReleaseBitGrid(out)
 	})
 	b.Run("distance", func(b *testing.B) {
 		out := AcquireFloatGrid(g)
@@ -78,8 +74,9 @@ func BenchmarkRasterKernels(b *testing.B) {
 	})
 	b.Run("fused", func(b *testing.B) {
 		// The ensemble steady state: mask union + distance transform
-		// over a fixed geometry with arena-held grids.
-		um := AcquireBitGrid(g)
+		// over a fixed geometry into one reused mask and an arena-held
+		// distance grid.
+		um := NewBitGrid(g)
 		dist := AcquireFloatGrid(g)
 		// Warm the arena: the first sweep grows the pooled buffers to
 		// this geometry's sizes.
@@ -98,7 +95,6 @@ func BenchmarkRasterKernels(b *testing.B) {
 			}
 		}
 		b.StopTimer()
-		ReleaseBitGrid(um)
 		ReleaseFloatGrid(dist)
 	})
 }

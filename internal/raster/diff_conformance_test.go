@@ -138,7 +138,8 @@ func TestFillHugeCoordinatePolygon(t *testing.T) {
 		geom.Pt(off, off), geom.Pt(off+1000, off), geom.Pt(off+1000, off+800), geom.Pt(off, off+800),
 	}}}
 	g := raster.Geometry{MinX: off - 137, MinY: off - 137, CellSize: 100, NX: 14, NY: 12}
-	opt := raster.FillMultiPolygon(g, m)
+	opt := raster.NewBitGrid(g)
+	raster.FillPolygonsInto(opt, m)
 	ref := refimpl.FillMultiPolygon(g, m)
 	for cy := 0; cy < g.NY; cy++ {
 		for cx := 0; cx < g.NX; cx++ {

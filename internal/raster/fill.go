@@ -183,20 +183,3 @@ func FillPolygon(g Geometry, poly geom.Polygon) *BitGrid {
 	FillPolygonsInto(mask, []geom.Polygon{poly})
 	return mask
 }
-
-// FillMultiPolygon sets every cell whose center lies inside any member
-// polygon.
-func FillMultiPolygon(g Geometry, m geom.MultiPolygon) *BitGrid {
-	mask := NewBitGrid(g)
-	FillMultiPolygonInto(mask, m)
-	return mask
-}
-
-// FillMultiPolygonInto sets every cell of an existing mask whose center
-// lies inside any member polygon, leaving already-set cells set. Union
-// rasterization (e.g. all fire perimeters of a study period onto one
-// national grid) fills into one shared mask this way instead of
-// allocating a full grid per geometry and Or-ing them.
-func FillMultiPolygonInto(mask *BitGrid, m geom.MultiPolygon) {
-	FillPolygonsInto(mask, m)
-}

@@ -18,13 +18,12 @@ import "sync"
 // by the goroutine that got it until it is put back, after which it must
 // not be touched. Grids handed to callers (every exported kernel's
 // return value) are ordinary garbage-collected allocations, never arena
-// buffers — only AcquireBitGrid/AcquireFloatGrid expose arena-backed
-// grids, and releasing those is the caller's explicit opt-in.
+// buffers — only AcquireFloatGrid exposes arena-backed grids, and
+// releasing those is the caller's explicit opt-in.
 var arena struct {
 	floats   sync.Pool // *[]float64
 	ints     sync.Pool // *[]int
 	words    sync.Pool // *[]uint64
-	bitGrids sync.Pool // *BitGrid
 	fltGrids sync.Pool // *FloatGrid
 }
 
@@ -73,38 +72,11 @@ func getWords(n int) *[]uint64 {
 
 func putWords(p *[]uint64) { arena.words.Put(p) }
 
-// AcquireBitGrid returns an all-false bit grid with the given geometry,
-// reusing a pooled allocation when one large enough exists. The caller
-// owns the grid until ReleaseBitGrid; releasing is optional (an acquired
-// grid is an ordinary value and may simply escape to the garbage
-// collector), but steady-state-alloc-free loops must release.
-func AcquireBitGrid(g Geometry) *BitGrid {
-	nw := (g.Cells() + 63) / 64
-	b, _ := arena.bitGrids.Get().(*BitGrid)
-	if b == nil {
-		return NewBitGrid(g)
-	}
-	if cap(b.bits) < nw {
-		b.bits = make([]uint64, nw)
-	} else {
-		b.bits = b.bits[:nw]
-		clear(b.bits)
-	}
-	b.Geometry = g
-	return b
-}
-
-// ReleaseBitGrid returns a grid to the arena. The grid must not be used
-// afterwards. Releasing nil is a no-op; grids from NewBitGrid may be
-// released too (the arena adopts their storage).
-func ReleaseBitGrid(b *BitGrid) {
-	if b != nil {
-		arena.bitGrids.Put(b)
-	}
-}
-
 // AcquireFloatGrid returns a zero-filled float grid with the given
-// geometry from the arena; see AcquireBitGrid for the ownership rules.
+// geometry, reusing a pooled allocation when one large enough exists.
+// The caller owns the grid until ReleaseFloatGrid; releasing is optional
+// (an acquired grid is an ordinary value and may simply escape to the
+// garbage collector), but steady-state-alloc-free loops must release.
 func AcquireFloatGrid(g Geometry) *FloatGrid {
 	n := g.Cells()
 	f, _ := arena.fltGrids.Get().(*FloatGrid)

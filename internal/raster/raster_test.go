@@ -441,7 +441,8 @@ func TestFillTraceRoundTrip(t *testing.T) {
 		}
 	}
 	mp := TraceContours(mask)
-	refill := FillMultiPolygon(g, mp)
+	refill := NewBitGrid(g)
+	FillPolygonsInto(refill, mp)
 	for cy := 0; cy < g.NY; cy++ {
 		for cx := 0; cx < g.NX; cx++ {
 			if mask.Get(cx, cy) != refill.Get(cx, cy) {

@@ -419,22 +419,6 @@ func TestDistanceTransformIntoShapeMismatch(t *testing.T) {
 
 func TestAcquireReleaseGrids(t *testing.T) {
 	g := seamGeometry(70, 40)
-	b := AcquireBitGrid(g)
-	b.SetSpan(3, 0, 69)
-	ReleaseBitGrid(b)
-	b2 := AcquireBitGrid(g)
-	if b2.Count() != 0 {
-		t.Error("reacquired bit grid not cleared")
-	}
-	ReleaseBitGrid(b2)
-	// A smaller geometry must reuse the larger backing storage cleanly.
-	small := AcquireBitGrid(seamGeometry(5, 5))
-	if small.Count() != 0 || small.Cells() != 25 {
-		t.Error("smaller reacquisition not cleared or misshapen")
-	}
-	ReleaseBitGrid(small)
-	ReleaseBitGrid(nil) // must not panic
-
 	f := AcquireFloatGrid(g)
 	f.Data[17] = 4.5
 	ReleaseFloatGrid(f)
@@ -484,7 +468,7 @@ func TestFusedSweepSteadyStateAllocs(t *testing.T) {
 	}
 	g := Geometry{MinX: 0, MinY: 0, CellSize: 100, NX: 256, NY: 256}
 	polys := syntheticPerimeters(g, 12, 7)
-	mask := AcquireBitGrid(g)
+	mask := NewBitGrid(g)
 	dist := AcquireFloatGrid(g)
 	sweep := func() {
 		mask.Clear()
@@ -501,7 +485,6 @@ func TestFusedSweepSteadyStateAllocs(t *testing.T) {
 	if allocs := testing.AllocsPerRun(5, sweep); allocs > 0 {
 		t.Errorf("fused sweep allocates %.1f times per run in steady state, want 0", allocs)
 	}
-	ReleaseBitGrid(mask)
 	ReleaseFloatGrid(dist)
 }
 

@@ -143,7 +143,8 @@ func checkMultiPolygonContainment(seed int64) error {
 // except for centers within floating-point noise of a ring edge.
 func CheckFill(seed int64) error {
 	c := GenFillCase(seed)
-	opt := raster.FillMultiPolygon(c.Geom, c.M)
+	opt := raster.NewBitGrid(c.Geom)
+	raster.FillPolygonsInto(opt, c.M)
 	ref := refimpl.FillMultiPolygon(c.Geom, c.M)
 	return compareMasks("fill", seed, c.Desc, c.Geom, opt, ref, c.M)
 }

@@ -287,7 +287,8 @@ func goldenFillAndDistance(tag string, m geom.MultiPolygon) error {
 		CellSize: cell,
 		NX:       int(w/cell) + 4, NY: int(h/cell) + 4,
 	}
-	opt := raster.FillMultiPolygon(g, m)
+	opt := raster.NewBitGrid(g)
+	raster.FillPolygonsInto(opt, m)
 	ref := refimpl.FillMultiPolygon(g, m)
 	if err := compareMasksGolden("fill", tag, g, opt, ref, m); err != nil {
 		return err

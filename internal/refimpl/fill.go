@@ -5,8 +5,8 @@ import (
 	"fivealarms/internal/raster"
 )
 
-// FillMultiPolygon is the per-cell twin of raster.FillMultiPolygon /
-// FillMultiPolygonInto: every cell of the grid is tested individually —
+// FillMultiPolygon is the per-cell twin of raster.FillPolygonsInto into
+// a fresh mask: every cell of the grid is tested individually —
 // the cell center against the even-odd union of each polygon's rings —
 // with no scanline, no span fill and no bbox clipping beyond skipping
 // whole polygons that cannot touch the grid. A cell is set when any
@@ -19,7 +19,7 @@ func FillMultiPolygon(g raster.Geometry, m geom.MultiPolygon) *raster.BitGrid {
 
 // FillMultiPolygonInto sets into mask every cell whose center lies inside
 // any member polygon, leaving already-set cells set (the union semantics
-// of raster.FillMultiPolygonInto).
+// of raster.FillPolygonsInto).
 func FillMultiPolygonInto(mask *raster.BitGrid, m geom.MultiPolygon) {
 	g := mask.Geometry
 	for _, pg := range m {

@@ -3,7 +3,7 @@
 // ray-casting containment (the twin of geom.PreparedRing /
 // PreparedPolygon / PreparedMultiPolygon), brute-force box range and
 // nearest queries (the twin of rtree.Tree), per-cell polygon
-// rasterization (the twin of raster.FillMultiPolygonInto), a direct
+// rasterization (the twin of raster.FillPolygonsInto), a direct
 // Snyder-formula Albers projection (the twin of proj.Albers), brute-force
 // Euclidean distance transforms and buffers (the twin of
 // raster.DistanceTransform / DilateByDistance), exhaustive point

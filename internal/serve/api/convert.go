@@ -6,7 +6,6 @@ import (
 	"fivealarms"
 	"fivealarms/internal/geodata"
 	"fivealarms/internal/risk"
-	"fivealarms/internal/whp"
 )
 
 // Table1From builds the Table 1 DTO from the historical overlay rows.
@@ -88,17 +87,6 @@ func WHPOverlayFrom(res *risk.WHPResult) WHPOverlay {
 	}
 	sort.Slice(o.States, func(i, j int) bool { return o.States[i].State < o.States[j].State })
 	return o
-}
-
-// ClassNames returns the WHP class names in hazard order, the key
-// space of the by_class maps.
-func ClassNames() []string {
-	classes := []whp.Class{whp.Water, whp.NonBurnable, whp.VeryLow, whp.Low, whp.Moderate, whp.High, whp.VeryHigh}
-	out := make([]string, len(classes))
-	for i, c := range classes {
-		out[i] = c.String()
-	}
-	return out
 }
 
 // ValidationFrom builds the validation DTO from the §3.4 result.

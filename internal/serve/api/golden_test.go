@@ -157,16 +157,3 @@ func TestVersionStamp(t *testing.T) {
 		t.Errorf("every DTO must carry the version stamp, got %s (err %v)", body, err)
 	}
 }
-
-func TestClassNames(t *testing.T) {
-	names := api.ClassNames()
-	want := []string{"water", "non-burnable", "very-low", "low", "moderate", "high", "very-high"}
-	if len(names) != len(want) {
-		t.Fatalf("ClassNames = %v, want %v", names, want)
-	}
-	for i := range want {
-		if names[i] != want[i] {
-			t.Errorf("ClassNames[%d] = %q, want %q", i, names[i], want[i])
-		}
-	}
-}

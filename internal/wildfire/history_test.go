@@ -167,7 +167,8 @@ func TestPerimetersRefillBurnedCells(t *testing.T) {
 	sim := *testSim
 	sim.onBurn = func(f *Fire, burned *raster.BitGrid) {
 		fires.Add(1)
-		refill := raster.FillMultiPolygon(burned.Geometry, f.Perimeter)
+		refill := raster.NewBitGrid(burned.Geometry)
+		raster.FillPolygonsInto(refill, f.Perimeter)
 		outside := refill.Clone()
 		if err := outside.AndNot(burned); err != nil {
 			t.Error(err)
