@@ -113,13 +113,7 @@ func metroLayer(study *fivealarms.Study, opt MapOptions) (*raster.ClassGrid, ras
 	}
 	anchor := geom.Point{X: opt.Lon, Y: opt.Lat}
 	g := whp.WindowAround(study.World, anchor, opt.KM*1000, opt.WindowCell)
-	fine := whp.Build(study.World, g, whp.Config{
-		UrbanCoreThreshold: study.WHP.Cfg.UrbanCoreThreshold,
-		WUIDamping:         study.WHP.Cfg.WUIDamping,
-		Thresholds:         study.WHP.Cfg.Thresholds,
-		NoiseScaleM:        study.WHP.Cfg.NoiseScaleM,
-		RoadBufferM:        400,
-	})
+	fine := whp.Build(study.World, g, whp.FineConfig)
 	out := fine.Classes.Clone()
 	for _, ti := range study.Data.Index.Query(g.Bounds(), nil) {
 		p := study.Data.T[ti].XY

@@ -69,7 +69,7 @@ func (a *Analyzer) ExtendAndValidateFine(season *wildfire.Season, cellSize, dist
 	}
 	region := a.CaliforniaRegion().Intersection(a.World.Grid.Bounds())
 	g := raster.NewGeometry(region, cellSize)
-	model := whp.NewModel(a.World, cellSize, a.fineConfig())
+	model := whp.NewModel(a.World, cellSize, whp.FineConfig)
 
 	res := &FineExtension{CellSize: cellSize, DistM: distM}
 
@@ -135,21 +135,6 @@ func (a *Analyzer) ExtendAndValidateFine(season *wildfire.Season, cellSize, dist
 func cellIndex(g raster.Geometry, p geom.Point) (int, bool) {
 	cx, cy, ok := g.CellOf(p)
 	return cy*g.NX + cx, ok
-}
-
-// fineConfig is the WHP configuration of the fine window. It inherits
-// the analyzer's calibration, but gives the nonburnable transportation
-// corridor its physical half-width (~400 m of roadway, shoulders and
-// managed verge) rather than the raster-coupled default — this is what
-// the half-mile buffer reaches across, exactly the §3.8 mechanism.
-func (a *Analyzer) fineConfig() whp.Config {
-	return whp.Config{
-		UrbanCoreThreshold: a.WHP.Cfg.UrbanCoreThreshold,
-		WUIDamping:         a.WHP.Cfg.WUIDamping,
-		Thresholds:         a.WHP.Cfg.Thresholds,
-		NoiseScaleM:        a.WHP.Cfg.NoiseScaleM,
-		RoadBufferM:        400,
-	}
 }
 
 // extendCells returns the class of each cell in cells (distinct linear

@@ -95,18 +95,7 @@ func extendFineReference(a *Analyzer, season *wildfire.Season, cellSize, distM f
 	}
 	region := a.CaliforniaRegion().Intersection(a.World.Grid.Bounds())
 	g := raster.NewGeometry(region, cellSize)
-	fine := whp.Build(a.World, g, whp.Config{
-		// Inherit the analyzer's calibration, but give the nonburnable
-		// transportation corridor its physical half-width (~400 m of
-		// roadway, shoulders and managed verge) rather than the raster-
-		// coupled default — this is what the half-mile buffer reaches
-		// across, exactly the §3.8 mechanism.
-		UrbanCoreThreshold: a.WHP.Cfg.UrbanCoreThreshold,
-		WUIDamping:         a.WHP.Cfg.WUIDamping,
-		Thresholds:         a.WHP.Cfg.Thresholds,
-		NoiseScaleM:        a.WHP.Cfg.NoiseScaleM,
-		RoadBufferM:        400,
-	})
+	fine := whp.Build(a.World, g, whp.FineConfig)
 
 	res := &FineExtension{CellSize: cellSize, DistM: distM}
 
@@ -199,13 +188,13 @@ func checkFineCells(t *testing.T, cellSize, distM float64, stride int) {
 	t.Helper()
 	a := testAnalyzer
 	g := raster.NewGeometry(a.CaliforniaRegion().Intersection(a.World.Grid.Bounds()), cellSize)
-	fine := whp.Build(a.World, g, a.fineConfig())
+	fine := whp.Build(a.World, g, whp.FineConfig)
 	ext := fine.ExtendVeryHigh(distM)
 	var cells []int
 	for c := 0; c < g.Cells(); c += stride {
 		cells = append(cells, c)
 	}
-	before, after := extendCells(whp.NewModel(a.World, cellSize, a.fineConfig()), g, cells, distM)
+	before, after := extendCells(whp.NewModel(a.World, cellSize, whp.FineConfig), g, cells, distM)
 	for i, c := range cells {
 		if want := whp.Class(fine.Classes.Data[c]); before[i] != want {
 			t.Fatalf("cell %v m, dist %v m: cell (%d, %d) of %dx%d classifies %v, raster %v",

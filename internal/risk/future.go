@@ -32,15 +32,14 @@ type FutureResult struct {
 }
 
 // FutureRisk projects the SLC-Denver corridor's infrastructure exposure
-// through the Littell ecoregion deltas. The moderate threshold of the
-// analyzer's WHP configuration defines "at risk".
+// through the Littell ecoregion deltas. A hazard at or above the WHP's
+// Low|Moderate cut (whp.ModerateCut) is "at risk".
 func (a *Analyzer) FutureRisk(c *ecoregion.Corridor) *FutureResult {
 	res := &FutureResult{}
 	rows := make([]FutureRow, len(c.Regions))
 	for i, r := range c.Regions {
 		rows[i] = FutureRow{Ecoregion: r.Name, DeltaPct: r.DeltaPct}
 	}
-	modThresh := a.WHP.Cfg.Thresholds[1] // Low|Moderate cut
 
 	var buf []int
 	buf = a.Data.Index.Query(c.Bounds(), buf[:0])
@@ -58,10 +57,10 @@ func (a *Analyzer) FutureRisk(c *ecoregion.Corridor) *FutureResult {
 		future := c.FutureHazard(p, now)
 		row.MeanHazardNow += now
 		row.MeanHazardFuture += future
-		if now >= modThresh {
+		if now >= whp.ModerateCut {
 			row.AtRiskNow++
 		}
-		if future >= modThresh {
+		if future >= whp.ModerateCut {
 			row.AtRiskFuture++
 		}
 	}

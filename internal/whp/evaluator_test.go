@@ -91,9 +91,9 @@ func TestEvaluatorConformance(t *testing.T) {
 		for o := 0; o < noiseOctaves; o++ {
 			freq := math.Ldexp(1, o)
 			for k := 0; k < 4; k++ {
-				lx := math.Floor(pick.Range(bb.MinX, bb.MaxX)/m.Cfg.NoiseScaleM*freq) - float64(o)*17.31
-				ly := math.Floor(pick.Range(bb.MinY, bb.MaxY)/m.Cfg.NoiseScaleM*freq) + float64(o)*11.97
-				c := geom.Point{X: lx / freq * m.Cfg.NoiseScaleM, Y: ly / freq * m.Cfg.NoiseScaleM}
+				lx := math.Floor(pick.Range(bb.MinX, bb.MaxX)/NoiseScaleM*freq) - float64(o)*17.31
+				ly := math.Floor(pick.Range(bb.MinY, bb.MaxY)/NoiseScaleM*freq) + float64(o)*11.97
+				c := geom.Point{X: lx / freq * NoiseScaleM, Y: ly / freq * NoiseScaleM}
 				g := square(c, r, cell)
 				g.MinX, g.MinY = c.X-cell/2-float64(pick.Intn(g.NX))*cell, c.Y-cell/2-float64(pick.Intn(g.NY))*cell
 				checkEvaluator(t, "lattice", m, e, g)
@@ -105,6 +105,6 @@ func TestEvaluatorConformance(t *testing.T) {
 	// 400 m physical road corridor.
 	ca := geom.NewBBox(w.ToXY(geom.Point{X: -124.5, Y: 32.3}), w.ToXY(geom.Point{X: -114.0, Y: 42.1}))
 	g := raster.NewGeometry(ca.Intersection(wg.Bounds()), 800)
-	fine := NewModel(w, 800, Config{RoadBufferM: 400})
+	fine := NewModel(w, 800, FineConfig)
 	checkEvaluator(t, "california", fine, fine.Evaluator(raster.Geometry{}), g)
 }

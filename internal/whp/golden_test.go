@@ -31,15 +31,8 @@ func TestWHPGolden(t *testing.T) {
 	// The metro layer's window: 150 km around (-118, 34) at 1 km cells,
 	// the national calibration with a 400 m road corridor.
 	w := conus.Build(conus.Config{Seed: 7, CellSizeM: 20000})
-	national := Build(w, w.Grid, Config{})
 	g := WindowAround(w, geom.Point{X: -118, Y: 34}, 150*1000, 1000)
-	maps = append(maps, Build(w, g, Config{
-		UrbanCoreThreshold: national.Cfg.UrbanCoreThreshold,
-		WUIDamping:         national.Cfg.WUIDamping,
-		Thresholds:         national.Cfg.Thresholds,
-		NoiseScaleM:        national.Cfg.NoiseScaleM,
-		RoadBufferM:        400,
-	}))
+	maps = append(maps, Build(w, g, FineConfig))
 	if len(maps) != len(whpGolden) {
 		t.Fatalf("%d maps, %d golden hashes", len(maps), len(whpGolden))
 	}

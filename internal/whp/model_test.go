@@ -20,14 +20,14 @@ func (m *Model) Evaluate(p geom.Point) (float64, Class) {
 		return 0, Water
 	}
 	urban := w.UrbanAt(p)
-	if urban >= m.Cfg.UrbanCoreThreshold {
+	if urban >= UrbanCoreThreshold {
 		return 0, NonBurnable
 	}
 	if w.RoadDistAt(p) <= m.Cfg.RoadBufferM {
 		return 0, NonBurnable
 	}
 	h := m.HazardValue(p, si, urban)
-	return h, classify(h, m.Cfg.Thresholds)
+	return h, classify(h, cuts)
 }
 
 // HazardValue returns the continuous hazard in [0,1) at a projected point
@@ -36,11 +36,11 @@ func (m *Model) Evaluate(p geom.Point) (float64, Class) {
 func (m *Model) HazardValue(p geom.Point, stateIdx int, urban float64) float64 {
 	w := m.world
 	base := stateHazard(stateIdx)
-	n := w.Noise().FBM(p.X/m.Cfg.NoiseScaleM, p.Y/m.Cfg.NoiseScaleM, 5, 0.55)
+	n := w.Noise().FBM(p.X/NoiseScaleM, p.Y/NoiseScaleM, 5, 0.55)
 	// Mix: the state weight sets the regional level, noise modulates it.
 	h := base * (0.15 + 0.85*n)
 	// The wildland-urban interface: hazard decays toward the urban core.
-	damp := 1 - m.Cfg.WUIDamping*math.Min(urban/math.Max(m.Cfg.UrbanCoreThreshold, 1e-9), 1)
+	damp := 1 - WUIDamping*math.Min(urban/math.Max(UrbanCoreThreshold, 1e-9), 1)
 	h *= damp
 	if h < 0 {
 		h = 0
@@ -66,7 +66,7 @@ func (m *Model) FuelAt(p geom.Point) float64 {
 		return 0
 	}
 	urban := w.UrbanAt(p)
-	if urban >= m.Cfg.UrbanCoreThreshold || w.RoadDistAt(p) <= m.Cfg.RoadBufferM {
+	if urban >= UrbanCoreThreshold || w.RoadDistAt(p) <= m.Cfg.RoadBufferM {
 		return 0.03
 	}
 	h := m.HazardValue(p, si, urban)

@@ -76,51 +76,61 @@ func (c Class) String() string {
 // (moderate, high or very high).
 func (c Class) AtRisk() bool { return c >= Moderate }
 
-// Config tunes the hazard model. The zero value selects calibrated
-// defaults.
+// The model's calibration.
+const (
+	// NoiseScaleM is the wavelength in meters of the dominant hazard
+	// patchiness, a noiseOctaves-octave fBm with gain noiseGain.
+	NoiseScaleM  = 220000
+	noiseOctaves = 5
+	noiseGain    = 0.55
+	// UrbanCoreThreshold is the urban intensity at and above which a
+	// cell is a built-up core, classified NonBurnable.
+	UrbanCoreThreshold = 0.45
+	// WUIDamping scales how strongly urban intensity suppresses hazard
+	// in the wildland-urban interface.
+	WUIDamping = 0.20
+)
+
+// The hazard-value cut points: a cell is VeryLow below LowCut, Low below
+// ModerateCut, Moderate below HighCut, High below VeryHighCut and
+// VeryHigh from there up. They are calibrated so the class histogram
+// over placed transceivers reproduces the paper's M > H > VH nesting.
+const (
+	LowCut      = 0.12
+	ModerateCut = 0.26
+	HighCut     = 0.42
+	VeryHighCut = 0.60
+)
+
+// cuts are the cut points in class order.
+var cuts = [4]float64{LowCut, ModerateCut, HighCut, VeryHighCut}
+
+// Config holds the model's one setting; everything else is the
+// calibration above. The zero value is the national model.
 type Config struct {
-	// UrbanCoreThreshold is the urban intensity above which a cell is
-	// classified NonBurnable (built-up core). Default 0.45.
-	UrbanCoreThreshold float64
 	// RoadBufferM is the half-width of the nonburnable transportation
 	// corridor in meters. Default 1.25 cells of the target geometry.
 	RoadBufferM float64
-	// WUIDamping scales how strongly urban intensity suppresses hazard in
-	// the wildland-urban interface. Default 0.55.
-	WUIDamping float64
-	// Thresholds are the hazard-value cut points for VeryLow|Low,
-	// Low|Moderate, Moderate|High, High|VeryHigh. Defaults are calibrated
-	// so the class histogram over placed transceivers reproduces the
-	// paper's M > H > VH nesting.
-	Thresholds [4]float64
-	// NoiseScaleM is the wavelength in meters of the dominant hazard
-	// patchiness. Default 220 km.
-	NoiseScaleM float64
 }
 
+// FineConfig is the model of the fine windows (the Figure 13 metro maps
+// and the §3.8 fine extension): the national calibration with the road
+// corridor at its physical half-width, ~400 m of roadway, shoulders and
+// managed verge, rather than the raster-coupled default. That corridor
+// is what the §3.8 half-mile buffer reaches across.
+var FineConfig = Config{RoadBufferM: 400}
+
 func (c Config) withDefaults(cell float64) Config {
-	if c.UrbanCoreThreshold == 0 {
-		c.UrbanCoreThreshold = 0.45
-	}
 	if c.RoadBufferM == 0 {
 		c.RoadBufferM = 1.25 * cell
-	}
-	if c.WUIDamping == 0 {
-		c.WUIDamping = 0.20
-	}
-	if c.Thresholds == [4]float64{} {
-		c.Thresholds = [4]float64{0.12, 0.26, 0.42, 0.60}
-	}
-	if c.NoiseScaleM == 0 {
-		c.NoiseScaleM = 220000
 	}
 	return c
 }
 
-// Model is the hazard model itself: a calibrated Config over the world
-// fields. A point's hazard is a function of the point alone, whatever
-// raster it is read on; an Evaluator reads it at a raster's cell
-// centres.
+// Model is the hazard model itself: the calibration and a Config over
+// the world fields. A point's hazard is a function of the point alone,
+// whatever raster it is read on; an Evaluator reads it at a raster's
+// cell centres.
 type Model struct {
 	Cfg   Config
 	world *conus.World
@@ -133,12 +143,6 @@ type Model struct {
 func NewModel(w *conus.World, cellSize float64, cfg Config) *Model {
 	return &Model{Cfg: cfg.withDefaults(cellSize), world: w}
 }
-
-// The hazard noise is a 5-octave fBm with gain 0.55.
-const (
-	noiseOctaves = 5
-	noiseGain    = 0.55
-)
 
 // Map is a realized WHP raster plus the continuous hazard field it was
 // classified from (kept for the fire simulator's fuel model).
@@ -204,9 +208,9 @@ func (m *Model) Evaluator(g raster.Geometry) *Evaluator {
 
 // Reset binds e to g.
 func (e *Evaluator) Reset(g raster.Geometry) {
-	wg, scale := e.m.world.Grid, e.m.Cfg.NoiseScaleM
-	e.cols, e.xs = bindAxis(e.cols, e.xs, g.NX, g.ColX, wg.Col, scale)
-	e.rows, e.ys = bindAxis(e.rows, e.ys, g.NY, g.RowY, wg.Row, scale)
+	wg := e.m.world.Grid
+	e.cols, e.xs = bindAxis(e.cols, e.xs, g.NX, g.ColX, wg.Col)
+	e.rows, e.ys = bindAxis(e.rows, e.ys, g.NY, g.RowY, wg.Row)
 	e.noise.Reset(e.xs, e.ys)
 }
 
@@ -214,7 +218,7 @@ func (e *Evaluator) Reset(g raster.Geometry) {
 // storage, for the n columns (or rows) of a geometry whose centres lie
 // at at(i), placing each in the world grid with world.
 func bindAxis(cells []axisCell, coords []float64, n int,
-	at func(int) float64, world func(float64) (int, bool), scale float64) ([]axisCell, []float64) {
+	at func(int) float64, world func(float64) (int, bool)) ([]axisCell, []float64) {
 	if cap(cells) < n {
 		cells, coords = make([]axisCell, n), make([]float64, n)
 	}
@@ -226,7 +230,7 @@ func bindAxis(cells []axisCell, coords []float64, n int,
 			wi = -1
 		}
 		cells[i] = axisCell{at: c, world: wi}
-		coords[i] = c / scale
+		coords[i] = c / NoiseScaleM
 	}
 	return cells, coords
 }
@@ -260,14 +264,14 @@ func (e *Evaluator) Evaluate(cx, cy int) (float64, Class) {
 	if si < 0 {
 		return 0, Water
 	}
-	if urban >= e.m.Cfg.UrbanCoreThreshold {
+	if urban >= UrbanCoreThreshold {
 		return 0, NonBurnable
 	}
 	if e.nearRoad(cx, cy) {
 		return 0, NonBurnable
 	}
-	h := e.m.hazard(si, urban, e.noise.At(cx, cy))
-	return h, classify(h, e.m.Cfg.Thresholds)
+	h := hazard(si, urban, e.noise.At(cx, cy))
+	return h, classify(h, cuts)
 }
 
 // FuelAt returns the continuous fuel loading at the centre of cell
@@ -283,10 +287,10 @@ func (e *Evaluator) FuelAt(cx, cy int) float64 {
 	if si < 0 {
 		return 0
 	}
-	if urban >= e.m.Cfg.UrbanCoreThreshold || e.nearRoad(cx, cy) {
+	if urban >= UrbanCoreThreshold || e.nearRoad(cx, cy) {
 		return 0.03
 	}
-	h := e.m.hazard(si, urban, e.noise.At(cx, cy))
+	h := hazard(si, urban, e.noise.At(cx, cy))
 	if h < 0.05 {
 		return 0.05
 	}
@@ -295,12 +299,12 @@ func (e *Evaluator) FuelAt(cx, cy int) float64 {
 
 // hazard returns the continuous hazard in [0,1) at a point given its
 // state index, urban intensity and hazard noise n.
-func (m *Model) hazard(stateIdx int, urban, n float64) float64 {
+func hazard(stateIdx int, urban, n float64) float64 {
 	base := stateHazard(stateIdx)
 	// Mix: the state weight sets the regional level, noise modulates it.
 	h := base * (0.15 + 0.85*n)
 	// The wildland-urban interface: hazard decays toward the urban core.
-	damp := 1 - m.Cfg.WUIDamping*math.Min(urban/math.Max(m.Cfg.UrbanCoreThreshold, 1e-9), 1)
+	damp := 1 - WUIDamping*math.Min(urban/UrbanCoreThreshold, 1)
 	h *= damp
 	if h < 0 {
 		h = 0
@@ -311,6 +315,8 @@ func (m *Model) hazard(stateIdx int, urban, n float64) float64 {
 	return h
 }
 
+// classify returns the class of hazard h under the cut points th, in
+// class order; the model classifies under cuts.
 func classify(h float64, th [4]float64) Class {
 	switch {
 	case h < th[0]:

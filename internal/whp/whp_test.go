@@ -43,13 +43,18 @@ func TestAtRisk(t *testing.T) {
 }
 
 func TestDefaults(t *testing.T) {
-	cfg := Config{}.withDefaults(5000)
-	if cfg.UrbanCoreThreshold <= 0 || cfg.RoadBufferM <= 0 || cfg.WUIDamping <= 0 {
-		t.Errorf("defaults missing: %+v", cfg)
+	if cfg := (Config{}).withDefaults(5000); cfg.RoadBufferM != 1.25*5000 {
+		t.Errorf("default road corridor = %v m, want 1.25 cells", cfg.RoadBufferM)
+	}
+	if cfg := FineConfig.withDefaults(5000); cfg.RoadBufferM != 400 {
+		t.Errorf("fine road corridor = %v m, want 400", cfg.RoadBufferM)
+	}
+	if UrbanCoreThreshold <= 0 || WUIDamping <= 0 || NoiseScaleM <= 0 {
+		t.Errorf("calibration constants not positive: %v, %v, %v", UrbanCoreThreshold, WUIDamping, NoiseScaleM)
 	}
 	for i := 0; i < 3; i++ {
-		if cfg.Thresholds[i] >= cfg.Thresholds[i+1] {
-			t.Errorf("thresholds not increasing: %v", cfg.Thresholds)
+		if cuts[i] >= cuts[i+1] {
+			t.Errorf("thresholds not increasing: %v", cuts)
 		}
 	}
 }

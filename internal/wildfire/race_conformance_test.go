@@ -125,15 +125,15 @@ func pointFuel(m *whp.Map, w *conus.World, p geom.Point) float64 {
 		return 0
 	}
 	urban := w.UrbanAt(p)
-	if urban >= m.Cfg.UrbanCoreThreshold || w.RoadDistAt(p) <= m.Cfg.RoadBufferM {
+	if urban >= whp.UrbanCoreThreshold || w.RoadDistAt(p) <= m.Cfg.RoadBufferM {
 		return 0.03
 	}
 	base := geodata.States[si].Hazard
-	n := w.Noise().FBM(p.X/m.Cfg.NoiseScaleM, p.Y/m.Cfg.NoiseScaleM, 5, 0.55)
+	n := w.Noise().FBM(p.X/whp.NoiseScaleM, p.Y/whp.NoiseScaleM, 5, 0.55)
 	// Mix: the state weight sets the regional level, noise modulates it.
 	h := base * (0.15 + 0.85*n)
 	// The wildland-urban interface: hazard decays toward the urban core.
-	damp := 1 - m.Cfg.WUIDamping*math.Min(urban/math.Max(m.Cfg.UrbanCoreThreshold, 1e-9), 1)
+	damp := 1 - whp.WUIDamping*math.Min(urban/math.Max(whp.UrbanCoreThreshold, 1e-9), 1)
 	h *= damp
 	if h < 0 {
 		h = 0
