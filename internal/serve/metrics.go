@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"math"
 	"sort"
 	"sync/atomic"
 	"time"
@@ -40,9 +41,10 @@ func (e *endpointStats) observe(ms float64, isError bool) {
 }
 
 // quantile returns the upper bound of the bucket containing the q'th
-// latency quantile, -1 when nothing has been observed. The overflow
-// bucket reports the largest finite bound: the histogram cannot
-// distinguish latencies beyond it.
+// latency quantile, -1 when nothing has been observed. The quantile is
+// the observation of nearest rank ⌈q·N⌉ (at least 1) among N. The
+// overflow bucket reports the largest finite bound: the histogram
+// cannot distinguish latencies beyond it.
 func (e *endpointStats) quantile(q float64) float64 {
 	var counts [numBuckets]uint64
 	total := uint64(0)
@@ -53,7 +55,10 @@ func (e *endpointStats) quantile(q float64) float64 {
 	if total == 0 {
 		return -1
 	}
-	target := uint64(q * float64(total))
+	// The rank in integer arithmetic over q in parts per million, so a
+	// q·N that is an integer is not pushed to the next rank by rounding.
+	const ppm = 1_000_000
+	target := (uint64(math.Round(q*ppm))*total + ppm - 1) / ppm
 	if target < 1 {
 		target = 1
 	}

@@ -467,6 +467,28 @@ func TestMetricsQuantiles(t *testing.T) {
 	}
 }
 
+// TestMetricsNearestRank pins the rank a quantile reads at small counts:
+// the nearest rank ⌈q·N⌉, so p99 of two requests is the slower one and
+// p50 of three the middle one.
+func TestMetricsNearestRank(t *testing.T) {
+	var two endpointStats
+	two.observe(0.2, false) // 0.25 bucket
+	two.observe(40, false)  // 50 bucket
+	if q := two.quantile(0.99); q != 50 {
+		t.Errorf("p99 of two = %v, want 50 (the slower bucket)", q)
+	}
+	if q := two.quantile(0.5); q != 0.25 {
+		t.Errorf("p50 of two = %v, want 0.25", q)
+	}
+	var three endpointStats
+	three.observe(0.2, false) // 0.25 bucket
+	three.observe(3, false)   // 5 bucket
+	three.observe(40, false)  // 50 bucket
+	if q := three.quantile(0.5); q != 5 {
+		t.Errorf("p50 of three = %v, want 5 (the middle bucket)", q)
+	}
+}
+
 // TestMetricsEdgeBuckets pins the histogram boundary semantics: a
 // zero-latency observation lands in the first bucket, an observation
 // exactly on the last finite bound (5000 ms) is inclusive, and
