@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet lint lint-sarif lint-debt apilock race chaos chaos-serve load-smoke diffcheck cover bench bench-pipeline bench-geom bench-raster bench-serve bench-shard shard-smoke serve-smoke fuzz experiments maps clean
+.PHONY: all build test vet lint lint-sarif lint-debt apilock race chaos chaos-serve load-smoke diffcheck cover bench bench-pipeline bench-geom bench-raster bench-race bench-serve bench-shard shard-smoke serve-smoke fuzz experiments maps clean
 
 all: vet lint test build
 
@@ -66,11 +66,22 @@ bench-geom:
 # Regenerate the raster-kernel baseline: the banded fill / distance /
 # dilate kernels and the serial contour tracer at GOMAXPROCS 1/2/4/8
 # (band counts follow GOMAXPROCS), the unfused per-fire union, and the
-# fused union+distance ensemble sweep (which must report 0 allocs/op
-# warm), at full-scale CONUS dimensions.
+# fused union+distance ensemble sweep (warm, it allocates only scratch
+# the arena's pools dropped: 0-3 allocs per op, more at higher
+# GOMAXPROCS), at full-scale CONUS dimensions.
 bench-raster:
 	$(GO) test -run '^$$' -bench 'BenchmarkRasterKernels' \
 		-cpu 1,2,4,8 -benchmem -json ./internal/raster > BENCH_raster.json
+
+# Regenerate the fire-race baseline: one simulated season on the 20 km
+# test world (BenchmarkSeason: 20 fires' races and traces), the contour
+# tracer alone on that season's burned masks (BenchmarkTraceContours),
+# one 10,000-acre fire (BenchmarkGrowFire10k), and the §3.8 fine
+# extension (BenchmarkExtendFine), whose hazard evaluator rebinds the
+# same noise table. -cpu 1,2 records each at GOMAXPROCS 1 and 2.
+bench-race:
+	$(GO) test -run '^$$' -bench 'BenchmarkSeason$$|BenchmarkTraceContours$$|BenchmarkGrowFire10k$$|BenchmarkExtendFine$$' \
+		-cpu 1,2 -benchmem -json ./internal/wildfire ./internal/risk > BENCH_race.json
 
 # Regenerate the full-paper-scale baseline: one cold build of the
 # 5,364,949-transceiver fleet on the 2.7 km national raster, plus the

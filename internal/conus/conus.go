@@ -329,10 +329,11 @@ func (w *World) bucketSegment(bk *buckets, cx, cy int, seg int32) {
 
 // ringLists indexes the ring cells: every cell without an own bucket
 // whose raster road distance RoadDistAt does not return outright lists
-// the distinct segments of its 5x5 neighbourhood's own buckets. Such a
-// distance is at most 2.5 cells, so the nearest road cell is at most 2
-// cells away along each axis: only the 5x5 neighbourhoods of the road
-// cells are visited, each cell once and in cell order.
+// the distinct segments of its 5x5 neighbourhood's own buckets, in the
+// order of their first listing. Such a distance is at most 2.5 cells, so
+// the nearest road cell is at most 2 cells away along each axis: only
+// the 5x5 neighbourhoods of the road cells are visited, each cell once
+// and in cell order.
 func (w *World) ringLists() cellLists {
 	g := w.Grid
 	lim := 2.5 * g.CellSize
@@ -346,6 +347,9 @@ func (w *World) ringLists() cellLists {
 		}
 	})
 	var cells, segs []int32
+	// seen[s] is 1 + the last ring cell that listed segment s, so a
+	// repeat within a cell's neighbourhood is dropped without a scan.
+	seen := make([]int32, len(w.roadSegs))
 	for wi, word := range near {
 		for ; word != 0; word &= word - 1 {
 			c := wi<<6 + bits.TrailingZeros64(word)
@@ -353,11 +357,11 @@ func (w *World) ringLists() cellLists {
 				continue
 			}
 			cx, cy := c%g.NX, c/g.NX
-			first := len(segs)
 			for ny := max(cy-2, 0); ny <= min(cy+2, g.NY-1); ny++ {
 				for nx := max(cx-2, 0); nx <= min(cx+2, g.NX-1); nx++ {
 					for _, s := range w.own.list(ny*g.NX + nx) {
-						if !slices.Contains(segs[first:], s) {
+						if seen[s] != int32(c)+1 {
+							seen[s] = int32(c) + 1
 							cells = append(cells, int32(c))
 							segs = append(segs, s)
 						}
@@ -507,7 +511,12 @@ func (w *World) RoadDistAt(p geom.Point) float64 {
 	if !ok {
 		return math.Inf(1)
 	}
-	c := cy*w.Grid.NX + cx
+	return w.RoadDistIn(cy*w.Grid.NX+cx, p)
+}
+
+// RoadDistIn is RoadDistAt for a point p that lies in world cell c
+// (cy*NX + cx), for callers that have already located it.
+func (w *World) RoadDistIn(c int, p geom.Point) float64 {
 	v := w.RoadDist.Data[c]
 	if v > 2.5*w.Grid.CellSize {
 		return v

@@ -4,10 +4,7 @@
 // with realistic patchiness at several length scales.
 package noise
 
-import (
-	"math"
-	"slices"
-)
+import "math"
 
 // Field is a deterministic 2-D scalar noise field. Safe for concurrent use.
 type Field struct {
@@ -55,11 +52,11 @@ func (f *Field) Value(x, y float64) float64 {
 	return lerp2(f.hash(ix, iy), f.hash(ix+1, iy), f.hash(ix, iy+1), f.hash(ix+1, iy+1), fx, fy)
 }
 
-// fbmX and fbmY place an FBM sample coordinate in octave o's lattice,
-// whose frequency is freq: the octaves are shifted apart so their
-// lattices do not align.
-func fbmX(x, freq float64, o int) float64 { return x*freq + float64(o)*17.31 }
-func fbmY(y, freq float64, o int) float64 { return y*freq - float64(o)*11.97 }
+// shiftX and shiftY are octave o's lattice offsets: an FBM sample
+// coordinate c sits at c*freq + shift in the octave's lattice, whose
+// frequency is freq, so the octaves' lattices do not align.
+func shiftX(o int) float64 { return float64(o) * 17.31 }
+func shiftY(o int) float64 { return -float64(o) * 11.97 }
 
 // FBM returns fractal Brownian motion: octaves layers of Value noise with
 // per-octave frequency doubling (lacunarity 2) and amplitude decay gain.
@@ -72,7 +69,7 @@ func (f *Field) FBM(x, y float64, octaves int, gain float64) float64 {
 	amp := 1.0
 	freq := 1.0
 	for o := 0; o < octaves; o++ {
-		sum += amp * f.Value(fbmX(x, freq, o), fbmY(y, freq, o))
+		sum += amp * f.Value(x*freq+shiftX(o), y*freq+shiftY(o))
 		norm += amp
 		amp *= gain
 		freq *= 2
@@ -98,8 +95,9 @@ type Table struct {
 	cols, rows []tablePos
 	vals       []float64 // each octave's lattice values, row-major
 	// xl[o] and yl[o] are the lattice lines octave o's block spans: its
-	// columns and rows.
+	// columns and rows; width[o] is len(xl[o]).
 	xl, yl [][]int64
+	width  []int
 }
 
 // tablePos places a coordinate in one octave's block of a Table: the
@@ -118,7 +116,7 @@ func (f *Field) NewTable(octaves int, gain float64) *Table {
 	}
 	t := &Table{
 		f: f, octaves: octaves, amp: make([]float64, octaves),
-		xl: make([][]int64, octaves), yl: make([][]int64, octaves),
+		xl: make([][]int64, octaves), yl: make([][]int64, octaves), width: make([]int, octaves),
 	}
 	amp := 1.0
 	for o := range t.amp {
@@ -129,22 +127,24 @@ func (f *Field) NewTable(octaves int, gain float64) *Table {
 	return t
 }
 
-// Reset tabulates the FBM over xs against ys.
+// Reset tabulates the FBM over xs against ys, each nondecreasing, as a
+// raster's column and row centres are. It panics on a decreasing list.
 func (t *Table) Reset(xs, ys []float64) {
 	t.cols = resize(t.cols, len(xs)*t.octaves)
 	t.rows = resize(t.rows, len(ys)*t.octaves)
 	n := 0
 	freq := 1.0
 	for o := 0; o < t.octaves; o++ {
-		t.xl[o] = t.place(t.cols, o, xs, func(x float64) float64 { return fbmX(x, freq, o) }, t.xl[o])
-		t.yl[o] = t.place(t.rows, o, ys, func(y float64) float64 { return fbmY(y, freq, o) }, t.yl[o])
+		t.xl[o] = t.place(t.cols, o, xs, freq, shiftX(o), t.xl[o])
+		t.yl[o] = t.place(t.rows, o, ys, freq, shiftY(o), t.yl[o])
 		for k := o; k < len(t.cols); k += t.octaves {
 			t.cols[k].off += n
 		}
+		t.width[o] = len(t.xl[o])
 		for k := o; k < len(t.rows); k += t.octaves {
-			t.rows[k].off *= len(t.xl[o])
+			t.rows[k].off *= t.width[o]
 		}
-		n += len(t.xl[o]) * len(t.yl[o])
+		n += t.width[o] * len(t.yl[o])
 		freq *= 2
 	}
 	t.vals = resize(t.vals, n)
@@ -160,36 +160,41 @@ func (t *Table) Reset(xs, ys []float64) {
 }
 
 // place sets octave o's entry of each coordinate cs[i] in pos to its
-// place among the sorted lattice lines the coordinates and their
-// successors reach, where at maps a coordinate into the octave's
-// lattice, and returns those lines in lines' storage.
-func (t *Table) place(pos []tablePos, o int, cs []float64, at func(float64) float64, lines []int64) []int64 {
+// place among the lattice lines the coordinates and their successors
+// reach, where c*freq + shift places a coordinate in the octave's
+// lattice, and returns those lines, ascending, in lines' storage. The
+// coordinates are nondecreasing, and so are their lattice lines, which
+// arrive in order: one walk places every coordinate. It panics when a
+// coordinate decreases.
+func (t *Table) place(pos []tablePos, o int, cs []float64, freq, shift float64, lines []int64) []int64 {
 	lines = lines[:0]
-	for _, c := range cs {
-		// Neighbouring coordinates mostly share a lattice line.
-		if l, _ := lattice(at(c)); len(lines) == 0 || l != lines[len(lines)-2] {
-			lines = append(lines, l, l+1)
-		}
-	}
-	slices.Sort(lines)
-	lines = slices.Compact(lines)
 	for i, c := range cs {
-		l, fade := lattice(at(c))
-		k, _ := slices.BinarySearch(lines, l)
-		pos[i*t.octaves+o] = tablePos{off: k, fade: fade}
+		l, fade := lattice(c*freq + shift)
+		switch n := len(lines); {
+		case n > 0 && l == lines[n-2]:
+		case n > 0 && l == lines[n-1]:
+			lines = append(lines, l+1)
+		case n == 0 || l > lines[n-1]:
+			lines = append(lines, l, l+1)
+		default:
+			panic("noise: Table.Reset with decreasing coordinates")
+		}
+		pos[i*t.octaves+o] = tablePos{off: len(lines) - 2, fade: fade}
 	}
 	return lines
 }
 
 // At returns the FBM at (xs[i], ys[j]) of the last Reset.
 func (t *Table) At(i, j int) float64 {
-	cols := t.cols[i*t.octaves : (i+1)*t.octaves]
-	rows := t.rows[j*t.octaves : (j+1)*t.octaves]
+	n := t.octaves
+	cols, rows := t.cols[i*n:][:n], t.rows[j*n:][:n]
+	amp, width := t.amp[:n], t.width[:n]
 	var sum float64
-	for o, c := range cols {
-		r := rows[o]
-		k, s := c.off+r.off, len(t.xl[o])
-		sum += t.amp[o] * lerp2(t.vals[k], t.vals[k+1], t.vals[k+s], t.vals[k+s+1], c.fade, r.fade)
+	for o := range n {
+		c, r := cols[o], rows[o]
+		k := c.off + r.off
+		lo, hi := t.vals[k:][:2], t.vals[k+width[o]:][:2]
+		sum += amp[o] * lerp2(lo[0], lo[1], hi[0], hi[1], c.fade, r.fade)
 	}
 	return sum / t.norm
 }

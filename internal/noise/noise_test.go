@@ -2,6 +2,7 @@ package noise
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -102,10 +103,11 @@ func BenchmarkFBM5(b *testing.B) {
 }
 
 // TestTableConformance requires Table.At to equal FBM bit for bit, at
-// 0 (clamped to 1), 1 and 5 octaves, over sample coordinates spanning
-// negative and positive lattice units, coordinates on lattice lines,
-// repeated and unsorted coordinates, and Resets to fewer coordinates and
-// to none.
+// 0 (clamped to 1), 1 and 5 octaves, over ascending sample coordinates
+// spanning negative and positive lattice units, coordinates on lattice
+// lines and one ulp below them, repeated coordinates, lattice lines
+// skipped between neighbours, and Resets to fewer coordinates and to
+// none.
 func TestTableConformance(t *testing.T) {
 	f := New(99)
 	src := rng.New(3)
@@ -114,8 +116,10 @@ func TestTableConformance(t *testing.T) {
 		xs = append(xs, -3+6*src.Float64())
 		ys = append(ys, 4*src.Float64()-10)
 	}
-	xs = append(xs, 0, 1, -1, 2.5, 2.5, 17.31/2, 1.0/16, math.Nextafter(1, 0))
-	ys = append(ys, 0, -11.97/4, 3, math.Nextafter(-2, 0))
+	xs = append(xs, 0, 1, -1, 2.5, 2.5, 17.31/2, 1.0/16, math.Nextafter(1, 0), 40)
+	ys = append(ys, 0, -11.97/4, 3, math.Nextafter(-2, 0), -30)
+	slices.Sort(xs)
+	slices.Sort(ys)
 	for _, oct := range []int{0, 1, 5} {
 		tab := f.NewTable(oct, 0.55)
 		for _, n := range []int{len(xs), 9, 0} {
@@ -128,5 +132,24 @@ func TestTableConformance(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestTableResetDecreasingPanics: Reset places each axis in one ordered
+// walk, so a decreasing coordinate list is a caller error it reports.
+func TestTableResetDecreasingPanics(t *testing.T) {
+	tab := New(1).NewTable(5, 0.55)
+	for _, c := range []struct{ xs, ys []float64 }{
+		{[]float64{0.5, 3.5, 1.5}, []float64{0}},
+		{[]float64{0}, []float64{-1, -4}},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Reset(%v, %v) did not panic", c.xs, c.ys)
+				}
+			}()
+			tab.Reset(c.xs, c.ys)
+		}()
 	}
 }

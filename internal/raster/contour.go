@@ -1,54 +1,116 @@
 package raster
 
-import "fivealarms/internal/geom"
+import (
+	"sync"
+
+	"fivealarms/internal/geom"
+)
 
 // TraceContours extracts the boundary polygons of the set region of a
 // binary mask. The result is a MultiPolygon in projected coordinates whose
 // exterior rings wind counter-clockwise and whose holes wind clockwise,
-// following the cell edges exactly (rectilinear rings). Diagonally touching
-// cells are treated as disconnected (4-connectivity), which matches how
-// fire perimeters are reported.
+// following the cell edges exactly (rectilinear rings, corners only).
+// Diagonally touching cells are treated as disconnected (4-connectivity),
+// which matches how fire perimeters are reported. Each 4-connected
+// component of set cells is one polygon, in the order of the
+// components' lowest, leftmost corners, and its holes are the loops
+// traced around its unset pockets.
 //
 // This is how the wildfire simulator converts a burned-cell mask into a
 // GeoMAC-style perimeter geometry.
 func TraceContours(mask *BitGrid) geom.MultiPolygon {
-	g := mask.Geometry
-
-	// The set cells' bounding box; only its corners carry edges.
-	bx0, by0, bx1, by1 := g.NX, g.NY, -1, -1
-	mask.ForEachSetRun(func(cy, cx0, cx1 int) {
-		bx0, bx1 = min(bx0, cx0), max(bx1, cx1)
-		by0, by1 = min(by0, cy), cy
-	})
-	if bx1 < 0 {
-		return nil
+	t, _ := tracers.Get().(*tracer)
+	if t == nil {
+		t = new(tracer)
 	}
+	mp := t.trace(mask)
+	tracers.Put(t)
+	return mp
+}
 
-	// Vertices are the box's cell corners, row-major from its SW corner,
-	// so index order is the grid's vertex-id order. Every boundary edge
-	// joins 4-neighbor vertices, so an edge is stored as its direction
-	// from its start vertex, and a vertex starts at most two edges
-	// (checkerboard corners start exactly two): each byte holds the
-	// count in bits 0-1 and the directions, in insertion order, in bits
-	// 2-3 and 4-5.
-	vw := bx1 - bx0 + 2
-	vert := make([]uint8, vw*(by1-by0+2))
-	step := [4]int{dirE: 1, dirN: vw, dirW: -1, dirS: -vw}
+// tracers holds the scratch of finished traces for the next one.
+var tracers sync.Pool
+
+// A tracer is the scratch of one trace. Its vertex table is all zero
+// between traces: tracing consumes every edge the run pass records.
+type tracer struct {
+	// vert holds each grid vertex's outgoing boundary edges, vertex
+	// (vx, vy) at vy*(NX+1) + vx. Every edge joins 4-neighbour vertices,
+	// so an edge is stored as its direction, and a vertex starts at most
+	// two edges (checkerboard corners start exactly two): a byte holds
+	// the count in bits 0-1 and the directions, in insertion order, in
+	// bits 2-3 and 4-5.
+	vert []uint8
+	runs []setRun
+	// rowRun[cy] is the index of row cy's first run, in rows that have
+	// runs.
+	rowRun []int
+	pts    []geom.Point // the corners of every loop traced, loop after loop
+	loops  []traced
+	next   []int // per polygon, the slot of its next hole
+}
+
+// setRun is a maximal run of set cells in row cy. parent links the runs
+// of one 4-connected component to its first run in row-major order,
+// the root, whose poly is the index of the component's polygon.
+type setRun struct {
+	cy, cx0, cx1 int
+	parent, poly int32
+}
+
+// traced is one loop: its corners end at pts[end], and it bounds
+// polygon poly, as the exterior or, if hole, as a hole.
+type traced struct {
+	end  int
+	poly int32
+	hole bool
+}
+
+func (t *tracer) trace(mask *BitGrid) geom.MultiPolygon {
+	g := mask.Geometry
+	vw := g.NX + 1
+	if n := vw * (g.NY + 1); cap(t.vert) < n {
+		t.vert = make([]uint8, n)
+	}
+	vert := t.vert
 	addEdge := func(from int, dir uint8) {
 		b := vert[from]
 		vert[from] = (b + 1) | dir<<(2+2*(b&3))
 	}
 
-	// Collect directed boundary edges with the interior on the left:
-	//   bottom edge -> +x, right edge -> +y, top edge -> -x, left edge -> -y.
-	// Cells are visited in row-major order, so each vertex stores its
-	// edges in a fixed order. Within a maximal set run the left/right
-	// neighbors are known implicitly, so only the vertical neighbors
+	// One pass over the set runs records the directed boundary edges
+	// with the interior on the left:
+	//   bottom edge -> +x, right edge -> +y, top edge -> -x, left edge -> -y,
+	// so each vertex stores its edges in row-major cell order; joins each
+	// run to the runs it touches in the row below; and bounds the set
+	// cells, whose box's corners carry every edge. Within a run the
+	// left/right neighbours are known, so only the vertical neighbours
 	// need bit probes.
+	if cap(t.rowRun) < g.NY {
+		t.rowRun = make([]int, g.NY)
+	}
+	runs, rowRun := t.runs[:0], t.rowRun[:g.NY]
+	bx0, bx1 := g.NX, -1
+	below, row := 0, 0 // the runs of the row below start at below, this row's at row
 	mask.ForEachSetRun(func(cy, cx0, cx1 int) {
+		k := len(runs)
+		if k == 0 || runs[k-1].cy != cy {
+			below, row, rowRun[cy] = row, k, k
+			if k > 0 && runs[k-1].cy != cy-1 {
+				below = k
+			}
+		}
+		runs = append(runs, setRun{cy: cy, cx0: cx0, cx1: cx1, parent: int32(k)})
+		for below < row && runs[below].cx1 < cx0 {
+			below++
+		}
+		for j := below; j < row && runs[j].cx0 <= cx1; j++ {
+			union(runs, j, k)
+		}
+		bx0, bx1 = min(bx0, cx0), max(bx1, cx1)
 		for cx := cx0; cx <= cx1; cx++ {
-			v00 := (cy-by0)*vw + cx - bx0 // the cell's SW corner
-			if !mask.Get(cx, cy-1) {      // bottom: left-to-right
+			v00 := cy*vw + cx        // the cell's SW corner
+			if !mask.Get(cx, cy-1) { // bottom: left-to-right
 				addEdge(v00, dirE)
 			}
 			if cx == cx1 { // right: bottom-to-top
@@ -62,116 +124,140 @@ func TraceContours(mask *BitGrid) geom.MultiPolygon {
 			}
 		}
 	})
+	t.runs = runs
+	if len(runs) == 0 {
+		return nil
+	}
+	by0, by1 := runs[0].cy, runs[len(runs)-1].cy
 
 	// Trace loops from each vertex in index order while it has edges
-	// left, so every loop starts at its smallest vertex.
-	var outers, holes []geom.Ring
-	var outerArea []float64
-	var raw geom.Ring
-	for start := range vert {
-		for vert[start]&3 != 0 {
-			raw = raw[:0]
-			cur, dir := start, noDir
-			vx, vy := bx0+start%vw, by0+start/vw
-			for {
-				b := vert[cur]
-				n := b & 3
-				if n == 0 {
-					break
+	// left, so every loop starts at its smallest vertex, the lowest then
+	// leftmost, which it leaves east or north, and is a corner. Only
+	// corners are kept: the vertices where the loop turns.
+	step := [4]int{dirE: 1, dirN: vw, dirW: -1, dirS: -vw}
+	pts, loops := t.pts[:0], t.loops[:0]
+	var nPolys, nHoles int
+	for vy := by0; vy <= by1+1; vy++ {
+		for vx := bx0; vx <= bx1+1; vx++ {
+			start := vy*vw + vx
+			for vert[start] != 0 {
+				first := vert[start] >> 2 & 3
+				cur, dir := start, noDir
+				x, y := vx, vy
+				for {
+					b := vert[cur]
+					d, rest := b>>2&3, b>>4&3
+					// Ambiguous (checkerboard) vertex: prefer the left
+					// turn relative to the incoming direction so loops
+					// never cross themselves.
+					if b&3 == 2 && dir != noDir && rest == (dir+1)%4 {
+						d, rest = rest, d
+					}
+					if b&3 == 2 {
+						vert[cur] = 1 | rest<<2
+					} else {
+						vert[cur] = 0
+					}
+					if d != dir {
+						pts = append(pts, geom.Point{X: g.MinX + float64(x)*g.CellSize, Y: g.MinY + float64(y)*g.CellSize})
+					}
+					dir = d
+					cur += step[d]
+					x += stepX[d]
+					y += stepY[d]
+					if cur == start {
+						break
+					}
 				}
-				d, rest := b>>2&3, b>>4&3
-				// Ambiguous (checkerboard) vertex: prefer the left turn
-				// relative to the incoming direction so loops never
-				// cross themselves.
-				if n == 2 && dir != noDir && rest == (dir+1)%4 {
-					d, rest = rest, d
-				}
-				if n == 2 {
-					vert[cur] = 1 | rest<<2
+				// The left-turn rule keeps a loop around one 4-connected
+				// component, the one holding the cell on the left of its
+				// first edge. A loop leaving its start east winds
+				// counter-clockwise: it is the component's exterior, and
+				// it is traced before the component's holes, since it
+				// starts at the component's lowest, leftmost corner. A
+				// loop leaving north winds clockwise: a hole of the
+				// component.
+				l := traced{end: len(pts)}
+				if first == dirE {
+					runs[find(runs, runAt(runs, rowRun, vx, vy))].poly = int32(nPolys)
+					l.poly = int32(nPolys)
+					nPolys++
 				} else {
-					vert[cur] = 0
+					l.poly, l.hole = runs[find(runs, runAt(runs, rowRun, vx-1, vy))].poly, true
+					nHoles++
 				}
-				raw = append(raw, geom.Point{X: g.MinX + float64(vx)*g.CellSize, Y: g.MinY + float64(vy)*g.CellSize})
-				dir = d
-				cur += step[d]
-				vx += stepX[d]
-				vy += stepY[d]
-				if cur == start {
-					break
-				}
-			}
-			if len(raw) < 4 {
-				continue
-			}
-			r := compressCollinear(raw)
-			if !r.Valid() {
-				continue
-			}
-			if a := r.SignedArea(); a > 0 {
-				outers = append(outers, r)
-				outerArea = append(outerArea, a)
-			} else {
-				holes = append(holes, r)
+				loops = append(loops, l)
 			}
 		}
 	}
+	t.pts, t.loops = pts, loops
 
-	// Assign each hole to the smallest containing outer ring. Probes pay
-	// a bbox reject first; large outer rings are prepared lazily on their
-	// first surviving probe so the scan is banded, while small rings use
-	// the naive walk directly (a linear scan is already optimal there and
-	// preparation would only allocate).
-	const prepareVertexThreshold = 48
-	polys := make(geom.MultiPolygon, len(outers))
-	for i, o := range outers {
-		polys[i] = geom.Polygon{Exterior: o}
+	// Copy every ring once, at its final length, into one backing array;
+	// each polygon's holes take consecutive slots of another, in the
+	// order they were traced: next[p] counts polygon p-1's holes, then
+	// sums into the slot of polygon p's next hole.
+	corners := make([]geom.Point, len(pts))
+	copy(corners, pts)
+	polys := make(geom.MultiPolygon, nPolys)
+	holes := make([]geom.Ring, nHoles)
+	if cap(t.next) < nPolys+1 {
+		t.next = make([]int, nPolys+1)
 	}
-	var prepared []*geom.PreparedRing
-	var outerBB []geom.BBox
-	if len(holes) > 0 {
-		prepared = make([]*geom.PreparedRing, len(outers))
-		outerBB = make([]geom.BBox, len(outers))
-		for i, o := range outers {
-			outerBB[i] = o.BBox()
+	next := t.next[:nPolys+1]
+	clear(next)
+	for _, l := range loops {
+		if l.hole {
+			next[l.poly+1]++
 		}
 	}
-	for _, h := range holes {
-		bestIdx := -1
-		probe := holeProbe(h, g.CellSize)
-		for i := range outers {
-			if !outerBB[i].ContainsPoint(probe) {
-				continue
-			}
-			in := false
-			if len(outers[i]) >= prepareVertexThreshold {
-				if prepared[i] == nil {
-					prepared[i] = geom.PrepareRing(outers[i])
-				}
-				in = prepared[i].Contains(probe)
-			} else {
-				in = outers[i].ContainsPoint(probe)
-			}
-			if in && (bestIdx == -1 || outerArea[i] < outerArea[bestIdx]) {
-				bestIdx = i
-			}
+	for p := range polys {
+		next[p+1] += next[p]
+		if lo, hi := next[p], next[p+1]; hi > lo {
+			polys[p].Holes = holes[lo:hi:hi]
 		}
-		if bestIdx >= 0 {
-			polys[bestIdx].Holes = append(polys[bestIdx].Holes, h)
+	}
+	begin := 0
+	for _, l := range loops {
+		r := geom.Ring(corners[begin:l.end:l.end])
+		begin = l.end
+		if l.hole {
+			holes[next[l.poly]] = r
+			next[l.poly]++
+		} else {
+			polys[l.poly].Exterior = r
 		}
 	}
 	return polys
 }
 
-// holeProbe returns the centre of the cell to the right of the first
-// edge of hole h. Every loop starts at its smallest vertex, the lowest
-// then leftmost, so a clockwise hole leaves h[0] northward and that cell
-// is the one north-east of h[0]. Holes keep the set region on their
-// left, so the cell is unset, inside the hole and inside no island
-// nested in it (a point chosen from the hole's shape alone, such as its
-// centroid, can land on one), and its centre is half a cell from every
-// ring.
-func holeProbe(h geom.Ring, cellSize float64) geom.Point {
-	return geom.Point{X: h[0].X + cellSize/2, Y: h[0].Y + cellSize/2}
+// union joins the components of runs j and k, linking the later root
+// under the earlier.
+func union(runs []setRun, j, k int) {
+	a, b := find(runs, j), find(runs, k)
+	if a > b {
+		a, b = b, a
+	}
+	runs[b].parent = a
+}
+
+// find returns the root of run k's component, halving the path to it.
+func find(runs []setRun, k int) int32 {
+	i := int32(k)
+	for runs[i].parent != i {
+		runs[i].parent = runs[runs[i].parent].parent
+		i = runs[i].parent
+	}
+	return i
+}
+
+// runAt returns the index of the run holding set cell (cx, cy), where
+// rowRun[cy] is the index of the row's first run.
+func runAt(runs []setRun, rowRun []int, cx, cy int) int {
+	k := rowRun[cy]
+	for runs[k].cx1 < cx {
+		k++
+	}
+	return k
 }
 
 // Edge directions of the contour tracer; the left turn of d is (d+1)%4.
@@ -188,24 +274,3 @@ var (
 	stepX = [4]int{dirE: 1, dirW: -1}
 	stepY = [4]int{dirN: 1, dirS: -1}
 )
-
-// compressCollinear removes intermediate vertices along straight runs of a
-// rectilinear ring.
-func compressCollinear(r geom.Ring) geom.Ring {
-	n := len(r)
-	if n < 3 {
-		return r
-	}
-	out := make(geom.Ring, 0, n)
-	for i := 0; i < n; i++ {
-		prev := r[(i+n-1)%n]
-		cur := r[i]
-		next := r[(i+1)%n]
-		v1 := cur.Sub(prev)
-		v2 := next.Sub(cur)
-		if v1.Cross(v2) != 0 { //fivealarms:allow(floateq) exact collinearity test; marching-squares vertices are grid-exact
-			out = append(out, cur)
-		}
-	}
-	return out
-}

@@ -5,6 +5,7 @@ package raster_test
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"fivealarms/internal/geom"
@@ -181,4 +182,90 @@ func FuzzContourDiff(f *testing.F) {
 			t.Fatal(err)
 		}
 	})
+}
+
+// maskOf draws a mask on 1 m cells from rows of '#' (set) and '.'
+// (unset), the top row first.
+func maskOf(rows ...string) *raster.BitGrid {
+	g := raster.Geometry{MinX: -40, MinY: 7, CellSize: 1, NX: len(rows[0]), NY: len(rows)}
+	m := raster.NewBitGrid(g)
+	for i, row := range rows {
+		for cx, c := range row {
+			if c == '#' {
+				m.Set(cx, len(rows)-1-i, true)
+			}
+		}
+	}
+	return m
+}
+
+// TestContourHoleRule traces hand cases where giving each hole to the
+// exterior of its own 4-connected component must agree with the
+// reference rule, the smallest exterior containing a probe inside the
+// hole: islands nested in holes in islands; a component filling the
+// grid's box, its holes one cell from every edge; an unset cell that
+// touches the outside at a checkerboard corner, which is no hole; and
+// checkerboard corners where a hole meets an island or two islands.
+// Each case pins the hole count of every polygon, in trace order.
+func TestContourHoleRule(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		mask  *raster.BitGrid
+		holes []int
+	}{
+		{"island in a hole in an island", maskOf(
+			"...........",
+			".#########.",
+			".#.......#.",
+			".#.#####.#.",
+			".#.#...#.#.",
+			".#.#.#.#.#.",
+			".#.#...#.#.",
+			".#.#####.#.",
+			".#.......#.",
+			".#########.",
+			"...........",
+		), []int{1, 1, 0}},
+		{"a component filling the grid's box", maskOf(
+			"#######",
+			"#.#...#",
+			"###.#.#",
+			"#...###",
+			"#.###.#",
+			"###.#.#",
+			"#######",
+		), []int{4}},
+		{"an unset cell whose corner touches the outside: no hole", maskOf(
+			"###.",
+			"#.#.",
+			"##..",
+		), []int{0}},
+		{"a checkerboard corner between a hole and an island", maskOf(
+			"#####",
+			"#...#",
+			"#.#.#",
+			"##..#",
+			"#####",
+		), []int{1, 0}},
+		{"a checkerboard corner between two islands in a hole", maskOf(
+			"######",
+			"#....#",
+			"#.#..#",
+			"#..#.#",
+			"#....#",
+			"######",
+		), []int{1, 0, 0}},
+	} {
+		got := raster.TraceContours(c.mask)
+		if want := refimpl.TraceContours(c.mask); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: traced %v, reference rule %v", c.name, got, want)
+		}
+		holes := make([]int, len(got))
+		for i, pg := range got {
+			holes[i] = len(pg.Holes)
+		}
+		if !reflect.DeepEqual(holes, c.holes) {
+			t.Errorf("%s: holes per polygon %v, want %v", c.name, holes, c.holes)
+		}
+	}
 }

@@ -53,10 +53,18 @@ func splitMix64(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
+// pcgMul is the PCG32 state multiplier a: each Uint32 steps the state
+// to state·a + inc. pcgMul2 is a² modulo 2⁶⁴, the multiplier of two
+// steps.
+const (
+	pcgMul  = 6364136223846793005
+	pcgMul2 = pcgMul * pcgMul % (1 << 64)
+)
+
 // Uint32 returns the next 32 random bits.
 func (s *Source) Uint32() uint32 {
 	old := s.state
-	s.state = old*6364136223846793005 + s.inc
+	s.state = old*pcgMul + s.inc
 	xorshifted := uint32(((old >> 18) ^ old) >> 27)
 	rot := uint32(old >> 59)
 	return (xorshifted >> rot) | (xorshifted << ((-rot) & 31))
@@ -70,6 +78,13 @@ func (s *Source) Uint64() uint64 {
 // Float64 returns a uniform float64 in [0, 1).
 func (s *Source) Float64() float64 {
 	return float64(s.Uint64()>>11) / (1 << 53)
+}
+
+// SkipFloat64 advances s past one Float64 without computing it: the two
+// Uint32 steps it takes, (state·a + inc)·a + inc, fold into
+// state·a² + inc·(a+1).
+func (s *Source) SkipFloat64() {
+	s.state = s.state*pcgMul2 + s.inc*(pcgMul+1)
 }
 
 // Intn returns a uniform int in [0, n). It panics when n <= 0.

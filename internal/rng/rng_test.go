@@ -349,3 +349,24 @@ func BenchmarkNormal(b *testing.B) {
 		_ = s.Normal(0, 1)
 	}
 }
+
+// TestSkipConformance pins SkipFloat64 to the two Uint32 steps of a
+// Float64: from many seeded states and increments, including the extreme
+// increments, it leaves the Source equal to two Uint32 calls.
+func TestSkipConformance(t *testing.T) {
+	sources := []Source{{state: 0, inc: 1}, {state: ^uint64(0), inc: ^uint64(0)}, {state: 1 << 63, inc: 1<<63 | 1}}
+	for seed := uint64(0); seed < 200; seed++ {
+		sources = append(sources, *New(seed), *NewStream(seed, seed*7919+3))
+	}
+	for i, src := range sources {
+		skip, step := src, src
+		for k := 0; k < 50; k++ {
+			skip.SkipFloat64()
+			step.Uint32()
+			step.Uint32()
+			if skip != step {
+				t.Fatalf("source %d (%+v), skip %d: %+v, two Uint32 steps %+v", i, src, k, skip, step)
+			}
+		}
+	}
+}

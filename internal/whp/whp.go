@@ -236,38 +236,39 @@ func bindAxis(cells []axisCell, coords []float64, n int,
 }
 
 // site returns the state index and urban intensity at the centre of
-// cell (cx, cy); the state index is -1 outside the CONUS.
-func (e *Evaluator) site(cx, cy int) (int, float64) {
+// cell (cx, cy), and the world cell holding it; the state index is -1
+// outside the CONUS.
+func (e *Evaluator) site(cx, cy int) (si int, urban float64, c int) {
 	wx, wy := e.cols[cx].world, e.rows[cy].world
 	if wx < 0 || wy < 0 {
-		return -1, 0
+		return -1, 0, 0
 	}
 	w := e.m.world
-	i := wy*w.Grid.NX + wx
-	if v := w.StateZone.Data[i]; v != 0 {
-		return int(v) - 1, w.Urban.Data[i]
+	c = wy*w.Grid.NX + wx
+	if v := w.StateZone.Data[c]; v != 0 {
+		return int(v) - 1, w.Urban.Data[c], c
 	}
-	return -1, 0
+	return -1, 0, c
 }
 
-// nearRoad reports whether the centre of cell (cx, cy) lies in the
-// nonburnable road corridor.
-func (e *Evaluator) nearRoad(cx, cy int) bool {
+// nearRoad reports whether the centre of cell (cx, cy), which lies in
+// world cell c, lies in the nonburnable road corridor.
+func (e *Evaluator) nearRoad(cx, cy, c int) bool {
 	p := geom.Point{X: e.cols[cx].at, Y: e.rows[cy].at}
-	return e.m.world.RoadDistAt(p) <= e.m.Cfg.RoadBufferM
+	return e.m.world.RoadDistIn(c, p) <= e.m.Cfg.RoadBufferM
 }
 
 // Evaluate returns the continuous hazard and class at the centre of cell
 // (cx, cy). Build stores it for every cell.
 func (e *Evaluator) Evaluate(cx, cy int) (float64, Class) {
-	si, urban := e.site(cx, cy)
+	si, urban, c := e.site(cx, cy)
 	if si < 0 {
 		return 0, Water
 	}
 	if urban >= UrbanCoreThreshold {
 		return 0, NonBurnable
 	}
-	if e.nearRoad(cx, cy) {
+	if e.nearRoad(cx, cy, c) {
 		return 0, NonBurnable
 	}
 	h := hazard(si, urban, e.noise.At(cx, cy))
@@ -283,11 +284,11 @@ func (e *Evaluator) Evaluate(cx, cy int) (float64, Class) {
 // some fuel. It derives from the world fields, not from the class
 // raster, so the fire's resolution is its own.
 func (e *Evaluator) FuelAt(cx, cy int) float64 {
-	si, urban := e.site(cx, cy)
+	si, urban, c := e.site(cx, cy)
 	if si < 0 {
 		return 0
 	}
-	if urban >= UrbanCoreThreshold || e.nearRoad(cx, cy) {
+	if urban >= UrbanCoreThreshold || e.nearRoad(cx, cy, c) {
 		return 0.03
 	}
 	h := hazard(si, urban, e.noise.At(cx, cy))

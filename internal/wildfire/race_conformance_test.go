@@ -1,14 +1,18 @@
 package wildfire
 
 import (
+	"context"
 	"math"
+	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"fivealarms/internal/conus"
 	"fivealarms/internal/geodata"
 	"fivealarms/internal/geom"
 	"fivealarms/internal/raster"
+	"fivealarms/internal/refimpl"
 	"fivealarms/internal/rng"
 	"fivealarms/internal/whp"
 )
@@ -57,7 +61,7 @@ func (s *Simulator) refBurn(src *rng.Source, ign geom.Point,
 		return nil, 0, 0
 	}
 
-	var h frontierHeap
+	var h refHeap
 	seen := make([]bool, g.Cells())
 	push := func(cx, cy int, t float64) {
 		if cx < 0 || cy < 0 || cx >= g.NX || cy >= g.NY {
@@ -68,7 +72,7 @@ func (s *Simulator) refBurn(src *rng.Source, ign geom.Point,
 			return
 		}
 		seen[i] = true
-		h.push(frontierItem{idx: i, time: t})
+		h.push(refItem{idx: i, time: t})
 	}
 	push(cx0, cy0, 0)
 
@@ -114,6 +118,56 @@ func (s *Simulator) refBurn(src *rng.Source, ign geom.Point,
 		return nil, 0, 0
 	}
 	return burned, nBurned, nonburnableBurned
+}
+
+// refHeap is the race's binary min-heap on time from before the
+// frontier became a radix heap, kept verbatim as the reference race's
+// queue: the sift order matches container/heap exactly (strict-less
+// comparisons, left child on ties).
+type refHeap []refItem
+
+// refItem is a cell of the reference race's queue.
+type refItem struct {
+	idx  int // cell index in the local window
+	time float64
+}
+
+func (h *refHeap) push(it refItem) {
+	s := append(*h, it)
+	i := len(s) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !(s[i].time < s[parent].time) {
+			break
+		}
+		s[i], s[parent] = s[parent], s[i]
+		i = parent
+	}
+	*h = s
+}
+
+func (h *refHeap) pop() refItem {
+	s := *h
+	n := len(s) - 1
+	s[0], s[n] = s[n], s[0]
+	i := 0
+	for {
+		j := 2*i + 1
+		if j >= n {
+			break
+		}
+		if j2 := j + 1; j2 < n && s[j2].time < s[j].time {
+			j = j2
+		}
+		if !(s[j].time < s[i].time) {
+			break
+		}
+		s[i], s[j] = s[j], s[i]
+		i = j
+	}
+	it := s[n]
+	*h = s[:n]
+	return it
 }
 
 // pointFuel is the fuel model evaluated at a single point, as
@@ -240,4 +294,29 @@ func sameCells(a, b *raster.BitGrid) bool {
 		return false
 	}
 	return d.Count() == 0 && a.Count() == b.Count()
+}
+
+// TestPerimeterConformance traces every burned mask of the history and
+// the 2019 season that TestHistoryGolden pins with the edge-map twin,
+// refimpl.TraceContours, and requires each fire's perimeter to equal it:
+// every ring, vertex and hole assignment.
+func TestPerimeterConformance(t *testing.T) {
+	var fires, holes atomic.Int64
+	sim := *testSim
+	sim.onBurn = func(f *Fire, burned *raster.BitGrid) {
+		fires.Add(1)
+		for _, pg := range f.Perimeter {
+			holes.Add(int64(len(pg.Holes)))
+		}
+		if want := refimpl.TraceContours(burned); !reflect.DeepEqual(f.Perimeter, want) {
+			t.Errorf("%s: perimeter of %d polygons, edge-map twin %d", f.Name, len(f.Perimeter), len(want))
+		}
+	}
+	if _, err := SimulateHistory(context.Background(), &sim, 42, 12); err != nil {
+		t.Fatal(err)
+	}
+	Simulate2019(&sim, 42, 12)
+	if fires.Load() == 0 || holes.Load() == 0 {
+		t.Fatalf("%d fires with %d holes reached the burn hook", fires.Load(), holes.Load())
+	}
 }

@@ -24,13 +24,18 @@
 //
 // Each window cell's fuel is evaluated once, when the race first reaches
 // it, and a cell keeps the delay of its first arrival: the draw of every
-// later arrival is consumed from the fire's stream without being
-// computed.
+// later arrival is skipped, the fire's stream stepped past it in one
+// multiply-add (rng.Source.SkipFloat64) without building the number.
+// The frontier is a radix heap over the bits of the arrival times, which
+// only grow, and the window's cell states carry a one-cell border that
+// holds no fuel, so the race reads a cell's 8 neighbours at fixed
+// offsets and stops at the window's edge without a bounds test.
 package wildfire
 
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sync"
 
 	"fivealarms/internal/conus"
@@ -296,54 +301,67 @@ func (s *Simulator) Season(cfg SeasonConfig) *Season {
 	return season
 }
 
-// frontierItem is a cell in the ignition race.
+// frontierItem is a window cell in the ignition race.
 type frontierItem struct {
-	idx  int // cell index in the local window
-	time float64
+	time   float64
+	cx, cy int32
 }
 
-// frontierHeap is a hand-rolled min-heap on time. The sift order matches
-// container/heap exactly (strict-less comparisons, left child on ties),
-// but push/pop stay monomorphic: the container/heap interface boxes
-// every item, which made the ignition race the single largest allocator
-// in a cold study build (~1.2M boxed items).
-type frontierHeap []frontierItem
+// frontierHeap is the race's min-queue on arrival time: a radix heap
+// over the bits of the times. The race never pushes a time below the
+// last one popped (a delay is never negative), and the bits of
+// non-negative floats order as the floats do, so an item sits in bucket
+// b when its bits first differ from the last popped time's at bit b-1.
+// A push is an append. A pop that finds bucket 0 empty takes the least
+// nonempty bucket's minimum as the last popped time and moves the
+// bucket's items into lower buckets, the minimum into bucket 0; items
+// only ever move down. A pop returns the exact minimum, and arrival
+// times are sums of continuous draws, which tie with probability zero,
+// so the race burns cells in the order any exact min-queue gives:
+// TestGrowFireConformance checks it against the binary heap this
+// replaced.
+type frontierHeap struct {
+	last     uint64             // the bits of the last popped time
+	bucket   [64][]frontierItem // a time's sign bit is 0, so b < 64
+	nonempty uint64             // bit b is set when bucket b holds items
+}
+
+// reset empties h, keeping its storage.
+func (h *frontierHeap) reset() {
+	for m := h.nonempty; m != 0; m &= m - 1 {
+		b := bits.TrailingZeros64(m)
+		h.bucket[b] = h.bucket[b][:0]
+	}
+	h.last, h.nonempty = 0, 0
+}
 
 func (h *frontierHeap) push(it frontierItem) {
-	s := append(*h, it)
-	i := len(s) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !(s[i].time < s[parent].time) {
-			break
-		}
-		s[i], s[parent] = s[parent], s[i]
-		i = parent
-	}
-	*h = s
+	b := bits.Len64(math.Float64bits(it.time) ^ h.last)
+	h.bucket[b] = append(h.bucket[b], it)
+	h.nonempty |= 1 << b
 }
 
+// pop removes and returns the item of least time; h must not be empty.
 func (h *frontierHeap) pop() frontierItem {
-	s := *h
-	n := len(s) - 1
-	s[0], s[n] = s[n], s[0]
-	i := 0
-	for {
-		j := 2*i + 1
-		if j >= n {
-			break
+	if b := bits.TrailingZeros64(h.nonempty); b > 0 {
+		items := h.bucket[b]
+		least := math.Float64bits(items[0].time)
+		for _, it := range items[1:] {
+			least = min(least, math.Float64bits(it.time))
 		}
-		if j2 := j + 1; j2 < n && s[j2].time < s[j].time {
-			j = j2
+		h.last = least
+		h.bucket[b] = items[:0]
+		h.nonempty &^= 1 << b
+		for _, it := range items {
+			h.push(it) // into a bucket below b
 		}
-		if !(s[j].time < s[i].time) {
-			break
-		}
-		s[i], s[j] = s[j], s[i]
-		i = j
 	}
-	it := s[n]
-	*h = s[:n]
+	items := h.bucket[0]
+	it := items[len(items)-1]
+	h.bucket[0] = items[:len(items)-1]
+	if len(items) == 1 {
+		h.nonempty &^= 1
+	}
 	return it
 }
 
@@ -397,7 +415,7 @@ func (s *Simulator) growFireWind(r *race, src *rng.Source, name string, year int
 // is discarded.
 const (
 	cellUntouched      uint8 = iota // fuel not yet evaluated
-	cellNoFuel                      // fuel <= 0: never burns
+	cellNoFuel                      // fuel <= 0, or off the window: never burns
 	cellQueued                      // in the race
 	cellQueuedCorridor              // in the race, with corridor fuel
 )
@@ -425,7 +443,10 @@ var raceSteps = [8][2]int{{-1, -1}, {0, -1}, {1, -1}, {-1, 0}, {1, 0}, {-1, 1}, 
 
 // A race is what a season's fires share: the fuel evaluator, which
 // each fire binds to its window, and the storage of the race's cell
-// states and frontier.
+// states and frontier. The states cover the window and a one-cell
+// border of cellNoFuel around it, so a cell's neighbours are fixed
+// offsets from its state index and the border stops the race at the
+// window's edge: an off-window neighbour consumes no draw.
 type race struct {
 	fuel  *whp.Evaluator
 	state []uint8
@@ -478,56 +499,74 @@ func (s *Simulator) burn(r *race, src *rng.Source, ign geom.Point,
 	// first reaches it.
 	fuel := r.fuel
 	fuel.Reset(g)
-	if cap(r.state) < g.Cells() {
-		r.state = make([]uint8, g.Cells())
+	state := r.resetState(g)
+	pw := g.NX + 2
+	var off [8]int
+	for d, st := range raceSteps {
+		off[d] = st[1]*pw + st[0]
 	}
-	state := r.state[:g.Cells()]
-	clear(state)
-	i0 := cy0*g.NX + cx0
+	i0 := (cy0+1)*pw + cx0 + 1
 	if state[i0] = fuelState(fuel.FuelAt(cx0, cy0)); state[i0] == cellNoFuel {
 		return nil, 0, 0
 	}
 
 	burned = raster.NewBitGrid(g)
-	h := r.front[:0]
-	h.push(frontierItem{idx: i0, time: 0})
-	for len(h) > 0 && nBurned < targetCells {
+	h := &r.front
+	h.reset()
+	h.push(frontierItem{time: 0, cx: int32(cx0), cy: int32(cy0)})
+	for h.nonempty != 0 && nBurned < targetCells {
 		it := h.pop()
-		cy := it.idx / g.NX
-		cx := it.idx % g.NX
+		cx, cy := int(it.cx), int(it.cy)
+		i := (cy+1)*pw + cx + 1
 		burned.Set(cx, cy, true)
 		nBurned++
-		if state[it.idx] == cellQueuedCorridor {
+		if state[i] == cellQueuedCorridor {
 			nonburnableBurned++
 		}
 		// Race the 8 neighbors.
-		for d, st := range raceSteps {
-			ncx, ncy := cx+st[0], cy+st[1]
-			if ncx < 0 || ncy < 0 || ncx >= g.NX || ncy >= g.NY {
-				continue
-			}
-			ni := ncy*g.NX + ncx
+		for d, o := range off {
+			ni := i + o
 			switch state[ni] {
 			case cellNoFuel:
 				continue
 			case cellQueued, cellQueuedCorridor:
 				// An earlier arrival already holds this cell, so its
-				// delay could never win: consume the one uniform
+				// delay could never win: step past the one uniform
 				// Exponential would draw without computing it.
-				src.Float64()
+				src.SkipFloat64()
 				continue
 			}
+			ncx, ncy := cx+raceSteps[d][0], cy+raceSteps[d][1]
 			nf := fuel.FuelAt(ncx, ncy)
 			if state[ni] = fuelState(nf); state[ni] == cellNoFuel {
 				continue // ocean: never burns
 			}
 			rate := nf * windMul[d]
 			dt := src.Exponential(1/rate) * norm[d]
-			h.push(frontierItem{idx: ni, time: it.time + dt})
+			h.push(frontierItem{time: it.time + dt, cx: int32(ncx), cy: int32(ncy)})
 		}
 	}
-	r.front = h
 	return burned, nBurned, nonburnableBurned
+}
+
+// resetState returns r's cell states for window g: every window cell
+// untouched, the border around it cellNoFuel.
+func (r *race) resetState(g raster.Geometry) []uint8 {
+	pw, ph := g.NX+2, g.NY+2
+	if cap(r.state) < pw*ph {
+		r.state = make([]uint8, pw*ph)
+	}
+	state := r.state[:pw*ph]
+	clear(state)
+	for x := range pw {
+		state[x] = cellNoFuel
+		state[(ph-1)*pw+x] = cellNoFuel
+	}
+	for y := 1; y < ph-1; y++ {
+		state[y*pw] = cellNoFuel
+		state[y*pw+pw-1] = cellNoFuel
+	}
+	return state
 }
 
 func clampF(v, lo, hi float64) float64 {
