@@ -64,11 +64,9 @@ bench-geom:
 		-cpu 1,2 -benchmem -json . ./internal/geom ./internal/risk > BENCH_geom.json
 
 # Regenerate the raster-kernel baseline: the banded fill / distance /
-# dilate kernels and the serial contour tracer at GOMAXPROCS 1/2/4/8
-# (band counts follow GOMAXPROCS), the unfused per-fire union, and the
-# fused union+distance ensemble sweep (warm, it allocates only scratch
-# the arena's pools dropped: 0-3 allocs per op, more at higher
-# GOMAXPROCS), at full-scale CONUS dimensions.
+# dilate kernels, the serial contour tracer and the unfused per-fire
+# union (one fill call per polygon) at GOMAXPROCS 1/2/4/8 (band counts
+# follow GOMAXPROCS), at full-scale CONUS dimensions.
 bench-raster:
 	$(GO) test -run '^$$' -bench 'BenchmarkRasterKernels' \
 		-cpu 1,2,4,8 -benchmem -json ./internal/raster > BENCH_raster.json

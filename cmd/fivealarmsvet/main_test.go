@@ -105,13 +105,13 @@ func TestSARIFOutputOnCleanPackage(t *testing.T) {
 func TestDebtReportsLiveSuppressions(t *testing.T) {
 	var code int
 	stdout, stderr := capture(t, func(so, se *os.File) {
-		code = run([]string{"-debt", "../../internal/raster"}, so, se)
+		code = run([]string{"-debt", "../../internal/coverage"}, so, se)
 	})
 	if code != 0 {
 		t.Fatalf("-debt exit = %d, want 0 (stderr: %s)", code, stderr)
 	}
 	if !strings.Contains(stdout, "[errflow]") || !strings.Contains(stdout, "live suppressions") {
-		t.Errorf("-debt output missing the raster errflow waivers:\n%s", stdout)
+		t.Errorf("-debt output missing the coverage errflow waiver:\n%s", stdout)
 	}
 }
 

@@ -9,12 +9,10 @@ func conusGeometry() Geometry {
 	return Geometry{MinX: -2.36e6, MinY: -1.5e6, CellSize: 2700, NX: 1704, NY: 1074}
 }
 
-// BenchmarkRasterKernels measures every tiled kernel at full-scale
-// CONUS dimensions, plus the unfused (per-fire) union and the fused
-// union+distance ensemble sweep. Band counts follow GOMAXPROCS, so
-// `-cpu 1,2,4,8` sweeps the schedules. The fused case shows what the
-// arena saves: warm, it allocates only the scratch its pools dropped,
-// a few allocations per op at most where a cold sweep takes ~30 MB.
+// BenchmarkRasterKernels measures every banded kernel at full-scale
+// CONUS dimensions, plus the contour tracer and the unfused (one call
+// per fire) union. Band counts follow GOMAXPROCS, so `-cpu 1,2,4,8`
+// sweeps the schedules.
 func BenchmarkRasterKernels(b *testing.B) {
 	g := conusGeometry()
 	polys := syntheticPerimeters(g, 120, 13)
@@ -43,16 +41,10 @@ func BenchmarkRasterKernels(b *testing.B) {
 		}
 	})
 	b.Run("distance", func(b *testing.B) {
-		out := AcquireFloatGrid(g)
 		b.ReportAllocs()
-		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if err := DistanceTransformInto(out, mask); err != nil {
-				b.Fatal(err)
-			}
+			DistanceTransform(mask)
 		}
-		b.StopTimer()
-		ReleaseFloatGrid(out)
 	})
 	b.Run("dilate", func(b *testing.B) {
 		b.ReportAllocs()
@@ -71,30 +63,5 @@ func BenchmarkRasterKernels(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			TraceContours(mask)
 		}
-	})
-	b.Run("fused", func(b *testing.B) {
-		// The ensemble steady state: mask union + distance transform
-		// over a fixed geometry into one reused mask and an arena-held
-		// distance grid.
-		um := NewBitGrid(g)
-		dist := AcquireFloatGrid(g)
-		// Warm the arena: the first sweep grows the pooled buffers to
-		// this geometry's sizes.
-		um.Clear()
-		FillPolygonsInto(um, polys)
-		if err := DistanceTransformInto(dist, um); err != nil {
-			b.Fatal(err)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			um.Clear()
-			FillPolygonsInto(um, polys)
-			if err := DistanceTransformInto(dist, um); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.StopTimer()
-		ReleaseFloatGrid(dist)
 	})
 }

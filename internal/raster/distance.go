@@ -2,7 +2,6 @@ package raster
 
 import (
 	"math"
-	"sync"
 
 	"fivealarms/internal/pipeline"
 )
@@ -18,214 +17,150 @@ import (
 // Complexity is O(NX*NY). Both passes run banded across goroutines
 // scoped to the call (columns sharded by column range, rows by row
 // range; each band writes a disjoint region, so the result is
-// bit-identical to the serial path at any GOMAXPROCS). Scratch comes
-// from the arena; the only allocation is the returned grid.
+// bit-identical to the serial path at any GOMAXPROCS). The column
+// distances are pooled grid-sized scratch; the returned grid and each
+// row band's envelope are allocated per call.
 func DistanceTransform(mask *BitGrid) *FloatGrid {
 	out := NewFloatGrid(mask.Geometry)
-	// The error is impossible: out was just built on mask's geometry.
-	_ = DistanceTransformInto(out, mask) //fivealarms:allow(errflow) out was just built on mask's geometry, the only error the kernel can report
+	distanceInto(out.Data, mask)
 	return out
 }
 
-// dtColsTask is the column pass: per column, 1-D squared distance (in
-// cell units) to the nearest set cell in that column. Bands are column
-// ranges; each band writes a disjoint column stripe of colDist.
-type dtColsTask struct {
-	mask    *BitGrid
-	colDist []float64
-}
-
-var dtColsPool = sync.Pool{New: func() any { return new(dtColsTask) }}
-
-func (t *dtColsTask) RunBand(_, lo, hi int) {
-	g := t.mask.Geometry
-	colDist := t.colDist
-	inf := math.Inf(1)
-	for cx := lo; cx < hi; cx++ {
-		// Downward sweep.
-		d := inf
-		for cy := 0; cy < g.NY; cy++ {
-			if t.mask.Get(cx, cy) {
-				d = 0
-			} else if !math.IsInf(d, 1) {
-				d++
-			}
-			colDist[cy*g.NX+cx] = d
-		}
-		// Upward sweep.
-		d = inf
-		for cy := g.NY - 1; cy >= 0; cy-- {
-			if t.mask.Get(cx, cy) {
-				d = 0
-			} else if !math.IsInf(d, 1) {
-				d++
-			}
-			i := cy*g.NX + cx
-			if d < colDist[i] {
-				colDist[i] = d
-			}
-		}
-		// Square.
-		for cy := 0; cy < g.NY; cy++ {
-			i := cy*g.NX + cx
-			if !math.IsInf(colDist[i], 1) {
-				colDist[i] *= colDist[i]
-			}
-		}
-	}
-}
-
-// dtRowsTask is the row pass: per row, the lower envelope of parabolas
-// f(x) = colDist[row][q] + (x-q)^2 over the finite parabolas. Bands are
-// row ranges; each band writes a disjoint row stripe of out and carries
-// its own envelope scratch (source positions, breakpoints, row copy)
-// from the arena.
-type dtRowsTask struct {
-	g       Geometry
-	colDist []float64
-	out     []float64
-}
-
-var dtRowsPool = sync.Pool{New: func() any { return new(dtRowsTask) }}
-
-func (t *dtRowsTask) RunBand(_, lo, hi int) {
-	g := t.g
-	inf := math.Inf(1)
-	vP := getInts(g.NX)       // parabola source positions
-	zP := getFloats(g.NX + 1) // envelope breakpoints
-	fP := getFloats(g.NX)     // row copy of colDist
-	v, z, fRow := *vP, *zP, *fP
-	for cy := lo; cy < hi; cy++ {
-		base := cy * g.NX
-		copy(fRow, t.colDist[base:base+g.NX])
-		k := -1
-		for q := 0; q < g.NX; q++ {
-			if math.IsInf(fRow[q], 1) {
-				continue
-			}
-			var s float64
-			for k >= 0 {
-				p := v[k]
-				s = ((fRow[q] + float64(q*q)) - (fRow[p] + float64(p*p))) / float64(2*q-2*p)
-				if s > z[k] {
-					break
-				}
-				k--
-			}
-			if k < 0 {
-				k = 0
-				v[0] = q
-				z[0] = math.Inf(-1)
-			} else {
-				k++
-				v[k] = q
-				z[k] = s
-			}
-			z[k+1] = inf
-		}
-		if k < 0 {
-			// No set cell anywhere reaches this row: all infinite.
-			for q := 0; q < g.NX; q++ {
-				t.out[base+q] = inf
-			}
-			continue
-		}
-		k = 0
-		for q := 0; q < g.NX; q++ {
-			for z[k+1] < float64(q) {
-				k++
-			}
-			p := v[k]
-			dq := float64(q - p)
-			t.out[base+q] = math.Sqrt(fRow[p]+dq*dq) * g.CellSize
-		}
-	}
-	putInts(vP)
-	putFloats(zP)
-	putFloats(fP)
-}
-
-// DistanceTransformInto computes the distance transform of mask into an
-// existing grid (see DistanceTransform), overwriting every cell. out
-// must share mask's geometry or ErrShapeMismatch is returned. All
-// intermediate state comes from the scratch arena, so repeated sweeps
-// over a fixed geometry allocate nothing.
-func DistanceTransformInto(out *FloatGrid, mask *BitGrid) error {
-	if !out.Same(mask.Geometry) {
-		return ErrShapeMismatch
-	}
+// distanceInto writes the distance transform of mask into out, one
+// value per cell of mask's geometry, overwriting every cell.
+func distanceInto(out []float64, mask *BitGrid) {
 	g := mask.Geometry
 	if g.Cells() == 0 {
-		return nil
+		return
 	}
-	colDistP := getFloats(g.Cells())
-
-	ct := dtColsPool.Get().(*dtColsTask)
-	ct.mask, ct.colDist = mask, *colDistP
-	pipeline.Bands(ct, g.NX, kernelBands(g.Cells(), g.NX))
-	ct.mask, ct.colDist = nil, nil
-	dtColsPool.Put(ct)
-
-	rt := dtRowsPool.Get().(*dtRowsTask)
-	rt.g, rt.colDist, rt.out = g, *colDistP, out.Data
-	pipeline.Bands(rt, g.NY, kernelBands(g.Cells(), g.NY))
-	rt.colDist, rt.out = nil, nil
-	dtRowsPool.Put(rt)
-
-	putFloats(colDistP)
-	return nil
-}
-
-// thresholdTask builds the dilation mask from a distance field: bands
-// are word ranges of the output bit slice, so every band writes whole
-// words disjointly (no merge needed).
-type thresholdTask struct {
-	dt    []float64
-	out   []uint64
-	cells int
-	dist  float64
-}
-
-var thresholdPool = sync.Pool{New: func() any { return new(thresholdTask) }}
-
-func (t *thresholdTask) RunBand(_, lo, hi int) {
-	for w := lo; w < hi; w++ {
-		base := w * 64
-		n := t.cells - base
-		if n > 64 {
-			n = 64
-		}
-		var word uint64
-		for b := 0; b < n; b++ {
-			if t.dt[base+b] <= t.dist {
-				word |= 1 << uint(b)
+	colP := getFloats(g.Cells())
+	colDist := *colP
+	inf := math.Inf(1)
+	// Column pass: per column, the 1-D squared distance (in cell units)
+	// to the nearest set cell in that column. Each band writes its own
+	// columns of colDist.
+	pipeline.Bands(pipeline.BandFunc(func(_, lo, hi int) {
+		for cx := lo; cx < hi; cx++ {
+			// Downward sweep.
+			d := inf
+			for cy := 0; cy < g.NY; cy++ {
+				if mask.Get(cx, cy) {
+					d = 0
+				} else if !math.IsInf(d, 1) {
+					d++
+				}
+				colDist[cy*g.NX+cx] = d
+			}
+			// Upward sweep.
+			d = inf
+			for cy := g.NY - 1; cy >= 0; cy-- {
+				if mask.Get(cx, cy) {
+					d = 0
+				} else if !math.IsInf(d, 1) {
+					d++
+				}
+				i := cy*g.NX + cx
+				if d < colDist[i] {
+					colDist[i] = d
+				}
+			}
+			// Square.
+			for cy := 0; cy < g.NY; cy++ {
+				i := cy*g.NX + cx
+				if !math.IsInf(colDist[i], 1) {
+					colDist[i] *= colDist[i]
+				}
 			}
 		}
-		t.out[w] = word
-	}
+	}), g.NX, kernelBands(g.Cells(), g.NX))
+	// Row pass: per row, the lower envelope of parabolas
+	// f(x) = colDist[row][q] + (x-q)^2 over the finite parabolas. Each
+	// band writes its own rows of out.
+	pipeline.Bands(pipeline.BandFunc(func(_, lo, hi int) {
+		v := make([]int, g.NX)       // parabola source positions
+		z := make([]float64, g.NX+1) // envelope breakpoints
+		for cy := lo; cy < hi; cy++ {
+			base := cy * g.NX
+			f := colDist[base : base+g.NX]
+			k := -1
+			for q := 0; q < g.NX; q++ {
+				if math.IsInf(f[q], 1) {
+					continue
+				}
+				var s float64
+				for k >= 0 {
+					p := v[k]
+					s = ((f[q] + float64(q*q)) - (f[p] + float64(p*p))) / float64(2*q-2*p)
+					if s > z[k] {
+						break
+					}
+					k--
+				}
+				if k < 0 {
+					k = 0
+					v[0] = q
+					z[0] = math.Inf(-1)
+				} else {
+					k++
+					v[k] = q
+					z[k] = s
+				}
+				z[k+1] = inf
+			}
+			if k < 0 {
+				// No set cell anywhere reaches this row: all infinite.
+				for q := 0; q < g.NX; q++ {
+					out[base+q] = inf
+				}
+				continue
+			}
+			k = 0
+			for q := 0; q < g.NX; q++ {
+				for z[k+1] < float64(q) {
+					k++
+				}
+				p := v[k]
+				dq := float64(q - p)
+				out[base+q] = math.Sqrt(f[p]+dq*dq) * g.CellSize
+			}
+		}
+	}), g.NY, kernelBands(g.Cells(), g.NY))
+	putFloats(colP)
 }
 
 // DilateByDistance returns the mask grown outward by dist meters: every
 // cell whose center lies within dist of a set cell's center becomes set.
-// dist <= 0 returns a clone. The intermediate distance field lives in
-// the arena, not the heap.
+// dist <= 0 returns a clone. The intermediate distance field is pooled
+// grid-sized scratch, like the transform's column distances.
 func DilateByDistance(mask *BitGrid, dist float64) *BitGrid {
 	if dist <= 0 {
 		return mask.Clone()
 	}
 	g := mask.Geometry
-	dt := AcquireFloatGrid(g)
-	// The error is impossible: dt was just acquired on mask's geometry.
-	_ = DistanceTransformInto(dt, mask) //fivealarms:allow(errflow) dt was just acquired on mask's geometry, the only error the kernel can report
+	cells := g.Cells()
 	out := NewBitGrid(g)
-	if len(out.bits) > 0 {
-		tt := thresholdPool.Get().(*thresholdTask)
-		tt.dt, tt.out, tt.cells, tt.dist = dt.Data, out.bits, g.Cells(), dist
-		pipeline.Bands(tt, len(out.bits), kernelBands(g.Cells(), len(out.bits)))
-		tt.dt, tt.out = nil, nil
-		thresholdPool.Put(tt)
+	if cells == 0 {
+		return out
 	}
-	ReleaseFloatGrid(dt)
+	dtP := getFloats(cells)
+	dt := *dtP
+	distanceInto(dt, mask)
+	// Threshold: bands are word ranges of the output, so every band
+	// writes whole words.
+	pipeline.Bands(pipeline.BandFunc(func(_, lo, hi int) {
+		for w := lo; w < hi; w++ {
+			base := w * 64
+			n := min(cells-base, 64)
+			var word uint64
+			for b := 0; b < n; b++ {
+				if dt[base+b] <= dist {
+					word |= 1 << uint(b)
+				}
+			}
+			out.bits[w] = word
+		}
+	}), len(out.bits), kernelBands(cells, len(out.bits)))
+	putFloats(dtP)
 	return out
 }
 
@@ -304,85 +239,41 @@ func (d Disk) Cover(b *BitGrid, cx, cy int) {
 	}
 }
 
-// dilate8Task is one ring of 8-neighborhood dilation: bands are row
-// ranges reading the previous generation (shared, read-only) and
-// accumulating newly set cells into per-band tiles merged serially in
-// band order.
-type dilate8Task struct {
-	cur   *BitGrid
-	tiles []*[]uint64 // per-band word buffers
-	offs  []int       // per-band first word index
-}
-
-var dilate8Pool = sync.Pool{New: func() any { return new(dilate8Task) }}
-
-func (t *dilate8Task) RunBand(band, lo, hi int) {
-	cur := t.cur
-	nx := cur.NX
-	tile := *t.tiles[band]
-	off := t.offs[band] * 64
-	for cy := lo; cy < hi; cy++ {
-		for cx := 0; cx < nx; cx++ {
-			if cur.Get(cx, cy) {
-				continue
-			}
-			if cur.Get(cx-1, cy) || cur.Get(cx+1, cy) || cur.Get(cx, cy-1) || cur.Get(cx, cy+1) ||
-				cur.Get(cx-1, cy-1) || cur.Get(cx+1, cy-1) || cur.Get(cx-1, cy+1) || cur.Get(cx+1, cy+1) {
-				i := cy*nx + cx - off
-				tile[i>>6] |= 1 << (uint(i) & 63)
-			}
-		}
-	}
-}
-
 // Dilate8 returns the mask grown by steps rings of 8-neighborhood
 // dilation — the cheap morphological alternative to DilateByDistance used
 // by the ablation benchmarks. The two generations ping-pong between one
-// pair of grids instead of cloning per ring.
+// pair of grids instead of cloning per ring, and each ring runs in row
+// bands (rowBands) that read the previous generation and set their own
+// rows of the next in place.
 func Dilate8(mask *BitGrid, steps int) *BitGrid {
 	cur := mask.Clone()
 	if steps <= 0 || cur.Cells() == 0 {
 		return cur
 	}
-	g := cur.Geometry
-	next := NewBitGrid(g)
-	bands := kernelBands(g.Cells(), g.NY)
-	t := dilate8Pool.Get().(*dilate8Task)
-	t.tiles = t.tiles[:0]
-	t.offs = t.offs[:0]
-	for b := 0; b < bands; b++ {
-		lo, hi := pipeline.BandRange(b, g.NY, bands)
-		w0 := (lo * g.NX) >> 6
-		w1 := (hi*g.NX + 63) >> 6
-		t.tiles = append(t.tiles, getWords(w1-w0))
-		t.offs = append(t.offs, w0)
-	}
+	next := NewBitGrid(cur.Geometry)
 	for s := 0; s < steps; s++ {
-		copy(next.bits, cur.bits)
-		t.cur = cur
-		if s > 0 {
-			for b := range t.tiles {
-				clear(*t.tiles[b])
-			}
-		}
-		pipeline.Bands(t, g.NY, bands)
-		// Serial merge, band order: OR each band's tile into the next
-		// generation. Bands only share their boundary words, and OR is
-		// commutative, so the merge is order-independent anyway.
-		for b := range t.tiles {
-			tile := *t.tiles[b]
-			for i, w := range tile {
-				if w != 0 {
-					next.bits[t.offs[b]+i] |= w
+		dilate8Ring(cur, next)
+		cur, next = next, cur
+	}
+	return cur
+}
+
+// dilate8Ring sets next to cur grown by one ring of 8-neighborhood
+// dilation.
+func dilate8Ring(cur, next *BitGrid) {
+	copy(next.bits, cur.bits)
+	nx := cur.NX
+	rowBands(cur.Geometry, func(lo, hi int) {
+		for cy := lo; cy < hi; cy++ {
+			for cx := 0; cx < nx; cx++ {
+				if cur.Get(cx, cy) {
+					continue
+				}
+				if cur.Get(cx-1, cy) || cur.Get(cx+1, cy) || cur.Get(cx, cy-1) || cur.Get(cx, cy+1) ||
+					cur.Get(cx-1, cy-1) || cur.Get(cx+1, cy-1) || cur.Get(cx-1, cy+1) || cur.Get(cx+1, cy+1) {
+					next.setIdx(cy*nx + cx)
 				}
 			}
 		}
-		cur, next = next, cur
-	}
-	for b := range t.tiles {
-		putWords(t.tiles[b])
-	}
-	t.cur, t.tiles, t.offs = nil, t.tiles[:0], t.offs[:0]
-	dilate8Pool.Put(t)
-	return cur
+	})
 }

@@ -1,8 +1,8 @@
 package raster
 
-// Tile-seam correctness: features placed exactly on band boundaries and
-// word boundaries, every tiled kernel, band counts from 1 through
-// full-grid (one band per row/column) and beyond. Band counts follow
+// Tile-seam correctness: features placed exactly on band boundaries,
+// row-group boundaries and word boundaries, every banded kernel, band
+// counts from 1 through full-grid (one band per row/column) and beyond. Band counts follow
 // GOMAXPROCS, so each test sweeps it. These tests live inside the
 // package so they can pin the band split at exact band geometries via
 // the internal helpers; the external conformance tests sweep the same
@@ -11,7 +11,7 @@ package raster
 import (
 	"fmt"
 	"math"
-	"runtime"
+	"sync"
 	"testing"
 
 	"fivealarms/internal/faults"
@@ -27,9 +27,10 @@ var seamProcs = [...]int{1, 2, 3, 4, 7, 33}
 
 // seamGrids are the kernel seam test's shapes. 1×1 takes the serial
 // path; the others hold at least parallelMinCells cells, so they band:
-// a square whose rows straddle words, and a one-row and a one-column
-// grid whose long axis carries every band.
-var seamGrids = [...][2]int{{1, 1}, {130, 130}, {16390, 1}, {1, 16390}}
+// squares whose rows straddle words, one of them of odd width (row
+// groups of 64 rows), and a one-row and a one-column grid whose long
+// axis carries every band.
+var seamGrids = [...][2]int{{1, 1}, {130, 130}, {129, 129}, {16390, 1}, {1, 16390}}
 
 func seamGeometry(nx, ny int) Geometry {
 	return Geometry{MinX: -50, MinY: -25, CellSize: 10, NX: nx, NY: ny}
@@ -280,6 +281,19 @@ func seamMasks(g Geometry) map[string]*BitGrid {
 	}
 	masks["band-boundary-rows"] = rows
 	masks["band-boundary-cols"] = cols
+	// The last row of every row group, the first row of the next, and the
+	// cells either side of that word boundary: where the row-banded
+	// kernels split.
+	lastRows, firstRows, groupCells := NewBitGrid(g), NewBitGrid(g), NewBitGrid(g)
+	for r := rowGroup(g.NX); r < g.NY; r += rowGroup(g.NX) {
+		lastRows.SetSpan(r-1, 0, g.NX-1)
+		firstRows.SetSpan(r, 0, g.NX-1)
+		groupCells.Set(g.NX-1, r-1, true)
+		groupCells.Set(0, r, true)
+	}
+	masks["group-last-rows"] = lastRows
+	masks["group-first-rows"] = firstRows
+	masks["group-boundary-cells"] = groupCells
 	checker := NewBitGrid(g)
 	for cy := 0; cy < g.NY; cy++ {
 		for cx := (cy & 1); cx < g.NX; cx += 2 {
@@ -342,9 +356,16 @@ func TestKernelSeams(t *testing.T) {
 }
 
 // TestFillSeams rasterizes polygons whose edges land exactly on band
-// boundary rows and on cell-center columns, at every GOMAXPROCS.
+// boundary rows, on row-group boundaries and on cell-center columns, at
+// every GOMAXPROCS, on an even-width grid and an odd-width one.
 func TestFillSeams(t *testing.T) {
-	g := seamGeometry(130, 130)
+	for _, dims := range [...][2]int{{130, 130}, {129, 129}} {
+		fillSeams(t, seamGeometry(dims[0], dims[1]))
+	}
+}
+
+func fillSeams(t *testing.T, g Geometry) {
+	t.Helper()
 	rect := func(x0, y0, x1, y1 float64) geom.Polygon {
 		return geom.Polygon{Exterior: geom.Ring{
 			geom.Pt(x0, y0), geom.Pt(x1, y0), geom.Pt(x1, y1), geom.Pt(x0, y1),
@@ -363,6 +384,22 @@ func TestFillSeams(t *testing.T) {
 			polys = append(polys, rect(g.MinX+5, y-15, g.MinX+655, y+15))
 			polys = append(polys, rect(g.MinX+100, y, g.MinX+200, y+2))
 		}
+	}
+	// The row bands split between row groups: edges on the lattice line
+	// between two groups and on the center lines of the rows either
+	// side, slivers holding just one of those rows, and a triangle with
+	// a vertex on the boundary.
+	for r := rowGroup(g.NX); r < g.NY; r += rowGroup(g.NX) {
+		y := g.MinY + float64(r)*g.CellSize
+		polys = append(polys,
+			rect(g.MinX+25, y-35, g.MinX+1105, y+35),
+			rect(g.MinX+15, g.RowY(r-1), g.MinX+615, g.RowY(r)),
+			rect(g.MinX+300, g.RowY(r)-1, g.MinX+900, g.RowY(r)+1),
+			rect(g.MinX+300, g.RowY(r-1)-1, g.MinX+900, g.RowY(r-1)+1),
+			geom.Polygon{Exterior: geom.Ring{
+				geom.Pt(g.MinX+5, y), geom.Pt(g.MinX+1200, y-300), geom.Pt(g.MinX+600, y+400),
+			}},
+		)
 	}
 	top := g.MinY + float64(g.NY)*g.CellSize
 	polys = append(polys,
@@ -392,9 +429,9 @@ func TestFillSeams(t *testing.T) {
 					continue
 				}
 				if i == 0 {
-					t.Errorf("all-fused diverges at GOMAXPROCS=%d", p)
+					t.Errorf("%dx%d: all-fused diverges at GOMAXPROCS=%d", g.NX, g.NY, p)
 				} else {
-					t.Errorf("polygon %d diverges at GOMAXPROCS=%d", i-1, p)
+					t.Errorf("%dx%d: polygon %d diverges at GOMAXPROCS=%d", g.NX, g.NY, i-1, p)
 				}
 			}
 		})
@@ -405,31 +442,71 @@ func TestFillSeams(t *testing.T) {
 		FillPolygonsInto(oneByOne, polys[i:i+1])
 	}
 	if oneByOne.Fingerprint() != serial[0] {
-		t.Error("fused sweep diverges from polygon-at-a-time union")
+		t.Errorf("%dx%d: fused sweep diverges from polygon-at-a-time union", g.NX, g.NY)
 	}
 }
 
-func TestDistanceTransformIntoShapeMismatch(t *testing.T) {
-	mask := NewBitGrid(seamGeometry(8, 8))
-	out := NewFloatGrid(seamGeometry(8, 9))
-	if err := DistanceTransformInto(out, mask); err != ErrShapeMismatch {
-		t.Fatalf("got %v, want ErrShapeMismatch", err)
+// TestRowGroupFillsWholeWords pins the write rule of the row-banded
+// kernels: rowGroup(nx) rows of an nx-wide grid fill whole 64-bit
+// words, and no fewer rows do.
+func TestRowGroupFillsWholeWords(t *testing.T) {
+	// The CONUS grid widths at 2.7 km (odd and even) and at 10 and 20 km.
+	want := map[int]int{1703: 64, 1704: 8, 460: 16, 230: 32}
+	widths := []int{1703, 1704, 460, 230}
+	for nx := 1; nx <= 300; nx++ {
+		widths = append(widths, nx)
 	}
-}
-
-func TestAcquireReleaseGrids(t *testing.T) {
-	g := seamGeometry(70, 40)
-	f := AcquireFloatGrid(g)
-	f.Data[17] = 4.5
-	ReleaseFloatGrid(f)
-	f2 := AcquireFloatGrid(g)
-	for i, v := range f2.Data {
-		if v != 0 {
-			t.Fatalf("reacquired float grid cell %d = %v, want 0", i, v)
+	for _, nx := range widths {
+		r := rowGroup(nx)
+		if w, ok := want[nx]; ok && r != w {
+			t.Errorf("rowGroup(%d) = %d, want %d", nx, r, w)
+		}
+		if nx*r%64 != 0 {
+			t.Errorf("NX=%d: %d rows hold %d cells, not whole words", nx, r, nx*r)
+		}
+		for s := 1; s < r; s++ {
+			if nx*s%64 == 0 {
+				t.Errorf("NX=%d: %d rows already fill whole words, rowGroup says %d", nx, s, r)
+			}
 		}
 	}
-	ReleaseFloatGrid(f2)
-	ReleaseFloatGrid(nil) // must not panic
+}
+
+// TestRowBandsOwnWholeWords runs rowBands at every seam GOMAXPROCS: the
+// bands cover every row exactly once, each starts and ends on a word
+// boundary (or the grid's end), and there are as many as GOMAXPROCS and
+// the row groups allow.
+func TestRowBandsOwnWholeWords(t *testing.T) {
+	for _, dims := range [...][2]int{{129, 129}, {130, 130}, {1703, 10}, {16390, 1}, {1, 16390}} {
+		g := seamGeometry(dims[0], dims[1])
+		groups := (g.NY + rowGroup(g.NX) - 1) / rowGroup(g.NX)
+		for _, p := range seamProcs {
+			faults.WithGOMAXPROCS(p, func() {
+				var mu sync.Mutex
+				bands := 0
+				seen := make([]int, g.NY)
+				rowBands(g, func(lo, hi int) {
+					mu.Lock()
+					defer mu.Unlock()
+					bands++
+					if lo*g.NX%64 != 0 || hi != g.NY && hi*g.NX%64 != 0 {
+						t.Errorf("%dx%d at GOMAXPROCS=%d: band [%d, %d) shares a word", g.NX, g.NY, p, lo, hi)
+					}
+					for r := lo; r < hi; r++ {
+						seen[r]++
+					}
+				})
+				for r, n := range seen {
+					if n != 1 {
+						t.Fatalf("%dx%d at GOMAXPROCS=%d: row %d run %d times", g.NX, g.NY, p, r, n)
+					}
+				}
+				if want := min(p, groups); bands != want {
+					t.Errorf("%dx%d at GOMAXPROCS=%d: %d bands, want %d", g.NX, g.NY, p, bands, want)
+				}
+			})
+		}
+	}
 }
 
 // TestRasterKernelFingerprints is the CI smoke invariant: on a
@@ -457,35 +534,6 @@ func TestRasterKernelFingerprints(t *testing.T) {
 			}
 		})
 	}
-}
-
-// TestFusedSweepSteadyStateAllocs pins the arena's purpose: after
-// warm-up, the fused fill+distance sweep over a fixed geometry performs
-// zero allocations per iteration.
-func TestFusedSweepSteadyStateAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("the race detector's instrumentation allocates inside the sweep")
-	}
-	g := Geometry{MinX: 0, MinY: 0, CellSize: 100, NX: 256, NY: 256}
-	polys := syntheticPerimeters(g, 12, 7)
-	mask := NewBitGrid(g)
-	dist := AcquireFloatGrid(g)
-	sweep := func() {
-		mask.Clear()
-		FillPolygonsInto(mask, polys)
-		if err := DistanceTransformInto(dist, mask); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Warm the arena: the first sweeps grow the pooled buffers to this
-	// geometry's sizes.
-	sweep()
-	sweep()
-	runtime.GC()
-	if allocs := testing.AllocsPerRun(5, sweep); allocs > 0 {
-		t.Errorf("fused sweep allocates %.1f times per run in steady state, want 0", allocs)
-	}
-	ReleaseFloatGrid(dist)
 }
 
 // syntheticPerimeters builds deterministic star-shaped fire perimeters

@@ -104,21 +104,6 @@ func (s *Source) Intn(n int) int {
 	}
 }
 
-// Int63n returns a uniform int64 in [0, n). It panics when n <= 0.
-func (s *Source) Int63n(n int64) int64 {
-	if n <= 0 {
-		panic("rng: Int63n with non-positive n")
-	}
-	max := uint64(1)<<63 - 1
-	limit := max - max%uint64(n)
-	for {
-		v := s.Uint64() >> 1
-		if v < limit {
-			return int64(v % uint64(n))
-		}
-	}
-}
-
 // Range returns a uniform float64 in [lo, hi).
 func (s *Source) Range(lo, hi float64) float64 {
 	return lo + (hi-lo)*s.Float64()
@@ -188,51 +173,6 @@ func (s *Source) Poisson(mean float64) int {
 		}
 		k++
 	}
-}
-
-// Zipf returns an integer in [0, n) with probability proportional to
-// 1/(i+1)^s, by inverse-CDF over precomputed weights. For repeated sampling
-// use NewZipf.
-func (s *Source) Zipf(n int, exponent float64) int {
-	z := NewZipf(n, exponent)
-	return z.Sample(s)
-}
-
-// Zipfian samples from a Zipf distribution over ranks [0, n).
-type Zipfian struct {
-	cdf []float64
-}
-
-// NewZipf precomputes a Zipf sampler over n ranks with the given exponent.
-func NewZipf(n int, exponent float64) *Zipfian {
-	if n <= 0 {
-		n = 1
-	}
-	cdf := make([]float64, n)
-	var sum float64
-	for i := 0; i < n; i++ {
-		sum += 1 / math.Pow(float64(i+1), exponent)
-		cdf[i] = sum
-	}
-	for i := range cdf {
-		cdf[i] /= sum
-	}
-	return &Zipfian{cdf: cdf}
-}
-
-// Sample draws a rank from the distribution.
-func (z *Zipfian) Sample(s *Source) int {
-	u := s.Float64()
-	lo, hi := 0, len(z.cdf)-1
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if z.cdf[mid] < u {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
 }
 
 // CategoricalTable samples indices in proportion to a fixed weight
@@ -325,23 +265,4 @@ func (s *Source) Categorical(weights []float64) int {
 		}
 	}
 	return len(weights) - 1
-}
-
-// Shuffle permutes the first n elements using the supplied swap function
-// (Fisher-Yates).
-func (s *Source) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := s.Intn(i + 1)
-		swap(i, j)
-	}
-}
-
-// Perm returns a random permutation of [0, n).
-func (s *Source) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	s.Shuffle(n, func(i, j int) { p[i], p[j] = p[j], p[i] })
-	return p
 }

@@ -5,14 +5,13 @@ import (
 	"testing"
 )
 
-// Class-boundary reclassification: the cut points use strict h < th[i],
+// Class-boundary reclassification: the cut points use strict h < cut,
 // so a hazard exactly at a threshold lands in the class ABOVE it. These
 // tests pin that contract — a reimplementation that flips to <= would
 // silently move every boundary cell down one class and shift the Table
 // 4 histograms.
 
 func TestClassifyExactThresholds(t *testing.T) {
-	th := [4]float64{0.12, 0.26, 0.42, 0.60}
 	cases := []struct {
 		h    float64
 		want Class
@@ -30,25 +29,9 @@ func TestClassifyExactThresholds(t *testing.T) {
 		{0.999, VeryHigh},
 	}
 	for _, c := range cases {
-		if got := classify(c.h, th); got != c.want {
+		if got := classify(c.h); got != c.want {
 			t.Errorf("classify(%v) = %v, want %v", c.h, got, c.want)
 		}
-	}
-}
-
-// TestClassifyDegenerateThresholds pins behavior when neighboring cut
-// points coincide: the squeezed class becomes unreachable rather than
-// swallowing its neighbor.
-func TestClassifyDegenerateThresholds(t *testing.T) {
-	th := [4]float64{0.2, 0.2, 0.5, 0.5}
-	if got := classify(0.19, th); got != VeryLow {
-		t.Errorf("below both low cuts: %v, want very-low", got)
-	}
-	if got := classify(0.2, th); got != Moderate {
-		t.Errorf("at the coincident low cuts: %v, want moderate (Low squeezed out)", got)
-	}
-	if got := classify(0.5, th); got != VeryHigh {
-		t.Errorf("at the coincident high cuts: %v, want very-high (High squeezed out)", got)
 	}
 }
 
@@ -56,11 +39,10 @@ func TestClassifyDegenerateThresholds(t *testing.T) {
 // never decreases as hazard increases — the property every downstream
 // ordering test (nesting, at-risk fractions) quietly depends on.
 func TestClassifyMonotone(t *testing.T) {
-	th := [4]float64{0.12, 0.26, 0.42, 0.60}
 	prev := VeryLow
 	for i := 0; i <= 10000; i++ {
 		h := float64(i) / 10000
-		c := classify(h, th)
+		c := classify(h)
 		if c < prev {
 			t.Fatalf("classify(%v) = %v dropped below %v", h, c, prev)
 		}

@@ -27,7 +27,7 @@ func (m *Model) Evaluate(p geom.Point) (float64, Class) {
 		return 0, NonBurnable
 	}
 	h := m.HazardValue(p, si, urban)
-	return h, classify(h, cuts)
+	return h, classify(h)
 }
 
 // HazardValue returns the continuous hazard in [0,1) at a projected point

@@ -102,9 +102,6 @@ const (
 	VeryHighCut = 0.60
 )
 
-// cuts are the cut points in class order.
-var cuts = [4]float64{LowCut, ModerateCut, HighCut, VeryHighCut}
-
 // Config holds the model's one setting; everything else is the
 // calibration above. The zero value is the national model.
 type Config struct {
@@ -272,7 +269,7 @@ func (e *Evaluator) Evaluate(cx, cy int) (float64, Class) {
 		return 0, NonBurnable
 	}
 	h := hazard(si, urban, e.noise.At(cx, cy))
-	return h, classify(h, cuts)
+	return h, classify(h)
 }
 
 // FuelAt returns the continuous fuel loading at the centre of cell
@@ -316,17 +313,16 @@ func hazard(stateIdx int, urban, n float64) float64 {
 	return h
 }
 
-// classify returns the class of hazard h under the cut points th, in
-// class order; the model classifies under cuts.
-func classify(h float64, th [4]float64) Class {
+// classify returns the class of hazard h under the cut points.
+func classify(h float64) Class {
 	switch {
-	case h < th[0]:
+	case h < LowCut:
 		return VeryLow
-	case h < th[1]:
+	case h < ModerateCut:
 		return Low
-	case h < th[2]:
+	case h < HighCut:
 		return Moderate
-	case h < th[3]:
+	case h < VeryHighCut:
 		return High
 	default:
 		return VeryHigh

@@ -52,6 +52,7 @@ func TestDefaults(t *testing.T) {
 	if UrbanCoreThreshold <= 0 || WUIDamping <= 0 || NoiseScaleM <= 0 {
 		t.Errorf("calibration constants not positive: %v, %v, %v", UrbanCoreThreshold, WUIDamping, NoiseScaleM)
 	}
+	cuts := [...]float64{LowCut, ModerateCut, HighCut, VeryHighCut}
 	for i := 0; i < 3; i++ {
 		if cuts[i] >= cuts[i+1] {
 			t.Errorf("thresholds not increasing: %v", cuts)
