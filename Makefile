@@ -55,10 +55,10 @@ bench:
 bench-pipeline:
 	$(GO) test -run '^$$' -bench 'BenchmarkStudyColdWarm|BenchmarkStudyBuild' -cpu 1,2 -benchmem -json . > BENCH_pipeline.json
 
-# Regenerate the prepared-geometry baseline: the naive-vs-prepared
-# point-in-polygon microbenchmarks, the overlay join (naive-serial vs
-# prepared) and the end-to-end Table 1 join. -cpu 1,2 records each under
-# the serial schedule (GOMAXPROCS=1) and the parallel one.
+# Regenerate the join baseline: the naive-vs-prepared point-in-polygon
+# microbenchmarks, the overlay join (naive-serial vs the fires'
+# burned-cell join) and the end-to-end Table 1 join. -cpu 1,2 records
+# each under the serial schedule (GOMAXPROCS=1) and the parallel one.
 bench-geom:
 	$(GO) test -run '^$$' -bench 'BenchmarkPreparedContains|BenchmarkHistoricalOverlay|BenchmarkTable1$$' \
 		-cpu 1,2 -benchmem -json . ./internal/geom ./internal/risk > BENCH_geom.json
@@ -87,7 +87,7 @@ bench-race:
 # row bands) and the history union mask. Records wall time and the
 # measured peak of the heap's object bytes, sampled every 2 ms
 # (peak-heap-B), in BENCH_shard.json. Expect under a minute and a
-# heap peak near 1.3 GB at GOMAXPROCS=2.
+# heap peak near 0.85 GB at GOMAXPROCS=2.
 bench-shard:
 	FIVEALARMS_BENCH_PAPER=1 $(GO) test -run '^$$' -bench 'BenchmarkShardedStudy' \
 		-benchtime=1x -timeout=0 -benchmem -json . > BENCH_shard.json
@@ -130,7 +130,7 @@ diffcheck:
 		./internal/grid ./internal/proj ./internal/census ./internal/conus \
 		./internal/rng ./internal/wildfire ./internal/powergrid ./internal/whp \
 		./internal/cellnet -run 'Conformance|Golden'
-	$(GO) test -count=1 ./internal/risk -run 'CrossCheck|Conformance'
+	$(GO) test -count=1 ./internal/risk -run 'CrossCheck|Conformance|MatchesNaive|PointwiseIdentical'
 	$(GO) test -count=1 . -run 'SeedDeterminism|Metamorphic|ShardedDiffcheck|ExperimentsGolden'
 
 # Enforce the per-package coverage floors (COVERAGE_FLOOR.txt); pass a

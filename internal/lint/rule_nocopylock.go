@@ -14,14 +14,12 @@ func ruleNoCopyLock() Rule {
 	}
 }
 
-// runNoCopyLock generalizes the copy-safety audit PR 2 did by hand for
-// the Fire prep cache: any type whose type graph reaches a
-// sync.Mutex, RWMutex, Once, WaitGroup, Cond, Map or Pool by value
-// must never be copied — a copied sync.Once re-arms, a copied Mutex
-// forks its lock state. The Fire type itself stays freely copyable
-// because its prep cache lives behind a pointer; this rule is what
-// keeps the pointed-to firePrep (which embeds the Once) from being
-// dereferenced into a copy.
+// runNoCopyLock enforces copy safety for lock-holding types: any type
+// whose type graph reaches a sync.Mutex, RWMutex, Once, WaitGroup,
+// Cond, Map or Pool by value must never be copied — a copied sync.Once
+// re-arms, a copied Mutex forks its lock state. A type that must copy
+// freely keeps such state behind a pointer; this rule is what keeps
+// the pointed-to value from being dereferenced into a copy.
 func runNoCopyLock(p *Pass) {
 	c := &lockChecker{p: p, memo: map[types.Type]string{}}
 	for _, f := range p.Files {
@@ -113,8 +111,8 @@ func (c *lockChecker) checkFieldList(fl *ast.FieldList, what string) {
 	}
 }
 
-// lockPath returns a human-readable containment chain ("firePrep
-// contains sync.Once") when t's type graph holds a lock by value, or
+// lockPath returns a human-readable containment chain ("prep contains
+// sync.Once") when t's type graph holds a lock by value, or
 // "" when t copies safely. Pointers, slices, maps, channels, funcs and
 // interfaces break the chain: copying them shares, not forks, the
 // pointed-to state.

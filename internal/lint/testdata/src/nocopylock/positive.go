@@ -9,7 +9,7 @@ type Cache struct {
 	hits int
 }
 
-// prep mirrors the wildfire firePrep shape: a Once guarding a build.
+// prep is a memo's shape: a Once guarding a build.
 type prep struct {
 	once sync.Once
 	v    int

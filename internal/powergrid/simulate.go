@@ -115,7 +115,7 @@ func (n *Network) Simulate(sc Scenario, seed uint64) *Outcome {
 		severed[i] = make([]bool, len(sc.Fires))
 		route := geom.NewBBox(s.XY, s.Backhaul)
 		for fi, af := range sc.Fires {
-			if af.Fire.PreparedPerimeter().Contains(s.XY) && src.Bool(sc.DamageProb) {
+			if af.Fire.Contains(s.XY) && src.Bool(sc.DamageProb) {
 				end := af.LastDay + sc.RepairDays
 				if end > damagedUntil[i] {
 					damagedUntil[i] = end
@@ -181,7 +181,7 @@ func (n *Network) Simulate(sc Scenario, seed uint64) *Outcome {
 // started by the given day (damage cannot precede the fire).
 func siteDamageStarted(sc Scenario, s *Site, day int) bool {
 	for _, af := range sc.Fires {
-		if day >= af.FirstDay && af.Fire.PreparedPerimeter().Contains(s.XY) {
+		if day >= af.FirstDay && af.Fire.Contains(s.XY) {
 			return true
 		}
 	}
@@ -214,8 +214,7 @@ func backhaulSevered(sc Scenario, severed []bool, day int) bool {
 // exact segment/polygon intersection that is exact in the limit of the
 // sampling density (200 m).
 func segmentCrossesPerimeter(a, b geom.Point, route geom.BBox, f *wildfire.Fire) bool {
-	prep := f.PreparedPerimeter()
-	if !prep.BBox().Intersects(route) {
+	if !f.BBox().Intersects(route) {
 		return false
 	}
 	d := b.Sub(a)
@@ -225,7 +224,7 @@ func segmentCrossesPerimeter(a, b geom.Point, route geom.BBox, f *wildfire.Fire)
 	}
 	for i := 0; i <= steps; i++ {
 		p := a.Add(d.Scale(float64(i) / float64(steps)))
-		if prep.Contains(p) {
+		if f.Contains(p) {
 			return true
 		}
 	}

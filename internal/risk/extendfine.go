@@ -112,7 +112,7 @@ func (a *Analyzer) ExtendAndValidateFine(season *wildfire.Season, cellSize, dist
 	}
 
 	// Join the window's transceivers against the fires that reach it.
-	inWindow := func(f *wildfire.Fire) bool { return f.PreparedPerimeter().BBox().Intersects(region) }
+	inWindow := func(f *wildfire.Fire) bool { return f.BBox().Intersects(region) }
 	for _, ti := range a.seasonHits(season, wholeFleet, inWindow) {
 		p := a.Data.T[ti].XY
 		if !region.ContainsPoint(p) {

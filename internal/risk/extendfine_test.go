@@ -132,16 +132,16 @@ func extendFineReference(a *Analyzer, season *wildfire.Season, cellSize, distM f
 	var buf []int
 	for fi := range season.Mapped {
 		f := &season.Mapped[fi]
-		prep := f.PreparedPerimeter()
-		if !prep.BBox().Intersects(region) {
+		bb := f.Perimeter.BBox()
+		if !bb.Intersects(region) {
 			continue
 		}
-		buf = a.Data.Index.Query(prep.BBox(), buf[:0])
+		buf = a.Data.Index.Query(bb, buf[:0])
 		for _, ti := range buf {
 			if !region.ContainsPoint(a.Data.T[ti].XY) {
 				continue
 			}
-			if prep.Contains(a.Data.T[ti].XY) {
+			if f.Perimeter.ContainsPoint(a.Data.T[ti].XY) {
 				inPerimeter[ti] = true
 			}
 		}

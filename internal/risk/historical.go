@@ -77,11 +77,10 @@ func (a *Analyzer) TransceiversInFire(f *wildfire.Fire) []int {
 // bounding box clipped to the band's y range, which holds every
 // transceiver of the band, and a candidate must be in the band.
 func (a *Analyzer) fireHits(f *wildfire.Fire, b Band, dst []int) []int {
-	prep := f.PreparedPerimeter()
-	box := prep.BBox()
+	box := f.BBox()
 	box.MinY, box.MaxY = max(box.MinY, b.MinY), min(box.MaxY, b.MaxY)
 	a.Data.Index.Visit(box, func(ti int) bool {
-		if b.holds(ti) && prep.Contains(a.Data.T[ti].XY) {
+		if b.holds(ti) && f.Contains(a.Data.T[ti].XY) {
 			dst = append(dst, ti)
 		}
 		return true

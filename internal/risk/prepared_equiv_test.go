@@ -88,11 +88,12 @@ func naiveValidate(a *Analyzer, season *wildfire.Season, classOf []whp.Class) *V
 	return res
 }
 
-// TestPreparedJoinPointwiseIdentical is the foundation of the PR's
+// TestPreparedJoinPointwiseIdentical is the foundation of the joins'
 // bit-identity claim: on real simulated perimeters (rectilinear contour
-// traces) the prepared predicate agrees with the naive ray-cast at every
-// index candidate of every fire — and the prepared bbox is the exact
-// MultiPolygon bbox, so the candidate sets are identical too.
+// traces) the fire's burned-cell predicate agrees with the naive
+// ray-cast at every index candidate of every fire — and the fire's bbox
+// is the exact MultiPolygon bbox, so the candidate sets are identical
+// too.
 func TestPreparedJoinPointwiseIdentical(t *testing.T) {
 	season := testSim.Season(wildfire.SeasonConfig{
 		Seed: 5, Year: 2018, TotalFires: 58083, TotalAcres: 8.8e6, MappedFires: 30,
@@ -101,15 +102,14 @@ func TestPreparedJoinPointwiseIdentical(t *testing.T) {
 	checked := 0
 	for fi := range season.Mapped {
 		f := &season.Mapped[fi]
-		prep := f.PreparedPerimeter()
-		if prep.BBox() != f.Perimeter.BBox() {
-			t.Fatalf("fire %d: prepared bbox %v != perimeter bbox %v", fi, prep.BBox(), f.Perimeter.BBox())
+		if f.BBox() != f.Perimeter.BBox() {
+			t.Fatalf("fire %d: fire bbox %v != perimeter bbox %v", fi, f.BBox(), f.Perimeter.BBox())
 		}
-		buf = testAnalyzer.Data.Index.Query(prep.BBox(), buf[:0])
+		buf = testAnalyzer.Data.Index.Query(f.BBox(), buf[:0])
 		for _, ti := range buf {
 			xy := testData.T[ti].XY
-			if got, want := prep.Contains(xy), f.Perimeter.ContainsPoint(xy); got != want {
-				t.Fatalf("fire %d transceiver %d at %v: prepared %v, naive %v", fi, ti, xy, got, want)
+			if got, want := f.Contains(xy), f.Perimeter.ContainsPoint(xy); got != want {
+				t.Fatalf("fire %d transceiver %d at %v: cells %v, naive %v", fi, ti, xy, got, want)
 			}
 			checked++
 		}
@@ -120,15 +120,15 @@ func TestPreparedJoinPointwiseIdentical(t *testing.T) {
 }
 
 // TestHistoricalOverlayMatchesNaive asserts the full Table 1 pipeline —
-// serial-prepared at GOMAXPROCS=1 and parallel-prepared above it —
-// reproduces the naive reference exactly (not approximately: identical
-// structs, floats included).
+// serial at GOMAXPROCS=1 and parallel above it — reproduces the naive
+// reference exactly (not approximately: identical structs, floats
+// included).
 func TestHistoricalOverlayMatchesNaive(t *testing.T) {
 	seasons := simulateHistory(t, testSim, 7, 10)
 	want := naiveOverlay(testAnalyzer, seasons)
 	for _, procs := range []int{1, 3, 4} {
 		if got := overlayAt(procs, seasons); !reflect.DeepEqual(got, want) {
-			t.Fatalf("prepared overlay at GOMAXPROCS=%d diverges from naive:\n got %+v\nwant %+v", procs, got, want)
+			t.Fatalf("overlay at GOMAXPROCS=%d diverges from naive:\n got %+v\nwant %+v", procs, got, want)
 		}
 	}
 }
@@ -158,7 +158,7 @@ func TestTransceiversInFireMatchesNaive(t *testing.T) {
 			}
 		}
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("fire %d: prepared join %v != naive %v", fi, got, want)
+			t.Fatalf("fire %d: cell join %v != naive %v", fi, got, want)
 		}
 	}
 }
@@ -168,7 +168,7 @@ func TestTransceiversInFireMatchesNaive(t *testing.T) {
 // rng stream conditioned on per-(site, fire) containment and on
 // backhaul-segment sample probes; the old code evaluated
 // BBox().ContainsPoint && Perimeter.ContainsPoint at exactly these
-// points. If the prepared predicate agrees at every one of them, the
+// points. If the fire's predicate agrees at every one of them, the
 // rng draws, damage rolls, and therefore the full Outcome and
 // CaseStudyResult are unchanged (the serial-vs-parallel half is covered
 // by the pipeline fingerprint tests).
@@ -190,11 +190,10 @@ func TestCaseStudyJoinPointwiseIdentical(t *testing.T) {
 	}
 	checked := 0
 	for _, f := range fires {
-		prep := f.PreparedPerimeter()
 		for si := range net.Sites {
 			s := &net.Sites[si]
-			if got, want := prep.Contains(s.XY), naive(f, s.XY); got != want {
-				t.Fatalf("site %d vs fire %q: prepared %v, naive %v", si, f.Name, got, want)
+			if got, want := f.Contains(s.XY), naive(f, s.XY); got != want {
+				t.Fatalf("site %d vs fire %q: cells %v, naive %v", si, f.Name, got, want)
 			}
 			// The same sample lattice segmentCrossesPerimeter probes.
 			// Strided: the naive reference walk dominates the test's cost,
@@ -210,8 +209,8 @@ func TestCaseStudyJoinPointwiseIdentical(t *testing.T) {
 			}
 			for k := 0; k <= steps; k++ {
 				p := s.XY.Add(d.Scale(float64(k) / float64(steps)))
-				if got, want := prep.Contains(p), naive(f, p); got != want {
-					t.Fatalf("segment sample %v vs fire %q: prepared %v, naive %v", p, f.Name, got, want)
+				if got, want := f.Contains(p), naive(f, p); got != want {
+					t.Fatalf("segment sample %v vs fire %q: cells %v, naive %v", p, f.Name, got, want)
 				}
 				checked++
 			}
@@ -223,9 +222,9 @@ func TestCaseStudyJoinPointwiseIdentical(t *testing.T) {
 }
 
 // BenchmarkHistoricalOverlay compares the naive serial join against the
-// prepared engine over a 19-season history (the Table 1 workload). The
-// prepared join fans out over GOMAXPROCS, so `make bench-geom` records
-// it at -cpu 1,2 in BENCH_geom.json.
+// engine's burned-cell join over a 19-season history (the Table 1
+// workload). The engine fans out over GOMAXPROCS, so `make bench-geom`
+// records it at -cpu 1,2 in BENCH_geom.json.
 func BenchmarkHistoricalOverlay(b *testing.B) {
 	seasons := simulateHistory(b, testSim, 7, 20)
 	b.Run("naive-serial", func(b *testing.B) {
@@ -234,7 +233,7 @@ func BenchmarkHistoricalOverlay(b *testing.B) {
 			_ = naiveOverlay(testAnalyzer, seasons)
 		}
 	})
-	b.Run("prepared", func(b *testing.B) {
+	b.Run("cells", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			_ = testAnalyzer.HistoricalOverlay(seasons)

@@ -117,7 +117,7 @@ func ReadGeoJSON(r io.Reader, world *conus.World) ([]Fire, error) {
 			}
 			mp = append(mp, poly)
 		}
-		f := Fire{ID: i, Name: "unknown", Perimeter: mp, Acres: geom.Acres(mp.Area()), prep: &firePrep{}}
+		f := Fire{ID: i, Name: "unknown", Perimeter: mp, Acres: geom.Acres(mp.Area())}
 		if v, ok := ft.Properties["incidentname"].(string); ok {
 			f.Name = v
 		}

@@ -30,13 +30,21 @@
 // only grow, and the window's cell states carry a one-cell border that
 // holds no fuel, so the race reads a cell's 8 neighbours at fixed
 // offsets and stops at the window's edge without a bounds test.
+//
+// # Joins
+//
+// A simulated fire also keeps its burned cells, cropped to their
+// bounding box. The traced rings run along cell edges, so a point lies
+// inside the perimeter exactly when the burned mask holds the half-open
+// cell under it: Fire.Contains reads that one cell and Fire.BBox returns
+// the crop's box, each bit-identical to the perimeter's own answer. Every
+// join against transceivers and PSPS sites asks these two methods.
 package wildfire
 
 import (
 	"fmt"
 	"math"
 	"math/bits"
-	"sync"
 
 	"fivealarms/internal/conus"
 	"fivealarms/internal/geom"
@@ -46,7 +54,10 @@ import (
 	"fivealarms/internal/whp"
 )
 
-// Fire is one mapped wildfire with its perimeter.
+// Fire is one mapped wildfire with its perimeter. A simulated fire also
+// holds the burned cells its perimeter was traced from, which answer
+// Contains and BBox. Fire values copy freely: copies share the cells,
+// which are never written after the fire burns.
 type Fire struct {
 	ID        int
 	Name      string
@@ -65,32 +76,101 @@ type Fire struct {
 	// convention) used during growth.
 	WindDeg float64
 
-	// prep lazily caches the prepared perimeter. It lives behind a
-	// pointer so Fire values copy freely (Season.Mapped stores fires by
-	// value); every copy shares the one cache.
-	prep *firePrep
+	// cells holds the burned cells the perimeter was traced from; nil
+	// for a fire decoded from its perimeter alone (ReadGeoJSON).
+	cells *burnedCells
 }
 
-// firePrep holds the once-built prepared perimeter.
-type firePrep struct {
-	once sync.Once
-	mp   *geom.PreparedMultiPolygon
-}
-
-// BBox returns the perimeter bounding box.
-func (f *Fire) BBox() geom.BBox { return f.Perimeter.BBox() }
-
-// PreparedPerimeter returns the containment-optimized form of the
-// perimeter (see geom.PrepareMultiPolygon), built on first use and
-// cached; concurrent callers share the one build. Fires assembled by
-// hand (struct literals in tests or external decoders) have no cache
-// slot and prepare on every call — still correct, just unmemoized.
-func (f *Fire) PreparedPerimeter() *geom.PreparedMultiPolygon {
-	if f.prep == nil {
-		return geom.PrepareMultiPolygon(f.Perimeter)
+// Contains reports whether p lies inside the fire's perimeter, exactly
+// as f.Perimeter.ContainsPoint answers. A simulated fire reads the one
+// burned cell that could hold p; a fire without cells tests the
+// perimeter.
+func (f *Fire) Contains(p geom.Point) bool {
+	if f.cells == nil {
+		return f.Perimeter.ContainsPoint(p)
 	}
-	f.prep.once.Do(func() { f.prep.mp = geom.PrepareMultiPolygon(f.Perimeter) })
-	return f.prep.mp
+	return f.cells.contains(p)
+}
+
+// BBox returns the perimeter's bounding box, bit for bit
+// f.Perimeter.BBox(). A simulated fire keeps it from when it burned.
+func (f *Fire) BBox() geom.BBox {
+	if f.cells == nil {
+		return f.Perimeter.BBox()
+	}
+	return f.cells.box
+}
+
+// burnedCells is the burned mask a simulated fire's perimeter was traced
+// from, cropped to the burned cells' columns x0..x1 and rows y0..y1 of
+// the fire's window grid win.
+//
+// The tracer puts every ring corner on a window vertex, at exactly
+// x(vx) = win.MinX + float64(vx)*win.CellSize and y(vy) likewise, and
+// the ray cast counts a vertical edge at x when lo <= p.Y < hi and
+// p.X < x, a horizontal edge never. So a point is inside the perimeter
+// exactly when its half-open cell [x(i), x(i+1)) × [y(j), y(j+1)) is
+// burned, on the edges and corners too. The cell is located against
+// those same expressions (vertex), never against an origin re-based on
+// the crop, whose sums can round differently.
+type burnedCells struct {
+	win    raster.Geometry
+	x0, y0 int
+	// crop holds window cell (x0+i, y0+j) at (i, j); its geometry only
+	// sizes it.
+	crop raster.BitGrid
+	box  geom.BBox // [x(x0), x(x1+1)] × [y(y0), y(y1+1)]
+}
+
+// cropCells returns the burned cells of mask, which holds at least one.
+func cropCells(mask *raster.BitGrid) *burnedCells {
+	x0, x1, y0, y1 := mask.NX, -1, mask.NY, -1
+	mask.ForEachSetRun(func(cy, cx0, cx1 int) {
+		x0, x1 = min(x0, cx0), max(x1, cx1)
+		y0, y1 = min(y0, cy), max(y1, cy)
+	})
+	c := &burnedCells{win: mask.Geometry, x0: x0, y0: y0}
+	c.crop = *raster.NewBitGrid(raster.Geometry{NX: x1 - x0 + 1, NY: y1 - y0 + 1})
+	mask.ForEachSetRun(func(cy, cx0, cx1 int) { c.crop.SetSpan(cy-y0, cx0-x0, cx1-x0) })
+	g := mask.Geometry
+	c.box = geom.BBox{
+		MinX: vertex(g.MinX, g.CellSize, x0), MinY: vertex(g.MinY, g.CellSize, y0),
+		MaxX: vertex(g.MinX, g.CellSize, x1+1), MaxY: vertex(g.MinY, g.CellSize, y1+1),
+	}
+	return c
+}
+
+// contains reports whether the half-open window cell holding p is
+// burned.
+func (c *burnedCells) contains(p geom.Point) bool {
+	if !(p.X >= c.box.MinX && p.X < c.box.MaxX && p.Y >= c.box.MinY && p.Y < c.box.MaxY) {
+		return false // off the crop, or NaN
+	}
+	g := c.win
+	i := cellBelow(p.X, g.MinX, g.CellSize, c.x0, c.x0+c.crop.NX-1)
+	j := cellBelow(p.Y, g.MinY, g.CellSize, c.y0, c.y0+c.crop.NY-1)
+	return c.crop.Get(i-c.x0, j-c.y0)
+}
+
+// vertex is the coordinate of vertex k of a grid axis starting at origin
+// with cells cs wide, computed as raster.TraceContours computes its ring
+// corners.
+func vertex(origin, cs float64, k int) float64 { return origin + float64(k)*cs }
+
+// cellBelow returns the cell k in lo..hi of a grid axis with
+// vertex(origin, cs, k) <= t < vertex(origin, cs, k+1); t must lie in
+// [vertex(lo), vertex(hi+1)). The floor of the quotient is at most one
+// cell off, since t and the vertices are within rounding of their exact
+// values, and the comparisons against the vertices settle it.
+func cellBelow(t, origin, cs float64, lo, hi int) int {
+	k := min(max(int((t-origin)/cs), lo), hi)
+	for t < vertex(origin, cs, k) {
+		k--
+	}
+	for t >= vertex(origin, cs, k+1) {
+		k++
+	}
+	return k
 }
 
 // Season is one simulated fire year.
@@ -401,7 +481,7 @@ func (s *Simulator) growFireWind(r *race, src *rng.Source, name string, year int
 		StateIdx:     state,
 		RoadCorridor: float64(nonburnableBurned)/float64(nBurned) > 0.06,
 		WindDeg:      windDeg,
-		prep:         &firePrep{},
+		cells:        cropCells(burned),
 	}
 	if s.onBurn != nil {
 		s.onBurn(f, burned)

@@ -168,7 +168,7 @@ func edgeFleet(base *Study, bands []int) []cellnet.Transceiver {
 		}
 	}
 	for _, f := range fires {
-		bb := f.PreparedPerimeter().BBox()
+		bb := f.Perimeter.BBox()
 		for _, e := range edges {
 			if e < bb.MinY || e > bb.MaxY {
 				continue
