@@ -55,13 +55,13 @@ bench:
 bench-pipeline:
 	$(GO) test -run '^$$' -bench 'BenchmarkStudyColdWarm|BenchmarkStudyBuild' -cpu 1,2 -benchmem -json . > BENCH_pipeline.json
 
-# Regenerate the join baseline: the naive-vs-prepared point-in-polygon
-# microbenchmarks, the overlay join (naive-serial vs the fires'
-# burned-cell join) and the end-to-end Table 1 join. -cpu 1,2 records
-# each under the serial schedule (GOMAXPROCS=1) and the parallel one.
+# Regenerate the join baseline: the overlay join (naive-serial vs the
+# fires' burned-cell join) and the end-to-end Table 1 join. -cpu 1,2
+# records each under the serial schedule (GOMAXPROCS=1) and the
+# parallel one.
 bench-geom:
-	$(GO) test -run '^$$' -bench 'BenchmarkPreparedContains|BenchmarkHistoricalOverlay|BenchmarkTable1$$' \
-		-cpu 1,2 -benchmem -json . ./internal/geom ./internal/risk > BENCH_geom.json
+	$(GO) test -run '^$$' -bench 'BenchmarkHistoricalOverlay|BenchmarkTable1$$' \
+		-cpu 1,2 -benchmem -json . ./internal/risk > BENCH_geom.json
 
 # Regenerate the raster-kernel baseline: the banded fill / distance /
 # dilate kernels, the serial contour tracer and the unfused per-fire
@@ -126,7 +126,7 @@ bench-serve:
 diffcheck:
 	$(GO) test -count=1 ./internal/refimpl/... \
 		-run 'Sweep|Golden|Fixture|EqualUlp|Divergence'
-	$(GO) test -count=1 ./internal/geom ./internal/raster ./internal/rtree \
+	$(GO) test -count=1 ./internal/geom ./internal/raster \
 		./internal/grid ./internal/proj ./internal/census ./internal/conus \
 		./internal/rng ./internal/wildfire ./internal/powergrid ./internal/whp \
 		./internal/cellnet -run 'Conformance|Golden'
@@ -148,13 +148,11 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzWeightedVoronoiDiff$$' -fuzztime 10s ./internal/geom
 	$(GO) test -run '^$$' -fuzz '^FuzzRasterDiff$$' -fuzztime 10s ./internal/raster
 	$(GO) test -run '^$$' -fuzz '^FuzzContourDiff$$' -fuzztime 10s ./internal/raster
-	$(GO) test -run '^$$' -fuzz '^FuzzRTreeDiff$$' -fuzztime 10s ./internal/rtree
 	$(GO) test -run '^$$' -fuzz '^FuzzGridIndexDiff$$' -fuzztime 10s ./internal/grid
 	$(GO) test -run '^$$' -fuzz '^FuzzAlbersDiff$$' -fuzztime 10s ./internal/proj
 	$(GO) test -run '^$$' -fuzz '^FuzzReadArcASCII$$' -fuzztime 10s ./internal/raster
 	$(GO) test -run '^$$' -fuzz '^FuzzSnapshotDecode$$' -fuzztime 10s ./internal/cellnet
 	$(GO) test -run '^$$' -fuzz '^FuzzReadCSV$$' -fuzztime 10s ./internal/dirs
-	$(GO) test -run '^$$' -fuzz '^FuzzReadGeoJSON$$' -fuzztime 10s ./internal/wildfire
 
 # Run the fault-containment chaos suite, and the band fan-out's tests,
 # under the race detector.

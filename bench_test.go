@@ -21,7 +21,6 @@ import (
 	"fivealarms/internal/geom"
 	"fivealarms/internal/powergrid"
 	"fivealarms/internal/raster"
-	"fivealarms/internal/rtree"
 	"fivealarms/internal/whp"
 	"fivealarms/internal/wildfire"
 )
@@ -352,11 +351,11 @@ func BenchmarkHarden(b *testing.B) {
 
 // --- Ablations (design choices called out in DESIGN.md) ---
 
-// BenchmarkAblationRTreeOverlay measures the production perimeter join,
-// Analyzer.TransceiversInFire: a grid.Index query by the perimeter's
-// bounding box, then the prepared containment test. No R-tree takes part;
-// the name stays so results compare with earlier runs.
-func BenchmarkAblationRTreeOverlay(b *testing.B) {
+// BenchmarkAblationIndexedOverlay measures the production perimeter
+// join, Analyzer.TransceiversInFire: a grid.Index query by the fire's
+// bounding box, then the fire's burned-cell containment test
+// (wildfire.Fire.Contains).
+func BenchmarkAblationIndexedOverlay(b *testing.B) {
 	season := benchStudy.Sim.Season(wildfire.SeasonConfig{
 		Seed: 5, Year: 2018, TotalFires: 58083, TotalAcres: 8.8e6, MappedFires: 20,
 	})
@@ -395,22 +394,14 @@ func BenchmarkAblationBruteOverlay(b *testing.B) {
 	b.ReportMetric(float64(n), "tx-found")
 }
 
-// BenchmarkAblationDistanceTransform compares the exact EDT used for the
-// §3.8 buffer against iterated morphological dilation.
+// BenchmarkAblationDistanceTransform measures the exact EDT dilation
+// behind the §3.8 buffer: the Very High WHP mask grown by three cells.
 func BenchmarkAblationDistanceTransform(b *testing.B) {
 	vh := benchStudy.WHP.ClassMask(whp.VeryHigh)
 	dist := 3 * benchStudy.World.Grid.CellSize
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = raster.DilateByDistance(vh, dist)
-	}
-}
-
-// BenchmarkAblationDilate8 is the morphological alternative.
-func BenchmarkAblationDilate8(b *testing.B) {
-	vh := benchStudy.WHP.ClassMask(whp.VeryHigh)
-	for i := 0; i < b.N; i++ {
-		_ = raster.Dilate8(vh, 3)
 	}
 }
 
@@ -479,19 +470,6 @@ func BenchmarkAblationGridCellSize(b *testing.B) {
 			}
 			b.ReportMetric(float64(n), "hits")
 		})
-	}
-}
-
-// BenchmarkRTreeBulkLoad measures STR packing over a season of fires.
-func BenchmarkRTreeBulkLoad(b *testing.B) {
-	season := benchStudy.Season2019()
-	items := make([]rtree.Item, len(season.Mapped))
-	for i := range season.Mapped {
-		items[i] = rtree.Item{Box: season.Mapped[i].BBox(), ID: i}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = rtree.New(items)
 	}
 }
 

@@ -10,9 +10,8 @@ import (
 	"fivealarms/internal/refimpl/diffcheck"
 )
 
-// TestContainmentConformance sweeps the prepared-geometry containment
-// stack (PreparedRing, PreparedPolygon, PreparedMultiPolygon, plus the
-// batch API) against both the naive geom predicates and the refimpl
+// TestContainmentConformance sweeps the ray-cast containment predicates
+// (Ring, Polygon and MultiPolygon ContainsPoint) against the refimpl
 // twins over seeded adversarial rings: stars, rectilinear histograms,
 // degenerate and pinched rings, huge and sub-epsilon coordinates.
 func TestContainmentConformance(t *testing.T) {
@@ -33,10 +32,10 @@ func TestContainmentGoldens(t *testing.T) {
 	}
 }
 
-// FuzzContainmentDiff is the rewired form of the old white-box
-// FuzzPreparedRingContains: the fuzzer explores seeds and every seed
-// runs the full differential containment battery, so coverage grows
-// with the generator instead of a single hand-rolled ring family.
+// FuzzContainmentDiff drives the containment twins from fuzz-chosen
+// seeds: every seed runs the full differential containment battery, so
+// coverage grows with the generator instead of a single hand-rolled
+// ring family.
 func FuzzContainmentDiff(f *testing.F) {
 	for seed := int64(0); seed < 24; seed++ {
 		f.Add(seed)

@@ -7,10 +7,9 @@ import (
 // Fuzz targets run their seed corpus under plain `go test` and can be
 // expanded with `go test -fuzz=FuzzParseWKT ./internal/geom`.
 //
-// The old white-box FuzzPreparedRingContains lives on, rewired, as
-// FuzzContainmentDiff in diff_conformance_test.go: it now drives the
-// differential suite (prepared vs naive vs refimpl twin) instead of a
-// single hand-rolled ring family. Only the WKT parser fuzzers remain
+// The containment fuzzer, FuzzContainmentDiff, lives in
+// diff_conformance_test.go: it drives the differential suite (the naive
+// ray cast against its refimpl twin). Only the WKT parser fuzzers live
 // in-package, since they exercise unexported parser state.
 
 func FuzzParseWKTPoint(f *testing.F) {

@@ -3,8 +3,8 @@
 // seeded determinism (all randomness through internal/rng), the PR-3
 // failure model (library code returns errors; panics only where
 // documented provably-infallible), diffcheck's float-comparison
-// discipline, prepared-geometry copy safety, and the test-only status
-// of the reference twins and the fault injector.
+// discipline, copy safety of lock-holding types, and the test-only
+// status of the reference twins and the fault injector.
 //
 // The framework deliberately avoids golang.org/x/tools: packages are
 // discovered by walking the module tree, parsed with go/parser, and

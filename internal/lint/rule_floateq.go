@@ -18,7 +18,6 @@ var floatEqScope = []string{
 	"fivealarms/internal/raster",
 	"fivealarms/internal/proj",
 	"fivealarms/internal/grid",
-	"fivealarms/internal/rtree",
 }
 
 func ruleFloatEq() Rule {
@@ -55,7 +54,7 @@ func runFloatEq(p *Pass) {
 // isFloat reports whether the expression's type is (an alias of) a
 // floating-point basic type. Struct comparisons are out of scope even
 // when the struct holds floats: they compare identity of whole values,
-// which is exactly what the prepared-geometry caches rely on.
+// which is exactly what the ring-closing vertex test relies on.
 func isFloat(p *Pass, e ast.Expr) bool {
 	t := p.Info.TypeOf(e)
 	if t == nil {

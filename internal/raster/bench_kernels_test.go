@@ -52,12 +52,6 @@ func BenchmarkRasterKernels(b *testing.B) {
 			DilateByDistance(mask, 5*g.CellSize)
 		}
 	})
-	b.Run("dilate8", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			Dilate8(mask, 2)
-		}
-	})
 	b.Run("contour", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {

@@ -238,42 +238,3 @@ func (d Disk) Cover(b *BitGrid, cx, cy int) {
 		}
 	}
 }
-
-// Dilate8 returns the mask grown by steps rings of 8-neighborhood
-// dilation — the cheap morphological alternative to DilateByDistance used
-// by the ablation benchmarks. The two generations ping-pong between one
-// pair of grids instead of cloning per ring, and each ring runs in row
-// bands (rowBands) that read the previous generation and set their own
-// rows of the next in place.
-func Dilate8(mask *BitGrid, steps int) *BitGrid {
-	cur := mask.Clone()
-	if steps <= 0 || cur.Cells() == 0 {
-		return cur
-	}
-	next := NewBitGrid(cur.Geometry)
-	for s := 0; s < steps; s++ {
-		dilate8Ring(cur, next)
-		cur, next = next, cur
-	}
-	return cur
-}
-
-// dilate8Ring sets next to cur grown by one ring of 8-neighborhood
-// dilation.
-func dilate8Ring(cur, next *BitGrid) {
-	copy(next.bits, cur.bits)
-	nx := cur.NX
-	rowBands(cur.Geometry, func(lo, hi int) {
-		for cy := lo; cy < hi; cy++ {
-			for cx := 0; cx < nx; cx++ {
-				if cur.Get(cx, cy) {
-					continue
-				}
-				if cur.Get(cx-1, cy) || cur.Get(cx+1, cy) || cur.Get(cx, cy-1) || cur.Get(cx, cy+1) ||
-					cur.Get(cx-1, cy-1) || cur.Get(cx+1, cy-1) || cur.Get(cx-1, cy+1) || cur.Get(cx+1, cy+1) {
-					next.setIdx(cy*nx + cx)
-				}
-			}
-		}
-	})
-}

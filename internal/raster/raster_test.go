@@ -239,20 +239,6 @@ func TestDilateByDistance(t *testing.T) {
 	}
 }
 
-func TestDilate8(t *testing.T) {
-	g := testGeom(9, 9, 1)
-	mask := NewBitGrid(g)
-	mask.Set(4, 4, true)
-	d1 := Dilate8(mask, 1)
-	if d1.Count() != 9 {
-		t.Errorf("one step of 8-dilation = %d cells, want 9", d1.Count())
-	}
-	d2 := Dilate8(mask, 2)
-	if d2.Count() != 25 {
-		t.Errorf("two steps = %d cells, want 25", d2.Count())
-	}
-}
-
 func TestFillPolygonSquare(t *testing.T) {
 	g := testGeom(20, 20, 1)
 	// Square covering cells 5..14 in both axes (centers 5.5..14.5).
@@ -485,19 +471,6 @@ func BenchmarkDistanceTransform256(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = DistanceTransform(mask)
-	}
-}
-
-func BenchmarkDilate8x3_256(b *testing.B) {
-	g := testGeom(256, 256, 270)
-	mask := NewBitGrid(g)
-	s := rng.New(9)
-	for i := 0; i < 200; i++ {
-		mask.Set(s.Intn(256), s.Intn(256), true)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = Dilate8(mask, 3)
 	}
 }
 

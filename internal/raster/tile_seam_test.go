@@ -320,7 +320,7 @@ func seamMasks(g Geometry) map[string]*BitGrid {
 }
 
 func TestKernelSeams(t *testing.T) {
-	kernels := [...]string{"distance transform", "dilate", "dilate8"}
+	kernels := [...]string{"distance transform", "dilate"}
 	for _, dims := range seamGrids {
 		g := seamGeometry(dims[0], dims[1])
 		for name, mask := range seamMasks(g) {
@@ -328,7 +328,6 @@ func TestKernelSeams(t *testing.T) {
 				return [...]uint64{
 					DistanceTransform(mask).Fingerprint(),
 					DilateByDistance(mask, 1.5*g.CellSize).Fingerprint(),
-					Dilate8(mask, 2).Fingerprint(),
 				}
 			}
 			var serial [len(kernels)]uint64
@@ -576,7 +575,6 @@ func TestKernelsLeaveNoGoroutines(t *testing.T) {
 		FillPolygonsInto(mask, polys)
 		DistanceTransform(mask)
 		DilateByDistance(mask, 250)
-		Dilate8(mask, 2)
 	})
 	check()
 }

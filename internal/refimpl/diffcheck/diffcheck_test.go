@@ -6,7 +6,7 @@ import (
 )
 
 // The package's own tests run broad seed sweeps of every driver; the
-// per-package conformance tests (geom, raster, rtree, grid, proj) rerun
+// per-package conformance tests (geom, raster, grid, proj) rerun
 // focused slices of the same drivers next to the code they guard.
 
 func TestSweepContainment(t *testing.T) {
@@ -29,12 +29,6 @@ func TestSweepDistance(t *testing.T) {
 
 func TestSweepParallelKernels(t *testing.T) {
 	if err := Sweep(150, CheckParallel); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestSweepBoxes(t *testing.T) {
-	if err := Sweep(200, CheckBoxes); err != nil {
 		t.Fatal(err)
 	}
 }

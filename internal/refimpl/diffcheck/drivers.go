@@ -11,7 +11,6 @@ import (
 	"fivealarms/internal/proj"
 	"fivealarms/internal/raster"
 	"fivealarms/internal/refimpl"
-	"fivealarms/internal/rtree"
 )
 
 // boundaryTol is the relative tolerance of the boundary carve-out: a
@@ -54,35 +53,32 @@ func allRectilinear(rings []geom.Ring) bool {
 	return true
 }
 
-// CheckContainment runs one seeded containment scenario: the prepared
-// ring against both the naive geom predicate and the refimpl twin, then
-// a generated multipolygon against its prepared and refimpl forms.
+// CheckContainment runs one seeded containment scenario: the naive geom
+// ring predicate against the refimpl twin, then a generated
+// multipolygon's and each member polygon's predicates against theirs.
 // Verdicts must be bit-identical; on non-rectilinear rings, probes
 // within floating-point noise of the boundary are exempt.
 func CheckContainment(seed int64) error {
 	c := GenContainmentCase(seed)
-	prep := geom.PrepareRing(c.Ring)
 	rect := Rectilinear(c.Ring)
 	rings := []geom.Ring{c.Ring}
 	for _, p := range c.Probes {
-		opt := prep.Contains(p)
 		naive := c.Ring.ContainsPoint(p)
 		ref := refimpl.RingContains(c.Ring, p)
-		if opt == naive && naive == ref {
+		if naive == ref {
 			continue
 		}
 		if !rect && nearAnyEdge(rings, p, coordScale(rings, p)) {
 			continue
 		}
-		return divergef("ring-contains", seed, "%s: probe %v: prepared=%v naive=%v refimpl=%v (ring %v)",
-			c.Desc, p, opt, naive, ref, c.Ring)
+		return divergef("ring-contains", seed, "%s: probe %v: naive=%v refimpl=%v (ring %v)",
+			c.Desc, p, naive, ref, c.Ring)
 	}
 	return checkMultiPolygonContainment(seed)
 }
 
 func checkMultiPolygonContainment(seed int64) error {
 	m, desc := GenMultiPolygon(seed)
-	prep := geom.PrepareMultiPolygon(m)
 	var rings []geom.Ring
 	for _, pg := range m {
 		rings = append(rings, pg.Exterior)
@@ -104,35 +100,33 @@ func checkMultiPolygonContainment(seed int64) error {
 		probes = append(probes, bb.Center(), geom.Point{X: bb.MaxX + 1, Y: bb.MaxY + 1})
 	}
 	for _, p := range probes {
-		opt := prep.Contains(p)
-		ref := refimpl.MultiPolygonContains(m, p)
 		naive := m.ContainsPoint(p)
-		if opt == ref && ref == naive {
+		ref := refimpl.MultiPolygonContains(m, p)
+		if naive == ref {
 			continue
 		}
 		if !rect && nearAnyEdge(rings, p, coordScale(rings, p)) {
 			continue
 		}
-		return divergef("multipolygon-contains", seed, "%s: probe %v: prepared=%v naive=%v refimpl=%v",
-			desc, p, opt, naive, ref)
+		return divergef("multipolygon-contains", seed, "%s: probe %v: naive=%v refimpl=%v",
+			desc, p, naive, ref)
 	}
-	// Per-member prepared polygons must agree with the refimpl polygon
-	// predicate too (holes included).
+	// Each member polygon's predicate must agree with the refimpl
+	// polygon predicate too (holes included).
 	for pi := range m {
-		pp := geom.PreparePolygon(m[pi])
 		memberRings := append([]geom.Ring{m[pi].Exterior}, m[pi].Holes...)
 		memberRect := allRectilinear(memberRings)
 		for _, p := range probes[:min(len(probes), 120)] {
-			opt := pp.Contains(p)
+			naive := m[pi].ContainsPoint(p)
 			ref := refimpl.PolygonContains(m[pi], p)
-			if opt == ref {
+			if naive == ref {
 				continue
 			}
 			if !memberRect && nearAnyEdge(memberRings, p, coordScale(memberRings, p)) {
 				continue
 			}
-			return divergef("polygon-contains", seed, "%s: member %d probe %v: prepared=%v refimpl=%v",
-				desc, pi, p, opt, ref)
+			return divergef("polygon-contains", seed, "%s: member %d probe %v: naive=%v refimpl=%v",
+				desc, pi, p, naive, ref)
 		}
 	}
 	return nil
@@ -201,60 +195,6 @@ func CheckDistance(seed int64) error {
 					return divergef("dilate", seed, "%s: dist %v cell (%d,%d): optimized=%v refimpl=%v",
 						desc, dist, cx, cy, od.Get(cx, cy), rd.Get(cx, cy))
 				}
-			}
-		}
-	}
-	return nil
-}
-
-// CheckBoxes runs one seeded R-tree scenario: bulk load at a generated
-// fanout, then range, point and nearest queries against the brute-force
-// twins. Result sets must hold the same members; nearest distances must
-// be equal exactly (both sides evaluate the identical clamp-then-hypot).
-func CheckBoxes(seed int64) error {
-	c := GenBoxesCase(seed)
-	tree := rtree.NewWithFanout(c.Items, c.Fanout)
-	if tree.Len() != len(c.Items) {
-		return divergef("rtree-len", seed, "%s: Len=%d want %d", c.Desc, tree.Len(), len(c.Items))
-	}
-	wantBounds := geom.EmptyBBox()
-	for _, it := range c.Items {
-		wantBounds = wantBounds.ExtendBBox(it.Box)
-	}
-	if got := tree.Bounds(); got != wantBounds && !(got.IsEmpty() && wantBounds.IsEmpty()) {
-		return divergef("rtree-bounds", seed, "%s: Bounds=%v want %v", c.Desc, got, wantBounds)
-	}
-	for _, q := range c.Queries {
-		got := tree.Search(q, nil)
-		want := refimpl.SearchBoxes(c.Items, q)
-		if !sortedEqual(got, want) {
-			return divergef("rtree-search", seed, "%s: fanout %d query %v: tree=%v brute=%v",
-				c.Desc, c.Fanout, q, got, want)
-		}
-		visited := 0
-		tree.Visit(q, func(rtree.Item) bool { visited++; return true })
-		if visited != len(want) {
-			return divergef("rtree-visit", seed, "%s: query %v: Visit saw %d, brute %d", c.Desc, q, visited, len(want))
-		}
-	}
-	for _, p := range c.Probes {
-		got := tree.SearchPoint(p, nil)
-		want := refimpl.SearchPointBoxes(c.Items, p)
-		if !sortedEqual(got, want) {
-			return divergef("rtree-searchpoint", seed, "%s: probe %v: tree=%v brute=%v", c.Desc, p, got, want)
-		}
-		gotID, gotD := tree.Nearest(p)
-		refID, refD := refimpl.NearestBox(c.Items, p)
-		if gotD != refD && !(math.IsInf(gotD, 1) && math.IsInf(refD, 1)) {
-			return divergef("rtree-nearest", seed, "%s: probe %v: tree dist %v (id %d), brute dist %v (id %d)",
-				c.Desc, p, gotD, gotID, refD, refID)
-		}
-		if gotID >= 0 {
-			// Ties may resolve to different items, but the winner must
-			// actually sit at the winning distance.
-			if d := refimpl.BoxPointDistance(c.Items[gotID].Box, p); d != gotD {
-				return divergef("rtree-nearest-id", seed, "%s: probe %v: id %d is at %v, reported %v",
-					c.Desc, p, gotID, d, gotD)
 			}
 		}
 	}
@@ -343,19 +283,15 @@ var parallelProcs = [...]int{2, 3, 5, 16}
 // serial path at every GOMAXPROCS and compare it with itself.
 const parallelMinSide = 128
 
-// The dilation radii (in cells) and Dilate8 ring counts CheckParallel
+// parallelDilateCells are the dilation radii, in cells, CheckParallel
 // runs on each mask.
-var (
-	parallelDilateCells  = [...]float64{1, math.Sqrt2, 2.5}
-	parallelDilate8Steps = [...]int{1, 3}
-)
+var parallelDilateCells = [...]float64{1, math.Sqrt2, 2.5}
 
 // kernelOutputs is every banded kernel's result on one scenario.
 type kernelOutputs struct {
-	fill    *raster.BitGrid
-	dist    *raster.FloatGrid
-	dilate  [len(parallelDilateCells)]*raster.BitGrid
-	dilate8 [len(parallelDilate8Steps)]*raster.BitGrid
+	fill   *raster.BitGrid
+	dist   *raster.FloatGrid
+	dilate [len(parallelDilateCells)]*raster.BitGrid
 }
 
 // runKernels runs every banded kernel at GOMAXPROCS procs.
@@ -366,9 +302,6 @@ func runKernels(procs int, fc FillCase, mask *raster.BitGrid) (o kernelOutputs) 
 		o.dist = raster.DistanceTransform(mask)
 		for i, cells := range parallelDilateCells {
 			o.dilate[i] = raster.DilateByDistance(mask, cells*mask.CellSize)
-		}
-		for i, steps := range parallelDilate8Steps {
-			o.dilate8[i] = raster.Dilate8(mask, steps)
 		}
 	})
 	return o
@@ -419,12 +352,6 @@ func CheckParallel(seed int64) error {
 			if cx, cy, ok := firstMaskDiff(serial.dilate[i], par.dilate[i]); !ok {
 				return divergef("parallel-dilate", seed, "%s: GOMAXPROCS=%d dist %v cells, cell (%d,%d): serial=%v parallel=%v",
 					desc, p, cells, cx, cy, serial.dilate[i].Get(cx, cy), par.dilate[i].Get(cx, cy))
-			}
-		}
-		for i, steps := range parallelDilate8Steps {
-			if cx, cy, ok := firstMaskDiff(serial.dilate8[i], par.dilate8[i]); !ok {
-				return divergef("parallel-dilate8", seed, "%s: GOMAXPROCS=%d steps %d cell (%d,%d): serial=%v parallel=%v",
-					desc, p, steps, cx, cy, serial.dilate8[i].Get(cx, cy), par.dilate8[i].Get(cx, cy))
 			}
 		}
 	}
@@ -527,7 +454,7 @@ func CheckContours(seed int64) error {
 // targets and the study-level conformance test call.
 func CheckAll(seed int64) error {
 	for _, check := range []func(int64) error{
-		CheckContainment, CheckFill, CheckDistance, CheckBoxes, CheckPointIndex, CheckAlbers, CheckParallel,
+		CheckContainment, CheckFill, CheckDistance, CheckPointIndex, CheckAlbers, CheckParallel,
 		CheckWeightedVoronoi, CheckContours,
 	} {
 		if err := check(seed); err != nil {

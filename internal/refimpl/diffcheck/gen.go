@@ -7,7 +7,6 @@ import (
 
 	"fivealarms/internal/geom"
 	"fivealarms/internal/raster"
-	"fivealarms/internal/rtree"
 )
 
 // Generators: every adversarial input family the differential drivers
@@ -289,72 +288,6 @@ func GenMaskCase(seed int64) (*raster.BitGrid, string) {
 		}
 		return mask, "random density"
 	}
-}
-
-// BoxesCase is one R-tree scenario: an item set (with the bulk-load
-// degeneracies: duplicates, colinear centers, zero-area boxes, nesting),
-// a fanout, and query boxes plus probe points.
-type BoxesCase struct {
-	Desc    string
-	Items   []rtree.Item
-	Fanout  int
-	Queries []geom.BBox
-	Probes  []geom.Point
-}
-
-// GenBoxesCase derives one R-tree scenario from the seed.
-func GenBoxesCase(seed int64) BoxesCase {
-	rng := rand.New(rand.NewSource(seed ^ 0x0b0c5ca5e))
-	var items []rtree.Item
-	var desc string
-	n := rng.Intn(200)
-	mk := func(i int, b geom.BBox) rtree.Item { return rtree.Item{Box: b, ID: i} }
-	switch seed % 5 {
-	case 0:
-		desc = "random boxes"
-		for i := 0; i < n; i++ {
-			x, y := rng.Float64()*1000, rng.Float64()*1000
-			items = append(items, mk(i, geom.BBox{MinX: x, MinY: y, MaxX: x + rng.Float64()*50, MaxY: y + rng.Float64()*50}))
-		}
-	case 1:
-		desc = "all duplicates"
-		b := geom.BBox{MinX: 10, MinY: 10, MaxX: 20, MaxY: 20}
-		for i := 0; i < 1+n; i++ {
-			items = append(items, mk(i, b))
-		}
-	case 2:
-		desc = "colinear centers"
-		for i := 0; i < 1+n; i++ {
-			x := float64(i) * 3
-			items = append(items, mk(i, geom.BBox{MinX: x, MinY: 50, MaxX: x + 2, MaxY: 52}))
-		}
-	case 3:
-		desc = "zero-area boxes"
-		for i := 0; i < n; i++ {
-			x, y := rng.Float64()*100, rng.Float64()*100
-			items = append(items, mk(i, geom.BBox{MinX: x, MinY: y, MaxX: x, MaxY: y}))
-		}
-	default:
-		desc = "nested boxes"
-		for i := 0; i < 1+n%40; i++ {
-			d := float64(i)
-			items = append(items, mk(i, geom.BBox{MinX: d, MinY: d, MaxX: 100 - d, MaxY: 100 - d}))
-		}
-	}
-	c := BoxesCase{Desc: desc, Items: items, Fanout: 2 + rng.Intn(16)}
-	for q := 0; q < 12; q++ {
-		x, y := rng.Float64()*1000-100, rng.Float64()*1000-100
-		c.Queries = append(c.Queries, geom.BBox{MinX: x, MinY: y, MaxX: x + rng.Float64()*200, MaxY: y + rng.Float64()*200})
-		c.Probes = append(c.Probes, geom.Point{X: x, Y: y})
-	}
-	c.Queries = append(c.Queries, geom.EmptyBBox())
-	if len(items) > 0 {
-		// Exact-boundary queries: an item's own box and its corner point.
-		b := items[rng.Intn(len(items))].Box
-		c.Queries = append(c.Queries, b)
-		c.Probes = append(c.Probes, geom.Point{X: b.MinX, Y: b.MinY}, geom.Point{X: b.MaxX, Y: b.MaxY})
-	}
-	return c
 }
 
 // PointsCase is one point-index scenario: a point set (duplicates,

@@ -12,7 +12,6 @@ import (
 	"fivealarms/internal/proj"
 	"fivealarms/internal/raster"
 	"fivealarms/internal/refimpl"
-	"fivealarms/internal/rtree"
 )
 
 // Golden fixtures are hand-authored GeoJSON worst cases embedded in the
@@ -154,13 +153,13 @@ func FixtureProbes(m geom.MultiPolygon) []geom.Point {
 }
 
 // CheckGolden runs the full differential battery over one embedded
-// fixture: containment, rasterization, the distance transform of the
-// rasterized mask, R-tree loads over the fixture's boxes, point-index
-// queries over its vertices, and (when the coordinates are plausible
-// lon/lat) the CONUS Albers twins.
+// fixture: the ray-cast containment twins, rasterization, the distance
+// transform of the rasterized mask, point-index queries over its
+// vertices, and (when the coordinates are plausible lon/lat) the CONUS
+// Albers twins.
 func CheckGolden(name string) error {
 	for _, check := range []func(string) error{
-		CheckGoldenContainment, CheckGoldenRaster, CheckGoldenAlbers, CheckGoldenBoxes, CheckGoldenPoints,
+		CheckGoldenContainment, CheckGoldenRaster, CheckGoldenAlbers, CheckGoldenPoints,
 	} {
 		if err := check(name); err != nil {
 			return err
@@ -213,15 +212,6 @@ func CheckGoldenAlbers(name string) error {
 	return nil
 }
 
-// CheckGoldenBoxes runs the R-tree twins over one fixture's ring boxes.
-func CheckGoldenBoxes(name string) error {
-	features, err := Fixture(name)
-	if err != nil {
-		return err
-	}
-	return goldenBoxes(name, features)
-}
-
 // CheckGoldenPoints runs the point-index twins over one fixture's
 // vertices.
 func CheckGoldenPoints(name string) error {
@@ -232,8 +222,9 @@ func CheckGoldenPoints(name string) error {
 	return goldenPoints(name, features)
 }
 
+// goldenContainment compares the naive ray cast of one fixture feature,
+// and of each of its rings alone, with the refimpl twins.
 func goldenContainment(tag string, m geom.MultiPolygon) error {
-	prep := geom.PrepareMultiPolygon(m)
 	var rings []geom.Ring
 	for _, pg := range m {
 		rings = append(rings, pg.Exterior)
@@ -241,34 +232,31 @@ func goldenContainment(tag string, m geom.MultiPolygon) error {
 	}
 	rect := allRectilinear(rings)
 	for _, p := range FixtureProbes(m) {
-		opt := prep.Contains(p)
-		ref := refimpl.MultiPolygonContains(m, p)
 		naive := m.ContainsPoint(p)
-		if opt == ref && ref == naive {
+		ref := refimpl.MultiPolygonContains(m, p)
+		if naive == ref {
 			continue
 		}
 		if !rect && nearAnyEdge(rings, p, coordScale(rings, p)) {
 			continue
 		}
-		return goldenf("multipolygon-contains", tag, "probe %v: prepared=%v naive=%v refimpl=%v", p, opt, naive, ref)
+		return goldenf("multipolygon-contains", tag, "probe %v: naive=%v refimpl=%v", p, naive, ref)
 	}
 	for _, r := range rings {
 		if len(r) < 3 {
 			continue
 		}
-		pr := geom.PrepareRing(r)
 		rrect := Rectilinear(r)
 		for _, p := range FixtureProbes(geom.MultiPolygon{{Exterior: r}}) {
-			opt := pr.Contains(p)
-			ref := refimpl.RingContains(r, p)
 			naive := r.ContainsPoint(p)
-			if opt == ref && ref == naive {
+			ref := refimpl.RingContains(r, p)
+			if naive == ref {
 				continue
 			}
 			if !rrect && nearAnyEdge([]geom.Ring{r}, p, coordScale([]geom.Ring{r}, p)) {
 				continue
 			}
-			return goldenf("ring-contains", tag, "probe %v: prepared=%v naive=%v refimpl=%v", p, opt, naive, ref)
+			return goldenf("ring-contains", tag, "probe %v: naive=%v refimpl=%v", p, naive, ref)
 		}
 	}
 	return nil
@@ -365,43 +353,6 @@ func goldenAlbers(tag string, m geom.MultiPolygon) error {
 				if math.Abs(oi.X-v.X) > 1e-6 || math.Abs(oi.Y-v.Y) > 1e-6 {
 					return goldenf("albers-roundtrip", tag, "ll %v round-trips to %v", v, oi)
 				}
-			}
-		}
-	}
-	return nil
-}
-
-func goldenBoxes(name string, features []geom.MultiPolygon) error {
-	var items []rtree.Item
-	for _, m := range features {
-		for _, pg := range m {
-			for _, r := range append([]geom.Ring{pg.Exterior}, pg.Holes...) {
-				items = append(items, rtree.Item{Box: r.BBox(), ID: len(items)})
-			}
-		}
-	}
-	for _, fanout := range []int{2, 4, 16} {
-		tree := rtree.NewWithFanout(items, fanout)
-		queries := []geom.BBox{geom.EmptyBBox(), tree.Bounds()}
-		for _, it := range items {
-			queries = append(queries, it.Box)
-		}
-		for _, q := range queries {
-			got := tree.Search(q, nil)
-			want := refimpl.SearchBoxes(items, q)
-			if !sortedEqual(got, want) {
-				return goldenf("rtree-search", name, "fanout %d query %v: tree=%v brute=%v", fanout, q, got, want)
-			}
-		}
-		for _, it := range items {
-			p := it.Box.Center()
-			gotID, gotD := tree.Nearest(p)
-			_, refD := refimpl.NearestBox(items, p)
-			if gotD != refD {
-				return goldenf("rtree-nearest", name, "fanout %d probe %v: tree dist %v brute dist %v", fanout, p, gotD, refD)
-			}
-			if gotID >= 0 && refimpl.BoxPointDistance(items[gotID].Box, p) != gotD {
-				return goldenf("rtree-nearest-id", name, "probe %v: id %d not at reported distance", p, gotID)
 			}
 		}
 	}

@@ -1,15 +1,15 @@
 // Package refimpl holds deliberately naive reference implementations of
 // every load-bearing GIS primitive in the fivealarms kernel: even-odd
-// ray-casting containment (the twin of geom.PreparedRing /
-// PreparedPolygon / PreparedMultiPolygon), brute-force box range and
-// nearest queries (the twin of rtree.Tree), per-cell polygon
-// rasterization (the twin of raster.FillPolygonsInto), a direct
-// Snyder-formula Albers projection (the twin of proj.Albers), brute-force
-// Euclidean distance transforms and buffers (the twin of
-// raster.DistanceTransform / DilateByDistance), exhaustive point
-// range/radius scans (the twin of grid.Index), a full weighted-
-// nearest-seed scan (the twin of geom.WeightedVoronoiCandidates), and an
-// edge-map contour tracer (the twin of raster.TraceContours).
+// ray-casting containment (the twin of geom.Ring / Polygon /
+// MultiPolygon ContainsPoint, the perimeter answer every fire join
+// reproduces), per-cell polygon rasterization (the twin of
+// raster.FillPolygonsInto), a direct Snyder-formula Albers projection
+// (the twin of proj.Albers), brute-force Euclidean distance transforms
+// and buffers (the twin of raster.DistanceTransform / DilateByDistance),
+// exhaustive point range/radius scans (the twin of grid.Index), a full
+// weighted-nearest-seed scan (the twin of
+// geom.WeightedVoronoiCandidates), and an edge-map contour tracer (the
+// twin of raster.TraceContours).
 //
 // Nothing here is fast and nothing here is clever — that is the point.
 // Each function is written to be obviously correct from its definition,
@@ -58,8 +58,7 @@ func RingContains(r geom.Ring, p geom.Point) bool {
 }
 
 // PolygonContains reports containment in the exterior ring and in none of
-// the hole rings — the semantics of geom.Polygon.ContainsPoint and
-// geom.PreparedPolygon.Contains.
+// the hole rings — the semantics of geom.Polygon.ContainsPoint.
 func PolygonContains(pg geom.Polygon, p geom.Point) bool {
 	if !RingContains(pg.Exterior, p) {
 		return false
@@ -73,8 +72,7 @@ func PolygonContains(pg geom.Polygon, p geom.Point) bool {
 }
 
 // MultiPolygonContains reports containment in any member polygon — the
-// semantics of geom.MultiPolygon.ContainsPoint and
-// geom.PreparedMultiPolygon.Contains.
+// semantics of geom.MultiPolygon.ContainsPoint.
 func MultiPolygonContains(m geom.MultiPolygon, p geom.Point) bool {
 	for _, pg := range m {
 		if PolygonContains(pg, p) {

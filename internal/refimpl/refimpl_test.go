@@ -7,7 +7,6 @@ import (
 
 	"fivealarms/internal/geom"
 	"fivealarms/internal/raster"
-	"fivealarms/internal/rtree"
 )
 
 // The reference implementations are the ground truth of the differential
@@ -62,34 +61,6 @@ func TestPolygonContainsRespectsHoles(t *testing.T) {
 	}
 	if MultiPolygonContains(m, geom.Pt(7, 7)) {
 		t.Error("point between members must be outside")
-	}
-}
-
-func TestSearchAndNearestBoxes(t *testing.T) {
-	items := []rtree.Item{
-		{Box: geom.BBox{MinX: 0, MinY: 0, MaxX: 1, MaxY: 1}, ID: 0},
-		{Box: geom.BBox{MinX: 2, MinY: 2, MaxX: 3, MaxY: 3}, ID: 1},
-		{Box: geom.BBox{MinX: 0.5, MinY: 0.5, MaxX: 2.5, MaxY: 2.5}, ID: 2},
-	}
-	got := SearchBoxes(items, geom.BBox{MinX: 0.6, MinY: 0.6, MaxX: 0.9, MaxY: 0.9})
-	if len(got) != 2 || got[0] != 0 || got[1] != 2 {
-		t.Errorf("SearchBoxes = %v, want [0 2]", got)
-	}
-	if got := SearchBoxes(items, geom.EmptyBBox()); got != nil {
-		t.Errorf("empty query must match nothing, got %v", got)
-	}
-	id, d := NearestBox(items, geom.Pt(5, 3))
-	if id != 1 || d != 2 {
-		t.Errorf("NearestBox = (%d, %g), want (1, 2)", id, d)
-	}
-	if id, d := NearestBox(nil, geom.Pt(0, 0)); id != -1 || !math.IsInf(d, 1) {
-		t.Errorf("NearestBox(empty) = (%d, %g), want (-1, +Inf)", id, d)
-	}
-	if d := BoxPointDistance(geom.EmptyBBox(), geom.Pt(0, 0)); !math.IsInf(d, 1) {
-		t.Errorf("distance to empty box = %g, want +Inf", d)
-	}
-	if got := SearchPointBoxes(items, geom.Pt(0.75, 0.75)); len(got) != 2 {
-		t.Errorf("SearchPointBoxes = %v, want two hits", got)
 	}
 }
 

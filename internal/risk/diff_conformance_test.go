@@ -31,7 +31,7 @@ func table1Reference(a *Analyzer, s *wildfire.Season) int {
 
 // TestTable1CrossCheck recomputes every Table 1 row with the refimpl
 // full scan. The optimized path composes three accelerated primitives
-// (grid index candidate query, prepared containment, sort-and-compact
+// (grid index candidate query, burned-cell containment, sort-and-compact
 // dedup); the reference composes none of them.
 func TestTable1CrossCheck(t *testing.T) {
 	// A slice of the history keeps the full scan (seasons × transceivers

@@ -1,8 +1,8 @@
 package wildfire
 
 import (
-	"bytes"
 	"context"
+	"fmt"
 	"math"
 	"testing"
 
@@ -13,80 +13,50 @@ import (
 )
 
 // TestFireCellsConformance pins the burned-cell join to the perimeter it
-// stands for. Over the histories of 10, 20 and 40 km worlds, every
-// fire's Contains must answer as its prepared perimeter
-// (geom.PrepareMultiPolygon) does at seeded points over the perimeter's
-// box grown by 100 m, at every ring vertex and edge midpoint, and at
-// each of those moved one ulp either way in x, in y and in both, and as
-// its naive ray cast (Perimeter.ContainsPoint) does at every fifth of
-// those probes; and its BBox must equal Perimeter.BBox bit for bit. A
-// fire read back from GeoJSON carries no cells and must answer as its
-// perimeter does.
+// stands for. Over the histories of 10, 20 and 40 km worlds, each world
+// a parallel subtest, every fire's Contains must answer as its naive ray
+// cast (Perimeter.ContainsPoint) does at seeded points over the
+// perimeter's box grown by 100 m, at every ring vertex and edge
+// midpoint, and at each of those moved one ulp either way in x, in y
+// and in both; and its BBox must equal Perimeter.BBox bit for bit.
 func TestFireCellsConformance(t *testing.T) {
 	for _, cell := range []float64{10000, 20000, 40000} {
-		sim := testSim
-		if cell != testWorld.Grid.CellSize {
-			w := conus.Build(conus.Config{Seed: 7, CellSizeM: cell})
-			sim = NewSimulator(w, whp.Build(w, w.Grid, whp.Config{}))
-		}
-		seasons, err := SimulateHistory(context.Background(), sim, 42, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pick := rng.New(uint64(cell))
-		fires, probes := 0, 0
-		for _, s := range seasons {
-			for i := range s.Mapped {
-				f := &s.Mapped[i]
-				if f.cells == nil {
-					t.Fatalf("%g m world: simulated fire %s has no cells", cell, f.Name)
-				}
-				if got, want := f.BBox(), f.Perimeter.BBox(); !sameBox(got, want) {
-					t.Fatalf("%g m world, %s: BBox %v, perimeter box %v", cell, f.Name, got, want)
-				}
-				prep := geom.PrepareMultiPolygon(f.Perimeter)
-				for k, p := range fireProbes(f, pick) {
-					got := f.Contains(p)
-					if prepared := prep.Contains(p); got != prepared {
-						t.Fatalf("%g m world, %s at (%v, %v): cells %v, prepared %v", cell, f.Name, p.X, p.Y, got, prepared)
+		t.Run(fmt.Sprintf("%gm", cell), func(t *testing.T) {
+			t.Parallel()
+			sim := testSim
+			if cell != testWorld.Grid.CellSize {
+				w := conus.Build(conus.Config{Seed: 7, CellSizeM: cell})
+				sim = NewSimulator(w, whp.Build(w, w.Grid, whp.Config{}))
+			}
+			seasons, err := SimulateHistory(context.Background(), sim, 42, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pick := rng.New(uint64(cell))
+			fires, probes := 0, 0
+			for _, s := range seasons {
+				for i := range s.Mapped {
+					f := &s.Mapped[i]
+					if f.cells == nil {
+						t.Fatalf("simulated fire %s has no cells", f.Name)
 					}
-					// The naive ray cast costs a test per vertex, so it
-					// checks every fifth probe; 5 and 9 are coprime, so
-					// that cycles through all nine moves of a point.
-					if k%5 == 0 {
-						if naive := f.Perimeter.ContainsPoint(p); got != naive {
-							t.Fatalf("%g m world, %s at (%v, %v): cells %v, naive %v", cell, f.Name, p.X, p.Y, got, naive)
+					if got, want := f.BBox(), f.Perimeter.BBox(); !sameBox(got, want) {
+						t.Fatalf("%s: BBox %v, perimeter box %v", f.Name, got, want)
+					}
+					for _, p := range fireProbes(f, pick) {
+						if got, naive := f.Contains(p), f.Perimeter.ContainsPoint(p); got != naive {
+							t.Fatalf("%s at (%v, %v): cells %v, naive %v", f.Name, p.X, p.Y, got, naive)
 						}
+						probes++
 					}
-					probes++
+					fires++
 				}
-				fires++
 			}
-		}
-		if fires == 0 {
-			t.Fatalf("%g m world: no fire burned", cell)
-		}
-		t.Logf("%g m world: %d fires, %d probes", cell, fires, probes)
-
-		// A fire read back from GeoJSON has only its perimeter.
-		var buf bytes.Buffer
-		if err := seasons[len(seasons)-1].WriteGeoJSON(&buf, sim.World); err != nil {
-			t.Fatal(err)
-		}
-		read, err := ReadGeoJSON(&buf, sim.World)
-		if err != nil || len(read) == 0 {
-			t.Fatalf("%g m world: %d fires read back, error %v", cell, len(read), err)
-		}
-		f := &read[0]
-		if f.cells != nil || !sameBox(f.BBox(), f.Perimeter.BBox()) {
-			t.Fatalf("%g m world: GeoJSON fire %s has cells or box %v, perimeter box %v",
-				cell, f.Name, f.BBox(), f.Perimeter.BBox())
-		}
-		for _, p := range fireBase(f, pick) {
-			if got, want := f.Contains(p), f.Perimeter.ContainsPoint(p); got != want {
-				t.Fatalf("%g m world, GeoJSON fire %s at %v: Contains %v, perimeter %v", cell, f.Name, p, got, want)
+			if fires == 0 {
+				t.Fatal("no fire burned")
 			}
-		}
+			t.Logf("%d fires, %d probes", fires, probes)
+		})
 	}
 }
 

@@ -54,10 +54,10 @@ import (
 	"fivealarms/internal/whp"
 )
 
-// Fire is one mapped wildfire with its perimeter. A simulated fire also
-// holds the burned cells its perimeter was traced from, which answer
-// Contains and BBox. Fire values copy freely: copies share the cells,
-// which are never written after the fire burns.
+// Fire is one mapped wildfire with its perimeter. The simulator makes
+// every Fire, so each one also holds the burned cells its perimeter was
+// traced from, which answer Contains and BBox. Fire values copy freely:
+// copies share the cells, which are never written after the fire burns.
 type Fire struct {
 	ID        int
 	Name      string
@@ -76,30 +76,18 @@ type Fire struct {
 	// convention) used during growth.
 	WindDeg float64
 
-	// cells holds the burned cells the perimeter was traced from; nil
-	// for a fire decoded from its perimeter alone (ReadGeoJSON).
+	// cells holds the burned cells the perimeter was traced from.
 	cells *burnedCells
 }
 
 // Contains reports whether p lies inside the fire's perimeter, exactly
-// as f.Perimeter.ContainsPoint answers. A simulated fire reads the one
-// burned cell that could hold p; a fire without cells tests the
-// perimeter.
-func (f *Fire) Contains(p geom.Point) bool {
-	if f.cells == nil {
-		return f.Perimeter.ContainsPoint(p)
-	}
-	return f.cells.contains(p)
-}
+// as f.Perimeter.ContainsPoint answers, by reading the one burned cell
+// that could hold p.
+func (f *Fire) Contains(p geom.Point) bool { return f.cells.contains(p) }
 
 // BBox returns the perimeter's bounding box, bit for bit
-// f.Perimeter.BBox(). A simulated fire keeps it from when it burned.
-func (f *Fire) BBox() geom.BBox {
-	if f.cells == nil {
-		return f.Perimeter.BBox()
-	}
-	return f.cells.box
-}
+// f.Perimeter.BBox(), kept from when the fire burned.
+func (f *Fire) BBox() geom.BBox { return f.cells.box }
 
 // burnedCells is the burned mask a simulated fire's perimeter was traced
 // from, cropped to the burned cells' columns x0..x1 and rows y0..y1 of

@@ -1,11 +1,8 @@
 package wildfire
 
 import (
-	"bytes"
 	"context"
-	"fmt"
 	"math"
-	"strings"
 	"testing"
 
 	"fivealarms/internal/conus"
@@ -199,120 +196,6 @@ func TestSimulateHistoryCalibration(t *testing.T) {
 		if len(s.Mapped) == 0 {
 			t.Errorf("%d: no mapped fires", s.Year)
 		}
-	}
-}
-
-func TestGeoJSONRoundTrip(t *testing.T) {
-	s := testSim.Season(SeasonConfig{Seed: 29, Year: 2014, TotalFires: 63312, TotalAcres: 3.6e6, MappedFires: 8})
-	var buf bytes.Buffer
-	if err := s.WriteGeoJSON(&buf, testWorld); err != nil {
-		t.Fatal(err)
-	}
-	fires, err := ReadGeoJSON(bytes.NewReader(buf.Bytes()), testWorld)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(fires) != len(s.Mapped) {
-		t.Fatalf("round trip %d fires != %d", len(fires), len(s.Mapped))
-	}
-	for i := range fires {
-		orig := &s.Mapped[i]
-		got := &fires[i]
-		if got.Name != orig.Name || got.Year != orig.Year {
-			t.Errorf("fire %d identity mismatch", i)
-		}
-		if math.Abs(got.Acres-orig.Acres)/orig.Acres > 0.02 {
-			t.Errorf("fire %d acres %.1f vs %.1f", i, got.Acres, orig.Acres)
-		}
-		if got.RoadCorridor != orig.RoadCorridor {
-			t.Errorf("fire %d roadcorridor flag lost", i)
-		}
-	}
-}
-
-func TestReadGeoJSONErrors(t *testing.T) {
-	if _, err := ReadGeoJSON(bytes.NewReader([]byte("{")), testWorld); err == nil {
-		t.Error("truncated JSON should error")
-	}
-	if _, err := ReadGeoJSON(bytes.NewReader([]byte(`{"type":"Feature"}`)), testWorld); err == nil {
-		t.Error("non-collection should error")
-	}
-	bad := `{"type":"FeatureCollection","features":[{"type":"Feature","properties":{},"geometry":{"type":"Point","coordinates":[]}}]}`
-	if _, err := ReadGeoJSON(bytes.NewReader([]byte(bad)), testWorld); err == nil {
-		t.Error("point geometry should error")
-	}
-}
-
-// mpFeature builds a one-feature FeatureCollection around the given
-// MultiPolygon coordinates JSON.
-func mpFeature(coords string) []byte {
-	return []byte(`{"type":"FeatureCollection","features":[{"type":"Feature","properties":{},"geometry":{"type":"MultiPolygon","coordinates":` + coords + `}}]}`)
-}
-
-func TestReadGeoJSONRejectsBadCoordinates(t *testing.T) {
-	cases := map[string]string{
-		"lon too big":   `[[[[200,40],[201,40],[201,41],[200,40]]]]`,
-		"lon too small": `[[[[-200,40],[-199,40],[-199,41],[-200,40]]]]`,
-		"lat too big":   `[[[[-100,95],[-99,95],[-99,96],[-100,95]]]]`,
-		"lat too small": `[[[[-100,-95],[-99,-95],[-99,-94],[-100,-95]]]]`,
-		// JSON cannot carry literal NaN/Inf, but a second ring keeps the
-		// guard honest about reporting the polygon/ring coordinates.
-		"bad hole": `[[[[-100,40],[-99,40],[-99,41],[-100,40]],[[-100,40],[-99,40],[-99,999],[-100,40]]]]`,
-	}
-	for name, coords := range cases {
-		_, err := ReadGeoJSON(bytes.NewReader(mpFeature(coords)), testWorld)
-		if err == nil {
-			t.Errorf("%s: accepted", name)
-			continue
-		}
-		if !strings.Contains(err.Error(), "feature 0") {
-			t.Errorf("%s: error lacks feature index: %v", name, err)
-		}
-		if !strings.Contains(err.Error(), "ring") {
-			t.Errorf("%s: error lacks ring index: %v", name, err)
-		}
-	}
-	// The hole error must name ring 1, not ring 0.
-	_, err := ReadGeoJSON(bytes.NewReader(mpFeature(cases["bad hole"])), testWorld)
-	if err == nil || !strings.Contains(err.Error(), "ring 1") {
-		t.Errorf("hole error lacks ring 1: %v", err)
-	}
-}
-
-func TestReadGeoJSONCapsVertexCount(t *testing.T) {
-	// Build a single ring one vertex over the cap. The guard must fire
-	// before any projection work, naming the feature and ring.
-	var sb strings.Builder
-	sb.WriteString(`{"type":"FeatureCollection","features":[{"type":"Feature","properties":{},"geometry":{"type":"MultiPolygon","coordinates":[[[`)
-	for i := 0; i <= maxGeoJSONVertices; i++ {
-		if i > 0 {
-			sb.WriteByte(',')
-		}
-		fmt.Fprintf(&sb, "[-100,%d]", 30+i%10)
-	}
-	sb.WriteString(`]]]}}]}`)
-	_, err := ReadGeoJSON(strings.NewReader(sb.String()), testWorld)
-	if err == nil {
-		t.Fatal("over-cap ring accepted")
-	}
-	if !strings.Contains(err.Error(), "vertex count") || !strings.Contains(err.Error(), "feature 0") {
-		t.Errorf("cap error unhelpful: %v", err)
-	}
-	// The cap is on the collection total: two features sharing it also
-	// trip the guard.
-	half := maxGeoJSONVertices/2 + 1
-	var ring strings.Builder
-	for i := 0; i < half; i++ {
-		if i > 0 {
-			ring.WriteByte(',')
-		}
-		fmt.Fprintf(&ring, "[-100,%d]", 30+i%10)
-	}
-	feat := `{"type":"Feature","properties":{},"geometry":{"type":"MultiPolygon","coordinates":[[[` + ring.String() + `]]]}}`
-	doc := `{"type":"FeatureCollection","features":[` + feat + `,` + feat + `]}`
-	_, err = ReadGeoJSON(strings.NewReader(doc), testWorld)
-	if err == nil || !strings.Contains(err.Error(), "feature 1") {
-		t.Errorf("total cap error: %v", err)
 	}
 }
 
